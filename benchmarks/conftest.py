@@ -1,9 +1,11 @@
 """Shared benchmark configuration.
 
 Each benchmark module regenerates one table or figure of the paper and
-prints it, so `pytest benchmarks/ --benchmark-only -s` reproduces the
-whole evaluation section.  Simulations are deterministic, so a single
-round per benchmark is meaningful.
+prints it, so `pytest benchmarks/ --benchmark-enable --benchmark-only -s`
+reproduces the whole evaluation section.  Tier-1 runs these modules
+with timing off (`--benchmark-disable` in pyproject.toml): the paper
+checks gate every change, the timings are opt-in.  Simulations are
+deterministic, so a single round per benchmark is meaningful.
 """
 
 import pytest

@@ -15,7 +15,7 @@ Usage:
     python -m repro lint --spec        # + path-spec golden-file rules
     python -m repro spec extract       # (re)write specs/*.json goldens
     python -m repro trace table3 -o trace.json   # Perfetto span trace
-    python -m repro bench --jobs 4     # sharded suite + BENCH_suite.json
+    python -m repro bench              # whole grid + BENCH_suite.json
     python -m repro sanitize suite     # SimSan tie-order race sweep
     python -m repro serve              # what-if query server (asyncio)
     python -m repro query --target table2      # query a running server
@@ -127,50 +127,25 @@ def _cmd_trace(args):
 
 
 def _cmd_bench(args):
-    from repro.errors import ConfigurationError
     from repro.runner import bench as runner_bench
-    from repro.runner.journal import JournalError
-    from repro.runner.resilience import CellFailure, RetryPolicy
+    from repro.runner.resilience import CellFailure
 
     if args.cache_verify:
         return _cmd_cache_verify(args, runner_bench)
     if args.no_fastpath:
-        # Environment, not a parameter: worker processes must inherit
-        # the setting so every cell interprets step by step.
+        # Environment, not a parameter: the lane reads REPRO_FASTPATH
+        # wherever a machine is built.
         os.environ["REPRO_FASTPATH"] = "0"
     try:
-        if args.resume is not None:
-            if args.no_cache:
-                raise ConfigurationError(
-                    "--resume needs the cache (the journal lives in it); "
-                    "drop --no-cache"
-                )
-            # jobs/policy default to the journaled run's own settings
-            outcome = runner_bench.resume_bench(
-                run_ref=args.resume,
-                jobs=args.jobs,
-                cache_dir=args.cache_dir,
-            )
-        else:
-            policy = RetryPolicy.from_env(
-                max_retries=args.max_retries,
-                cell_timeout_s=args.cell_timeout,
-                keep_going=True if args.keep_going else None,
-            )
-            outcome = runner_bench.run_bench(
-                jobs=args.jobs if args.jobs is not None else 1,
-                cache_dir=args.cache_dir,
-                use_cache=not args.no_cache,
-                transactions=args.transactions,
-                policy=policy,
-                run_id=args.run_id,
-            )
+        outcome = runner_bench.run_bench(
+            cache_dir=args.cache_dir,
+            use_cache=not args.no_cache,
+            transactions=args.transactions,
+            keep_going=args.keep_going,
+        )
     except CellFailure as failure:
-        # the structured abort: cell, attempts, tracebacks — on stderr
+        # the structured abort: cell, error, traceback — on stderr
         print(failure.report_text(), file=sys.stderr)
-        return 1
-    except (JournalError, ConfigurationError) as exc:
-        print(str(exc), file=sys.stderr)
         return 1
     # The report goes to stdout (byte-identical to `repro all`); the
     # bench summary goes to stderr so redirected output stays clean.
@@ -180,17 +155,6 @@ def _cmd_bench(args):
         runner_bench.append_history(args.history, outcome.document)
         print("appended scoreboard line to %s" % args.history, file=sys.stderr)
     print(outcome.summary, file=sys.stderr)
-    journal_block = outcome.document.get("journal")
-    if journal_block and journal_block["resumed"]:
-        print(
-            "resumed %s: %d cell(s) recovered from the journal, %d re-simulated"
-            % (
-                journal_block["run_id"],
-                journal_block["completed_before"],
-                journal_block["resimulated"],
-            ),
-            file=sys.stderr,
-        )
     print("wrote %s" % args.output, file=sys.stderr)
     if outcome.document.get("failed_cells"):
         print(
@@ -205,6 +169,7 @@ def _cmd_cache_verify(args, runner_bench):
     """``bench --cache-verify``: re-hash every entry, quarantine bad ones."""
     report = runner_bench.verify_cache(args.cache_dir)
     quarantined = [row for row in report if row["status"] == "quarantined"]
+    bad = [row for row in report if row["status"] != "ok"]
     for row in report:
         line = "%-11s %s" % (row["status"], row["key"])
         if row["cell"]:
@@ -217,7 +182,7 @@ def _cmd_cache_verify(args, runner_bench):
         % (len(report), "y" if len(report) == 1 else "ies", len(quarantined)),
         file=sys.stderr,
     )
-    return 1 if quarantined else 0
+    return 1 if bad else 0
 
 
 def _cmd_serve(args):
@@ -228,7 +193,6 @@ def _cmd_serve(args):
         port=args.port,
         admit_max=args.admit_max,
         query_budget=args.query_budget,
-        jobs=args.jobs,
         cache_dir=args.cache_dir,
         drain_timeout=args.drain_timeout,
     )
@@ -280,7 +244,7 @@ def _cmd_query(args):
         cache = ResultCache(args.cache_dir) if args.cache_dir else None
         try:
             document = service_queries.direct_document(
-                args.target, params, costs, jobs=args.jobs, cache=cache
+                args.target, params, costs, cache=cache
             )
         except ReproError as exc:
             print(str(exc), file=sys.stderr)
@@ -440,36 +404,10 @@ def build_parser():
 
     bench = sub.add_parser(
         "bench",
-        help="run the whole suite through the parallel sharded runner; "
+        help="run the whole suite through the in-process runner; "
         "prints the full report and writes a BENCH_suite.json artifact "
         "with per-cell wall time, simulated cycles, and cache hit/miss "
         "counts",
-    )
-    bench.add_argument(
-        "--jobs",
-        type=_positive_int,
-        default=None,
-        metavar="N",
-        help="worker processes to fan cells out over (default 1: in-process; "
-        "under --resume, defaults to the original run's width)",
-    )
-    bench.add_argument(
-        "--resume",
-        nargs="?",
-        const="latest",
-        default=None,
-        metavar="RUN_ID",
-        help="resume an interrupted journaled run instead of starting fresh "
-        "(RUN_ID, or 'latest' when omitted); completed cells are recovered "
-        "from the cache, the rest re-simulate, and the report is "
-        "byte-identical to an uninterrupted run",
-    )
-    bench.add_argument(
-        "--run-id",
-        default=None,
-        metavar="ID",
-        help="name this run's journal (default REPRO_RUN_ID or a generated "
-        "id); the journal lands at <cache>/journal/<ID>.jsonl",
     )
     bench.add_argument(
         "--no-cache",
@@ -480,7 +418,7 @@ def build_parser():
         "--no-fastpath",
         action="store_true",
         help="disable the compiled world-switch fast lane (sets "
-        "REPRO_FASTPATH=0 for this run and its workers); results are "
+        "REPRO_FASTPATH=0 for this run); results are "
         "byte-identical either way, only wall time changes",
     )
     bench.add_argument(
@@ -513,27 +451,10 @@ def build_parser():
         "BENCH_history.jsonl to track the throughput trajectory",
     )
     bench.add_argument(
-        "--max-retries",
-        type=_nonnegative_int,
-        default=None,
-        metavar="N",
-        help="per-cell charged-failure budget before degrading to serial "
-        "(default: REPRO_MAX_RETRIES or 2)",
-    )
-    bench.add_argument(
-        "--cell-timeout",
-        type=_positive_float,
-        default=None,
-        metavar="SECONDS",
-        help="watchdog deadline per cell execution under --jobs N>1; a hung "
-        "worker is killed and the cell retried (default: REPRO_CELL_TIMEOUT "
-        "or no deadline)",
-    )
-    bench.add_argument(
         "--keep-going",
         action="store_true",
-        help="do not abort when a cell exhausts the retry/degradation "
-        "ladder: emit a partial report and a failed_cells section instead",
+        help="do not abort when a cell raises: emit a partial report and "
+        "a failed_cells section instead",
     )
     bench.add_argument(
         "--cache-verify",
@@ -615,13 +536,6 @@ def build_parser():
         "(default REPRO_QUERY_BUDGET or 0)",
     )
     serve.add_argument(
-        "--jobs",
-        type=_positive_int,
-        default=None,
-        metavar="N",
-        help="worker processes per batch (default REPRO_JOBS or 1)",
-    )
-    serve.add_argument(
         "--cache-dir",
         default=None,
         metavar="PATH",
@@ -688,13 +602,6 @@ def build_parser():
         action="store_true",
         help="bypass the server: run the same canonical query through the "
         "runner in-process (the differential golden path)",
-    )
-    query.add_argument(
-        "--jobs",
-        type=_positive_int,
-        default=1,
-        metavar="N",
-        help="worker processes for --direct (default 1)",
     )
     query.add_argument(
         "--cache-dir",

@@ -14,14 +14,13 @@ results as JSON-serializable structures (``python -m repro table2
 
 Every entry point routes through :mod:`repro.runner`: the suite is
 sharded into independent cells, deduplicated (Table II and the VHE
-comparison share their KVM ARM microbenchmark cell), optionally fanned
-out over worker processes and served from the content-addressed result
-cache, then merged back deterministically — the output stays
-byte-identical to the pre-runner serial path (the differential test
-harness holds it to that).  ``REPRO_JOBS`` / ``REPRO_CACHE_DIR``
-configure the default plan; ``full_report`` also takes ``jobs`` /
-``cache_dir`` directly, and ``python -m repro bench`` exposes the whole
-grid with per-cell timing.
+comparison share their KVM ARM microbenchmark cell), run in this
+process or served from the content-addressed result cache, then merged
+back deterministically — the output stays byte-identical to the
+pre-runner serial path (the differential test harness holds it to
+that).  ``REPRO_CACHE_DIR`` configures the default cache;
+``full_report`` also takes ``cache_dir`` directly, and
+``python -m repro bench`` exposes the whole grid with per-cell timing.
 """
 
 import dataclasses
@@ -145,9 +144,7 @@ def oversubscription_data(keys=None, timeslices_us=cells.OVERSUB_TIMESLICES_US):
     return merge.oversubscription_grid(results, keys, timeslices_us)
 
 
-def full_report(jobs=None, cache_dir=None):
+def full_report(cache_dir=None):
     """Everything, in paper order — one deduplicated cell-grid run."""
-    results = runner.run_plan(
-        cells.full_report_cells(), jobs=jobs, cache_dir=cache_dir
-    )
+    results = runner.run_plan(cells.full_report_cells(), cache_dir=cache_dir)
     return merge.full_report_text(results)

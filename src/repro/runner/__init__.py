@@ -1,43 +1,35 @@
-"""Parallel sharded suite execution with content-addressed caching.
+"""Suite execution: plan cells, run them in process, cache, merge.
 
 The runner decomposes the full evaluation suite into independent
-*cells* (:mod:`repro.runner.cells`), executes them — in-process, across
-spawned worker processes, or straight out of an on-disk cache
-(:mod:`repro.runner.pool`, :mod:`repro.runner.cache`) — and
+*cells* (:mod:`repro.runner.cells`), runs each one in this process or
+serves it straight out of the content-addressed on-disk cache
+(:mod:`repro.runner.pool`, :mod:`repro.runner.cache`), and
 deterministically merges the payloads back into the exact shapes and
 bytes the serial suite always produced (:mod:`repro.runner.merge`).
 
-The execution layer is fault tolerant (:mod:`repro.runner.resilience`):
-failed, hung, or crashed workers are retried with bounded exponential
-backoff under a per-cell budget, exhausted cells degrade to in-process
-serial execution, corrupt payloads and poisoned cache entries are
-detected by sha256 verification and quarantined, and only a cell that
-fails the whole ladder aborts the run (or is recorded and skipped under
-``keep_going``).  :mod:`repro.runner.faults` injects deterministic
-chaos — crash/hang/corrupt/poison per cell per attempt — when
-``REPRO_FAULT_PLAN`` is set, so all of the above is provable in tests
-without real flakiness.
+There is no worker pool: the whole report is 34 cells of at most
+~20 ms each, and DESIGN.md "Runner" records the measurement showing a
+spawn pool costs more than it saves.  A cell that raises fails once —
+the run aborts with a structured :class:`CellFailure`, or records a
+:class:`FailedCell` under ``keep_going``.  Cache entries carry a
+payload sha256 that is verified on every read; a corrupt entry is
+quarantined and re-simulated (:mod:`repro.runner.resilience` holds the
+failure records and the digest).
 
 ``repro.core.suite`` routes every ``*_report``/``*_data`` entry point
-through here, so callers get sharding, deduplication (Table II and the
-VHE comparison share their KVM ARM cells), caching and fault tolerance
-for free.  The default plan is serial and uncached; it can be widened
-per call or via environment:
-
-* ``REPRO_JOBS=N`` — fan cells out over N worker processes;
-* ``REPRO_CACHE_DIR=PATH`` — reuse cached cell results keyed by the
-  model fingerprint, live cost tables, and cell parameters;
-* ``REPRO_MAX_RETRIES`` / ``REPRO_CELL_TIMEOUT`` / ``REPRO_KEEP_GOING``
-  — the retry policy (see :class:`repro.runner.resilience.RetryPolicy`).
+through here, so callers get deduplication (Table II and the VHE
+comparison share their KVM ARM cells) and caching for free.  The
+default plan is uncached; ``REPRO_CACHE_DIR=PATH`` reuses cached cell
+results keyed by the model fingerprint, live cost tables, and cell
+parameters.
 
 ``python -m repro bench`` (:mod:`repro.runner.bench`) runs the full
 grid plus the oversubscription sweep and emits ``BENCH_suite.json``.
 """
 
-import dataclasses
 import os
 
-from repro.runner import bench, cache, cells, faults, merge, pool, resilience
+from repro.runner import bench, cache, cells, merge, pool, resilience
 from repro.runner.cache import ResultCache
 from repro.runner.cells import (
     COSTS_PARAM,
@@ -52,44 +44,14 @@ from repro.runner.pool import (
     run_cells,
     run_cells_outcome,
 )
-from repro.runner.resilience import (
-    CellExecutionError,
-    CellFailure,
-    FailedCell,
-    RetryPolicy,
-)
+from repro.runner.resilience import CellExecutionError, CellFailure, FailedCell
 
 
-@dataclasses.dataclass
-class Plan:
-    """How to execute a cell list: worker count and cache location."""
-
-    jobs: int = 1
-    cache_dir: str = None
-
-
-def default_plan():
-    """The environment-configured plan (serial, uncached by default).
-
-    ``REPRO_JOBS`` is validated here — a garbage value raises a clear
-    :class:`~repro.errors.ConfigurationError` instead of surfacing as a
-    ``ProcessPoolExecutor`` traceback deep in the pool.
-    """
-    return Plan(
-        jobs=resilience.validate_jobs(os.environ.get(resilience.ENV_JOBS, "1")),
-        cache_dir=os.environ.get("REPRO_CACHE_DIR") or None,
-    )
-
-
-def run_plan(specs, jobs=None, cache_dir=None, policy=None):
-    """Run cells under the given (or environment-default) plan."""
-    plan = default_plan()
-    if jobs is None:
-        jobs = plan.jobs
+def run_plan(specs, cache_dir=None):
+    """Run cells in process, cached under ``cache_dir`` or ``REPRO_CACHE_DIR``."""
     if cache_dir is None:
-        cache_dir = plan.cache_dir
-    result_cache = ResultCache(cache_dir) if cache_dir else None
-    return run_cells(specs, jobs=jobs, cache=result_cache, policy=policy)
+        cache_dir = os.environ.get("REPRO_CACHE_DIR") or None
+    return run_cells(specs, cache=ResultCache(cache_dir) if cache_dir else None)
 
 
 __all__ = [
@@ -99,16 +61,12 @@ __all__ = [
     "CellResult",
     "CellSpec",
     "FailedCell",
-    "Plan",
     "ResultCache",
-    "RetryPolicy",
     "RunOutcome",
     "bench",
     "cache",
     "cells",
-    "default_plan",
     "execute_cell",
-    "faults",
     "merge",
     "pool",
     "resilience",

@@ -15,8 +15,8 @@ together everything that can change its payload:
   pairs.
 
 Entries are one JSON file per key under ``<dir>/<key[:2]>/<key>.json``,
-written atomically (tempfile + rename) so concurrent workers and
-concurrent suite runs can share a directory; stale ``*.tmp.<pid>``
+written atomically (tempfile + rename) so concurrent runs (a server,
+a bench, a direct query) can share a directory; stale ``*.tmp.<pid>``
 scratch files left by a killed run are swept on open.
 
 Integrity: every entry carries a ``payload_sha256`` over the canonical
@@ -40,7 +40,7 @@ import warnings
 
 import repro
 from repro.hw import costs as hw_costs
-from repro.runner import faults, resilience
+from repro.runner import resilience
 
 #: bump when the entry layout changes; old entries become misses.
 CACHE_SCHEMA = "repro-runner-cache/2"
@@ -131,10 +131,7 @@ class ResultCache:
         if not self.directory.is_dir():
             return 0
         swept = 0
-        scratch_files = list(self.directory.glob("*/*.json.tmp.*"))
-        # journal scratch (a run killed before its run-open rename landed)
-        scratch_files.extend(self.directory.glob("journal/*.jsonl.tmp.*"))
-        for scratch in scratch_files:
+        for scratch in self.directory.glob("*/*.json.tmp.*"):
             suffix = scratch.name.rsplit(".", 1)[-1]
             alive = suffix.isdigit() and _pid_alive(int(suffix))
             if not alive:
@@ -151,19 +148,27 @@ class ResultCache:
     def _quarantine(self, path, key, reason):
         """Move a bad entry aside (with a reason file) instead of deleting.
 
-        Quarantined evidence is what lets a human (or the CI chaos job)
-        distinguish "the cache was poisoned" from "the cache was cold".
+        Quarantined evidence is what lets a human distinguish "the cache
+        was poisoned" from "the cache was cold".  A quarantine that
+        cannot happen (entry already gone, quarantine directory blocked,
+        disk full) is not an error: the caller still treats the entry
+        as a miss, exactly as :meth:`store` treats a failed write.
+        Returns whether the entry was moved aside.
         """
         destination = self.quarantine_path()
-        destination.mkdir(parents=True, exist_ok=True)
         try:
+            destination.mkdir(parents=True, exist_ok=True)
             os.replace(path, destination / (key + ".json"))
         except OSError:
-            return  # gone already (concurrent quarantine/store)
-        (destination / (key + ".reason")).write_text(
-            "key: %s\nreason: %s\n" % (key, reason), encoding="utf-8"
-        )
+            return False
         self.quarantined += 1
+        try:
+            (destination / (key + ".reason")).write_text(
+                "key: %s\nreason: %s\n" % (key, reason), encoding="utf-8"
+            )
+        except OSError:
+            pass  # the entry is aside; only the note is missing
+        return True
 
     # -- keys --------------------------------------------------------------
 
@@ -278,14 +283,14 @@ class ResultCache:
                     "(further write errors counted silently)" % exc
                 )
             return False
-        faults.maybe_poison_entry(result.spec.id, path)
         return True
 
     def verify_entries(self):
         """Re-hash every entry; quarantine mismatches.  Returns a report.
 
         Each report row is ``{"key", "cell", "status", "reason"}`` with
-        status ``ok`` or ``quarantined`` (``python -m repro bench
+        status ``ok``, ``quarantined``, or ``corrupt`` when the bad entry
+        could not be moved aside (``python -m repro bench
         --cache-verify``).
         """
         report = []
@@ -297,8 +302,13 @@ class ResultCache:
             try:
                 entry = json.loads(path.read_bytes().decode("utf-8"))
             except (OSError, UnicodeDecodeError, ValueError):
-                self._quarantine(path, key, "unparseable JSON (torn write or poison)")
-                row.update(status="quarantined", reason="unparseable JSON")
+                moved = self._quarantine(
+                    path, key, "unparseable JSON (torn write or poison)"
+                )
+                row.update(
+                    status="quarantined" if moved else "corrupt",
+                    reason="unparseable JSON",
+                )
                 report.append(row)
                 continue
             if isinstance(entry, dict):
@@ -309,7 +319,7 @@ class ResultCache:
                 continue
             problem = self._entry_problem(entry, key)
             if problem is not None:
-                self._quarantine(path, key, problem)
-                row.update(status="quarantined", reason=problem)
+                moved = self._quarantine(path, key, problem)
+                row.update(status="quarantined" if moved else "corrupt", reason=problem)
             report.append(row)
         return report

@@ -7,8 +7,9 @@ point of the ablation/VHE/oversubscription grids.  Every cell is:
 * **self-contained** — it builds its own testbeds from the platform key
   and parameters, so it can run in any process in any order;
 * **deterministic** — the simulator guarantees the same payload for the
-  same parameters, which is what makes both the worker fan-out and the
-  content-addressed cache (:mod:`repro.runner.cache`) sound;
+  same parameters, which is what makes the content-addressed cache
+  (:mod:`repro.runner.cache`) sound, even when one process writes an
+  entry and another reads it;
 * **JSON-valued** — the payload is plain data (dicts/lists/numbers/
   strings), so a cached result is indistinguishable from a fresh one.
 
@@ -31,7 +32,6 @@ from repro.core.testbed import build_testbed, native_testbed
 from repro.errors import ConfigurationError
 from repro.hw import costs as hw_costs
 from repro.paperdata import PLATFORM_ORDER
-from repro.runner import faults
 from repro.workloads import FIGURE4_WORKLOADS
 
 #: netperf TCP_RR transactions simulated per Table V cell (the
@@ -92,9 +92,9 @@ def with_cost_overrides(spec, overrides):
     The document is validated and canonicalized
     (:func:`repro.hw.costs.validate_overrides`) and then embedded in the
     cell's parameters as compact sorted JSON — so the override travels
-    with the spec across process boundaries, distinguishes the cell's
-    content-addressed cache key from the default-calibration cell, and
-    shows up verbatim in the cell id (which fault plans key on).
+    with the spec, distinguishes the cell's content-addressed cache key
+    from the default-calibration cell, and shows up verbatim in the
+    cell id.
     """
     if not overrides:
         return spec
@@ -216,19 +216,14 @@ CELL_KINDS = {
 }
 
 
-def run_cell(spec, attempt=0):
+def run_cell(spec):
     """Execute one cell in this process; returns its JSON payload.
-
-    ``attempt`` is the cell's submission index (0 on the first try); it
-    only matters to the deterministic fault-injection hook, which is a
-    no-op unless ``REPRO_FAULT_PLAN`` is set (chaos tests / CI).
 
     A cell carrying a ``costs`` parameter (see
     :func:`with_cost_overrides`) simulates under that what-if override
     document; the testbeds it builds see the overridden primitives and
     nothing outside the cell does.
     """
-    faults.on_run_cell(spec.id, attempt)
     runner = CELL_KINDS.get(spec.kind)
     if runner is None:
         raise ConfigurationError("unknown cell kind %r" % (spec.kind,))

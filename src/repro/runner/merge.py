@@ -1,18 +1,18 @@
 """Deterministic merge: cell payloads back into the suite's shapes.
 
-Cells return plain JSON (so they can cross a process boundary and live
-in the cache); this module *hydrates* those payloads back into the
-dataclasses and orderings the reporting layer has always consumed — the
-merged output of a parallel, partially cached run is byte-identical to
-the pre-runner serial path (tests/test_runner_differential.py).
+Cells return plain JSON (so they can live in the cache); this module
+*hydrates* those payloads back into the dataclasses and orderings the
+reporting layer has always consumed — the merged output of a partially
+cached run is byte-identical to the pre-runner serial path
+(tests/test_runner_differential.py).
 
 Order guarantees (what makes the merge deterministic):
 
 * every assembler iterates the *canonical* key/config/workload tuples
   (``PLATFORM_ORDER``, ``cells.TCPRR_CONFIGS``, ...) — never the
-  completion order of workers or dict order of the result map;
+  dict order of the result map;
 * within a Figure 4 column, workload order is the payload's insertion
-  order, which every worker produces identically (``FIGURE4_WORKLOADS``
+  order, which every run produces identically (``FIGURE4_WORKLOADS``
   order) because cells are deterministic;
 * floats survive the JSON round-trip exactly (shortest-repr encoding),
   so derived values recomputed here (VHE speedups, ablation deltas)
@@ -132,7 +132,7 @@ _SECTIONS = (
 def full_report_text(results, transactions=cells.DEFAULT_RR_TRANSACTIONS, partial=False):
     """The whole evaluation section, in paper order, from merged cells.
 
-    With ``partial=True`` (the ``keep_going`` degraded path) a section
+    With ``partial=True`` (a ``keep_going`` run with failures) a section
     whose cells are missing from ``results`` is replaced by an explicit
     omission marker instead of raising — the surviving sections keep
     their exact serial bytes.

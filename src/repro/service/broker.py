@@ -1,7 +1,7 @@
 """The coalescing execution core behind the query server.
 
 One worker thread drains a pending-cell queue in batches through the
-resilient runner pool (:func:`repro.runner.pool.run_cells_outcome`);
+in-process runner (:func:`repro.runner.pool.run_cells_outcome`);
 an in-flight registry maps every queued-or-executing cell id to the
 ``concurrent.futures.Future`` that will carry its verdict.  Submitting
 a cell that is already in flight *coalesces*: the caller joins the
@@ -12,14 +12,14 @@ counters to the cell.
 Futures always resolve to a verdict **tuple**, never an exception:
 
 * ``("ok", CellResult)`` — the cell's verified result (fresh or cached);
-* ``("failed", failure_dict)`` — the cell exhausted the runner's whole
-  retry/degradation ladder (``FailedCell.as_dict()`` shape).
+* ``("failed", failure_dict)`` — the cell raised; it is not retried
+  (``FailedCell.as_dict()`` shape).
 
 Resolving with values keeps multi-waiter semantics trivial (no
 "exception was never retrieved" warnings, no first-waiter-consumes-it
 races) and lets the server translate failures into its stable error
-document.  The broker always runs the pool with ``keep_going=True`` so
-one poisoned cell cannot abort a batch that carries other queries'
+document.  The broker always runs the batch with ``keep_going=True`` so
+one failing cell cannot abort a batch that carries other queries'
 cells.
 
 ``hold()`` / ``release()`` are the deterministic test seam: a held
@@ -38,7 +38,6 @@ wedged — and respawns a fresh worker, so the broker keeps serving
 passing the hold gate, making death deterministic in tests.
 """
 
-import dataclasses
 import threading
 from collections import OrderedDict
 from concurrent.futures import Future
@@ -46,7 +45,6 @@ from concurrent.futures import Future
 from repro.errors import ReproError
 from repro.obs import MetricsRegistry
 from repro.runner import pool
-from repro.runner.resilience import RetryPolicy
 
 #: every broker-owned instrument (pre-registered so metrics snapshots
 #: report explicit zeros and cross-thread get-or-create never races)
@@ -69,13 +67,8 @@ class BrokerClosed(ReproError):
 class SimulationBroker:
     """Single-worker batching executor with in-flight coalescing."""
 
-    def __init__(self, jobs=1, cache=None, policy=None, metrics=None):
-        self.jobs = jobs
+    def __init__(self, cache=None, metrics=None):
         self.cache = cache
-        base = policy if policy is not None else RetryPolicy.from_env()
-        # keep_going is non-negotiable: a batch mixes unrelated queries'
-        # cells, and one cell's exhausted ladder must not abort the rest
-        self.policy = dataclasses.replace(base, keep_going=True)
         self.metrics = metrics if metrics is not None else MetricsRegistry()
         for name in BROKER_COUNTERS:
             self.metrics.counter(name)
@@ -229,12 +222,10 @@ class SimulationBroker:
         self.metrics.counter("service.batches").inc()
         verdicts = {}
         try:
+            # keep_going is non-negotiable: a batch mixes unrelated
+            # queries' cells, and one failing cell must not abort the rest
             outcome = pool.run_cells_outcome(
-                batch,
-                jobs=self.jobs,
-                cache=self.cache,
-                policy=self.policy,
-                metrics=self.metrics,
+                batch, cache=self.cache, keep_going=True, metrics=self.metrics
             )
         except Exception as exc:  # defensive: keep_going should prevent this
             failure = {

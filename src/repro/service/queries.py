@@ -531,7 +531,7 @@ def success_document(query, result, stats):
     }
 
 
-def run_direct(query, jobs=1, cache=None, policy=None):
+def run_direct(query, cache=None):
     """The differential twin: the same query straight through the runner.
 
     Returns ``(result, stats)`` with the same ``result`` object — and
@@ -541,9 +541,7 @@ def run_direct(query, jobs=1, cache=None, policy=None):
     :class:`~repro.runner.resilience.CellFailure` like any direct run.
     """
     base, execs = plan(query)
-    outcome = pool.run_cells_outcome(execs, jobs=jobs, cache=cache, policy=policy)
-    if outcome.failures:
-        raise resilience.CellFailure(outcome.failures)
+    outcome = pool.run_cells_outcome(execs, cache=cache)
     result = assemble(query, rekey(outcome.results, base, execs))
     sources = [outcome.results[spec.id].source for spec in execs]
     stats = {
@@ -555,10 +553,10 @@ def run_direct(query, jobs=1, cache=None, policy=None):
     return result, stats
 
 
-def direct_document(target, params=None, costs=None, jobs=1, cache=None):
+def direct_document(target, params=None, costs=None, cache=None):
     """A full response envelope computed without any server in the path."""
     query, _options = canonicalize(
         {"target": target, "params": params or {}, "costs": costs or {}}
     )
-    result, stats = run_direct(query, jobs=jobs, cache=cache)
+    result, stats = run_direct(query, cache=cache)
     return success_document(query, result, stats)

@@ -32,7 +32,6 @@ import threading
 
 from repro.errors import ConfigurationError
 from repro.obs import MetricsRegistry
-from repro.runner import resilience
 from repro.runner.cache import ResultCache
 from repro.service import broker as broker_mod
 from repro.service import protocol, queries
@@ -85,7 +84,6 @@ class ServiceConfig:
     port: int = protocol.DEFAULT_PORT
     admit_max: int = DEFAULT_ADMIT_MAX
     query_budget: int = 0  # max cells per query; 0 = unlimited
-    jobs: int = 1
     cache_dir: str = None
     drain_timeout: float = DEFAULT_DRAIN_TIMEOUT
 
@@ -106,9 +104,6 @@ class ServiceConfig:
             port=_env_int(environ, ENV_PORT, protocol.DEFAULT_PORT, 0),
             admit_max=_env_int(environ, ENV_ADMIT_MAX, DEFAULT_ADMIT_MAX, 1),
             query_budget=_env_int(environ, ENV_QUERY_BUDGET, 0, 0),
-            jobs=resilience.validate_jobs(
-                environ.get(resilience.ENV_JOBS) or "1"
-            ),
             cache_dir=environ.get("REPRO_CACHE_DIR") or None,
             drain_timeout=drain_timeout,
         )
@@ -134,7 +129,7 @@ class ServiceServer:
                 else None
             )
             self.broker = broker_mod.SimulationBroker(
-                jobs=self.config.jobs, cache=cache, metrics=self.metrics
+                cache=cache, metrics=self.metrics
             )
         for name in SERVER_COUNTERS:
             self.metrics.counter(name)

@@ -23,62 +23,33 @@ def _load_validate_bench():
 class TestParser:
     def test_defaults(self):
         args = build_parser().parse_args(["bench"])
-        # None resolves to 1 for a fresh run; --resume reads the
-        # journaled run's width instead
-        assert args.jobs is None
         assert args.no_cache is False
         assert args.cache_dir == ".repro-cache"
         assert args.output == "BENCH_suite.json"
         assert args.transactions == 40
-        assert args.resume is None
-        assert args.run_id is None
-
-    def test_resume_flag_defaults_to_latest(self):
-        assert build_parser().parse_args(["bench", "--resume"]).resume == "latest"
-        assert (
-            build_parser().parse_args(["bench", "--resume", "run-1"]).resume
-            == "run-1"
-        )
-
-    def test_jobs_flag(self):
-        assert build_parser().parse_args(["bench", "--jobs", "4"]).jobs == 4
-
-    def test_jobs_must_be_positive(self):
-        with pytest.raises(SystemExit) as excinfo:
-            build_parser().parse_args(["bench", "--jobs", "0"])
-        assert excinfo.value.code == 2
-
-    def test_jobs_must_be_an_int(self):
-        with pytest.raises(SystemExit) as excinfo:
-            build_parser().parse_args(["bench", "--jobs", "many"])
-        assert excinfo.value.code == 2
 
     def test_no_cache_flag(self):
         assert build_parser().parse_args(["bench", "--no-cache"]).no_cache is True
 
     def test_resilience_flag_defaults(self):
         args = build_parser().parse_args(["bench"])
-        assert args.max_retries is None  # defer to REPRO_MAX_RETRIES / policy
-        assert args.cell_timeout is None
         assert args.keep_going is False
         assert args.cache_verify is False
 
     def test_resilience_flags_parse(self):
-        args = build_parser().parse_args(
-            ["bench", "--max-retries", "0", "--cell-timeout", "2.5", "--keep-going"]
-        )
-        assert args.max_retries == 0
-        assert args.cell_timeout == 2.5
+        args = build_parser().parse_args(["bench", "--keep-going"])
         assert args.keep_going is True
 
     @pytest.mark.parametrize(
         "argv",
         [
-            ["bench", "--max-retries", "-1"],
-            ["bench", "--max-retries", "lots"],
-            ["bench", "--cell-timeout", "0"],
-            ["bench", "--cell-timeout", "-3"],
-            ["bench", "--cell-timeout", "soon"],
+            # the runner runs every cell once, in process: its old
+            # worker, retry and journal knobs are usage errors now
+            ["bench", "--jobs", "2"],
+            ["bench", "--max-retries", "0"],
+            ["bench", "--cell-timeout", "2.5"],
+            ["bench", "--resume"],
+            ["bench", "--run-id", "run-1"],
         ],
     )
     def test_bad_resilience_values_rejected(self, argv):
@@ -101,12 +72,13 @@ class TestExecution:
 
         document = json.loads((workdir / "BENCH_suite.json").read_text())
         assert document["schema"] == "repro-bench/1"
-        assert document["jobs"] == 1
         assert document["cache"] == {
             "enabled": True,
             "directory": ".repro-cache",
             "hits": 0,
             "misses": document["totals"]["cells"],
+            "quarantined": 0,
+            "write_errors": 0,
         }
         assert document["totals"]["cells"] == len(document["cells"])
         assert document["totals"]["simulated_cycles"] > 0
@@ -144,67 +116,53 @@ class TestExecution:
         assert document["cache"]["hits"] == 0
 
     def test_fault_free_document_reports_quiet_resilience(self, workdir, capsys):
-        assert main(["bench", "--no-cache"]) == 0
+        assert main(["bench"]) == 0
         capsys.readouterr()
         document = json.loads((workdir / "BENCH_suite.json").read_text())
-        block = document["resilience"]
-        for counter in (
-            "retries",
-            "requeues",
-            "timeouts",
-            "pool_crashes",
-            "corrupt_payloads",
-            "degraded",
-            "failed",
-            "quarantined",
-            "swept_tmp",
-        ):
-            assert block[counter] == 0
-        assert block["policy"]["max_retries"] == 2
-        assert block["policy"]["keep_going"] is False
+        assert document["cache"]["quarantined"] == 0
+        assert document["cache"]["write_errors"] == 0
         assert "failed_cells" not in document
         assert "partial" not in document
-        assert all(cell["attempts"] == 1 for cell in document["cells"])
-        assert all(cell["degraded"] is False for cell in document["cells"])
+        assert all(cell["source"] == "run" for cell in document["cells"])
 
 
 class TestResilienceExecution:
     @pytest.fixture
     def workdir(self, tmp_path, monkeypatch):
-        from repro.runner import faults
-
         monkeypatch.chdir(tmp_path)
-        faults.reset_plan_cache()
-        yield tmp_path
-        faults.reset_plan_cache()
+        return tmp_path
 
     def _doom_breakdown(self, monkeypatch):
-        monkeypatch.setenv(
-            "REPRO_FAULT_PLAN",
-            json.dumps(
-                {
-                    "name": "cli-doom-breakdown",
-                    "faults": [
-                        {"cell": "breakdown", "kind": "transient", "times": 99}
-                    ],
-                }
-            ),
-        )
+        """Make the ``breakdown`` cell raise; returns the execution log."""
+        from repro.runner import cells
+
+        calls = []
+        real_run_cell = cells.run_cell
+
+        def run_cell(spec):
+            calls.append(spec.id)
+            if spec.id == "breakdown":
+                raise RuntimeError("injected breakdown failure")
+            return real_run_cell(spec)
+
+        monkeypatch.setattr(cells, "run_cell", run_cell)
+        return calls
 
     def test_exhausted_cell_aborts_with_structured_stderr(
         self, workdir, monkeypatch, capsys
     ):
-        self._doom_breakdown(monkeypatch)
-        assert main(["bench", "--no-cache", "--max-retries", "0"]) == 1
+        calls = self._doom_breakdown(monkeypatch)
+        assert main(["bench", "--no-cache"]) == 1
         err = capsys.readouterr().err
-        assert "1 cell(s) failed after exhausting retries" in err
-        assert "breakdown" in err
-        assert "InjectedFault" in err
+        assert "1 cell(s) failed" in err
+        assert "breakdown: 1 attempt(s)" in err
+        assert "RuntimeError: injected breakdown failure" in err
+        assert calls.count("breakdown") == 1  # no retry
         assert not (workdir / "BENCH_suite.json").exists()
 
     def test_keep_going_emits_partial_document(self, workdir, monkeypatch, capsys):
         self._doom_breakdown(monkeypatch)
-        status = main(["bench", "--no-cache", "--max-retries", "0", "--keep-going"])
+        status = main(["bench", "--no-cache", "--keep-going"])
         assert status == 1
         captured = capsys.readouterr()
         assert "[Table III omitted: cell breakdown failed" in captured.out
@@ -215,12 +173,33 @@ class TestResilienceExecution:
         assert document["partial"] is True
         (failed,) = document["failed_cells"]
         assert failed["id"] == "breakdown"
-        assert failed["attempts"][0]["kind"] == "exception"
-        assert document["resilience"]["failed"] == 1
+        (attempt,) = failed["attempts"]
+        assert attempt["kind"] == "exception"
         assert all(cell["id"] != "breakdown" for cell in document["cells"])
 
         validator = _load_validate_bench()
         assert validator.validate(str(workdir / "BENCH_suite.json")) == []
+
+    def test_rerun_on_partial_cache_simulates_only_missing_cells(
+        self, workdir, capsys
+    ):
+        # the cache is the resume: an interrupted bench left some cells
+        # behind, and the rerun simulates exactly the rest
+        from repro.runner import ResultCache, cells, run_cells
+        from tests.test_obs_invariance import GOLDEN_FULL_REPORT_SHA256
+
+        grid = cells.bench_cells()
+        done = grid[::2]
+        run_cells(done, cache=ResultCache(workdir / ".repro-cache"))
+
+        assert main(["bench"]) == 0
+        capsys.readouterr()
+        document = json.loads((workdir / "BENCH_suite.json").read_text())
+        simulated = {cell["id"] for cell in document["cells"] if cell["source"] == "run"}
+        assert simulated == {spec.id for spec in grid} - {spec.id for spec in done}
+        assert document["cache"]["hits"] == len(done)
+        assert document["cache"]["misses"] == len(grid) - len(done)
+        assert document["report_sha256"] == GOLDEN_FULL_REPORT_SHA256
 
     def test_cache_verify_quarantines_and_signals(self, workdir, capsys):
         assert main(["bench"]) == 0
@@ -255,9 +234,9 @@ class TestValidateBenchTool:
         assert validator.validate(str(missing))
 
         bad = tmp_path / "bad.json"
-        bad.write_text(json.dumps({"schema": "repro-bench/1", "jobs": 0}))
+        bad.write_text(json.dumps({"schema": "repro-bench/1", "cache": "nope"}))
         problems = validator.validate(str(bad))
-        assert any("jobs" in problem for problem in problems)
+        assert any("cache" in problem for problem in problems)
         assert any("cells" in problem for problem in problems)
         assert validator.main([str(bad)]) == 1
 
@@ -324,8 +303,8 @@ class TestBenchHistory:
             for raw in (workdir / "hist.jsonl").read_text().splitlines()
         ]
         assert line == runner_bench.history_line(document)
-        assert line["wall_clock_s"] == document["resilience"]["wall_clock_s"]
-        assert line["jobs"] == document["jobs"]
+        assert line["wall_clock_s"] == document["totals"]["wall_ms"] / 1000.0
+        assert line["cells"] == document["totals"]["cells"]
 
     def test_validator_rejects_corrupt_history(self, tmp_path):
         validator = _load_validate_bench()

@@ -192,6 +192,23 @@ class TestQuarantine:
         assert not (cache.directory / QUARANTINE_DIR).exists()
         assert json.loads(path.read_text())["schema"] == CACHE_SCHEMA
 
+    def test_blocked_quarantine_is_a_miss_not_an_error(self, cache):
+        # regression: a regular file squatting on the quarantine
+        # directory made load() raise FileExistsError out of mkdir
+        # (and, through the broker, fail a whole batch)
+        key, path = self._poison(cache, b"\x00poisoned")
+        (cache.directory / QUARANTINE_DIR).write_text("not a directory")
+        fresh = ResultCache(cache.directory)
+        assert fresh.load(key) is None
+        assert fresh.misses == 1
+        assert fresh.quarantined == 0
+        assert path.read_bytes() == b"\x00poisoned"  # left in place
+        assert [row["status"] for row in fresh.verify_entries()] == ["corrupt"]
+        # the run treats it as a miss, re-simulates, and the store heals it
+        assert run_cells([MICRO], cache=fresh)[MICRO.id].source == "run"
+        assert ResultCache(cache.directory).load(key) is not None
+        assert fresh.verify_entries()[0]["status"] == "ok"
+
     def test_rerun_after_quarantine_heals_the_cache(self, cache):
         self._poison(cache, b"garbage")
         healing = ResultCache(cache.directory)
@@ -315,21 +332,3 @@ class TestWriteHardening:
         rerun = run_cells([MICRO], cache=cache)[MICRO.id]
         assert rerun.source == "run"
         assert run_cells([MICRO], cache=cache)[MICRO.id].source == "cache"
-
-
-class TestJournalScratchSweep:
-    def test_dead_journal_scratch_swept(self, cache):
-        journal_dir = cache.directory / "journal"
-        journal_dir.mkdir(parents=True, exist_ok=True)
-        dead = journal_dir / ("run-x.jsonl.tmp.%d" % (2**22 + 1))
-        dead.write_text("partial run-open")
-        live = journal_dir / ("run-y.jsonl.tmp.%d" % os.getpid())
-        live.write_text("mid-create")
-        settled = journal_dir / "run-z.jsonl"
-        settled.write_text('{"event":"run-open"}\n')
-
-        swept = ResultCache(cache.directory)
-        assert not dead.exists()
-        assert live.exists()  # writer pid is alive: a concurrent create
-        assert settled.exists()  # real journals are never touched
-        assert swept.swept_tmp == 1

@@ -1,7 +1,7 @@
-"""Differential harness: the parallel runner vs the serial suite.
+"""Differential harness: the cell runner vs the serial suite.
 
 The runner's contract is *byte identity*: sharding the report into
-cells, fanning them out over worker processes, or serving them from the
+cells, running them one by one, or serving them from the
 content-addressed cache must never change a single byte of output.
 The reference here is the pre-runner serial composition, rebuilt
 directly from the core modules (exactly what ``suite.full_report()``
@@ -62,10 +62,6 @@ def test_serial_reference_matches_golden(serial_report):
 
 def test_full_report_jobs1_byte_identical(serial_report):
     assert suite.full_report() == serial_report
-
-
-def test_full_report_jobs4_byte_identical(serial_report):
-    assert suite.full_report(jobs=4) == serial_report
 
 
 def test_full_report_cold_then_warm_cache_byte_identical(serial_report, tmp_path):

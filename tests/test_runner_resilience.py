@@ -1,47 +1,27 @@
-"""Chaos matrix: deterministic fault injection against the runner ladder.
+"""The runner's failure model: a cell fails once, or the cache heals.
 
-The headline invariant under test: for any injected fault plan in which
-every cell eventually succeeds, the merged results are byte-identical to
-the fault-free golden, and the resilience metrics account for every
-retry, degradation, and quarantine exactly.  Faults only fire when
-``REPRO_FAULT_PLAN`` is set, so the fault-free differential tests
-elsewhere pin the production path.
+A cell that raises is not retried — the simulator is deterministic, so
+a second attempt would raise again.  The run either aborts with a
+structured :class:`CellFailure` or, under ``keep_going``, finishes
+without the cell.  A corrupt cache entry is quarantined and the cell is
+re-simulated, so a poisoned cache costs time, never bytes.
 """
 
 import json
-import os
 
 import pytest
 
-from repro.errors import ConfigurationError
-from repro.runner import ResultCache, cells, faults, resilience, run_cells_outcome
-from repro.runner.faults import InjectedFault
-from repro.runner.resilience import CellFailure, RetryPolicy
+from repro.runner import ResultCache, cells, run_cells_outcome
+from repro.runner.resilience import CellFailure
 
 
-#: a cheap three-cell grid (sub-second each) for the fault matrix
+#: a cheap three-cell grid (sub-second each)
 CHEAP = [
     cells.micro("kvm-arm"),
     cells.breakdown(),
     cells.tcprr("native", transactions=3),
 ]
-TARGET = CHEAP[0].id  # the cell every plan aims at
-
-#: matrix timeout: generous vs. real cell runtime (<1s), far below the
-#: injected hang's 30s sleep
-CELL_TIMEOUT_S = 10.0
-
-
-def _plan(name, kind, times=1, cell=TARGET):
-    return json.dumps(
-        {"name": name, "faults": [{"cell": cell, "kind": kind, "times": times}]}
-    )
-
-
-def _policy(**overrides):
-    defaults = dict(max_retries=2, backoff_base_s=0.001, backoff_max_s=0.01)
-    defaults.update(overrides)
-    return RetryPolicy(**defaults)
+TARGET = CHEAP[0].id  # the cell the failure tests break
 
 
 def _payloads(outcome):
@@ -53,243 +33,44 @@ def _count(outcome, name):
     return outcome.metrics.get("runner.%s.%s" % (group, name)).value
 
 
-@pytest.fixture(autouse=True)
-def _fresh_fault_plan_cache():
-    faults.reset_plan_cache()
-    yield
-    faults.reset_plan_cache()
+def _entry_path(cache, spec):
+    key = cache.key_for(spec)
+    return cache.directory / key[:2] / (key + ".json")
 
 
 @pytest.fixture(scope="module")
 def golden():
-    """Fault-free payloads for the cheap grid (the byte-identity anchor)."""
-    assert "REPRO_FAULT_PLAN" not in os.environ
-    return _payloads(run_cells_outcome(CHEAP, jobs=1))
+    """Failure-free payloads for the cheap grid (the byte-identity anchor)."""
+    return _payloads(run_cells_outcome(CHEAP))
 
 
-class TestFaultPlanParsing:
-    def test_no_env_no_plan(self):
-        assert faults.active_plan(environ={}) is None
+@pytest.fixture
+def doomed(monkeypatch):
+    """Make every execution of ``TARGET`` raise; returns the call log."""
+    calls = []
+    real_run_cell = cells.run_cell
 
-    def test_inline_json_plan(self, monkeypatch):
-        monkeypatch.setenv("REPRO_FAULT_PLAN", _plan("p", "transient", times=3))
-        plan = faults.active_plan()
-        assert plan.worker_fault_for(TARGET, 0).kind == "transient"
-        assert plan.worker_fault_for(TARGET, 2).kind == "transient"
-        assert plan.worker_fault_for(TARGET, 3) is None
-        assert plan.worker_fault_for("other-cell", 0) is None
+    def run_cell(spec):
+        calls.append(spec.id)
+        if spec.id == TARGET:
+            raise RuntimeError("injected failure")
+        return real_run_cell(spec)
 
-    def test_plan_from_file(self, tmp_path, monkeypatch):
-        path = tmp_path / "plan.json"
-        path.write_text(_plan("f", "crash"))
-        monkeypatch.setenv("REPRO_FAULT_PLAN", str(path))
-        assert faults.active_plan().worker_fault_for(TARGET, 0).kind == "crash"
-
-    def test_rules_consume_attempts_in_order(self):
-        plan = faults.parse(
-            json.dumps(
-                {
-                    "faults": [
-                        {"cell": "c", "kind": "crash", "times": 1},
-                        {"cell": "c", "kind": "transient", "times": 2},
-                    ]
-                }
-            )
-        )
-        kinds = [
-            plan.worker_fault_for("c", attempt)
-            and plan.worker_fault_for("c", attempt).kind
-            for attempt in range(4)
-        ]
-        assert kinds == ["crash", "transient", "transient", None]
-
-    @pytest.mark.parametrize(
-        "text",
-        [
-            "not json {",
-            json.dumps({"faults": "nope"}),
-            json.dumps({"faults": [{"cell": "c", "kind": "meteor-strike"}]}),
-            json.dumps({"faults": [{"cell": "", "kind": "crash"}]}),
-            json.dumps({"faults": [{"cell": "c", "kind": "crash", "times": 0}]}),
-        ],
-    )
-    def test_invalid_plans_rejected(self, text):
-        with pytest.raises(ConfigurationError):
-            faults.parse(text)
-
-    def test_missing_plan_file_rejected(self, monkeypatch, tmp_path):
-        monkeypatch.setenv("REPRO_FAULT_PLAN", str(tmp_path / "absent.json"))
-        with pytest.raises(ConfigurationError):
-            faults.active_plan()
-
-    def test_poison_counter_is_per_plan_instance(self):
-        plan = faults.parse(
-            json.dumps(
-                {"faults": [{"cell": "c", "kind": "poison-cache-entry", "times": 2}]}
-            )
-        )
-        assert [plan.should_poison("c") for _ in range(4)] == [
-            True,
-            True,
-            False,
-            False,
-        ]
-        assert plan.should_poison("other") is False
-
-    def test_inprocess_injection_raises_not_exits(self, monkeypatch):
-        monkeypatch.setenv("REPRO_FAULT_PLAN", _plan("inproc", "crash", cell="x"))
-        assert not faults.in_worker()
-        with pytest.raises(InjectedFault):
-            faults.on_run_cell("x", 0)
-
-
-class TestRetryPolicy:
-    def test_backoff_is_bounded_exponential(self):
-        policy = RetryPolicy(
-            backoff_base_s=0.1, backoff_factor=2.0, backoff_max_s=0.5
-        )
-        assert policy.backoff_s(0) == 0.0
-        assert policy.backoff_s(1) == pytest.approx(0.1)
-        assert policy.backoff_s(2) == pytest.approx(0.2)
-        assert policy.backoff_s(3) == pytest.approx(0.4)
-        assert policy.backoff_s(4) == 0.5  # clamped
-        assert policy.backoff_s(40) == 0.5  # deterministic, never overflows
-
-    def test_env_twins(self, monkeypatch):
-        monkeypatch.setenv("REPRO_MAX_RETRIES", "7")
-        monkeypatch.setenv("REPRO_CELL_TIMEOUT", "12.5")
-        monkeypatch.setenv("REPRO_KEEP_GOING", "1")
-        policy = RetryPolicy.from_env()
-        assert policy.max_retries == 7
-        assert policy.cell_timeout_s == 12.5
-        assert policy.keep_going is True
-
-    def test_explicit_overrides_beat_env(self, monkeypatch):
-        monkeypatch.setenv("REPRO_MAX_RETRIES", "7")
-        assert RetryPolicy.from_env(max_retries=1).max_retries == 1
-
-    @pytest.mark.parametrize(
-        ("name", "value"),
-        [
-            ("REPRO_MAX_RETRIES", "many"),
-            ("REPRO_MAX_RETRIES", "-1"),
-            ("REPRO_CELL_TIMEOUT", "soon"),
-            ("REPRO_CELL_TIMEOUT", "0"),
-        ],
-    )
-    def test_bad_env_values_rejected(self, monkeypatch, name, value):
-        monkeypatch.setenv(name, value)
-        with pytest.raises(ConfigurationError):
-            RetryPolicy.from_env()
-
-
-class TestValidateJobs:
-    @pytest.mark.parametrize("jobs", [0, -1, "0", "nope", 1.5, True, None, []])
-    def test_rejected_with_configuration_error(self, jobs):
-        with pytest.raises(ConfigurationError):
-            resilience.validate_jobs(jobs)
-
-    def test_accepts_ints_and_numeric_strings(self):
-        assert resilience.validate_jobs(3) == 3
-        assert resilience.validate_jobs("4") == 4
-
-    def test_run_cells_rejects_bad_jobs(self):
-        with pytest.raises(ConfigurationError):
-            run_cells_outcome(CHEAP, jobs=0)
-
-    def test_repro_jobs_env_garbage_is_a_clear_error(self, monkeypatch):
-        from repro import runner
-
-        monkeypatch.setenv("REPRO_JOBS", "a-few")
-        with pytest.raises(ConfigurationError):
-            runner.default_plan()
-
-    def test_worker_pool_clamped_to_cpu_count_with_warning(self, monkeypatch):
-        monkeypatch.setattr(os, "cpu_count", lambda: 2)
-        with pytest.warns(UserWarning, match="clamping worker pool to 2"):
-            assert resilience.clamp_workers(64, cells_pending=100) == 2
-
-    def test_no_warning_within_cpu_budget(self, monkeypatch, recwarn):
-        monkeypatch.setattr(os, "cpu_count", lambda: 8)
-        assert resilience.clamp_workers(4, cells_pending=100) == 4
-        assert not [w for w in recwarn if issubclass(w.category, UserWarning)]
-
-
-class TestChaosMatrix:
-    """(fault kind) x (jobs) — byte identity plus exact metric counts."""
-
-    @pytest.mark.parametrize("jobs", [1, 4])
-    @pytest.mark.parametrize("kind", ["transient", "crash", "hang", "corrupt-payload"])
-    def test_recoverable_fault_reproduces_golden(
-        self, kind, jobs, golden, monkeypatch
-    ):
-        monkeypatch.setenv(
-            "REPRO_FAULT_PLAN", _plan("matrix-%s-%d" % (kind, jobs), kind)
-        )
-        policy = _policy(cell_timeout_s=CELL_TIMEOUT_S if jobs > 1 else None)
-        outcome = run_cells_outcome(CHEAP, jobs=jobs, policy=policy)
-
-        assert _payloads(outcome) == golden
-        assert not outcome.failures
-        assert _count(outcome, "degraded") == 0
-        assert _count(outcome, "failed") == 0
-        target = outcome.results[TARGET]
-        if kind == "crash" and jobs > 1:
-            # a hard worker exit breaks the whole pool: the cell is
-            # requeued uncharged, the pool rebuilt, the run completes
-            assert _count(outcome, "pool_crashes") == 1
-            assert _count(outcome, "retries") == 0
-            assert _count(outcome, "requeues") >= 1
-            assert target.attempts == 2
-        elif kind == "hang" and jobs > 1:
-            # the watchdog kills the hung worker and charges the cell
-            assert _count(outcome, "timeouts") == 1
-            assert _count(outcome, "retries") == 1
-            assert target.attempts == 2
-        else:
-            assert _count(outcome, "retries") == 1
-            assert _count(outcome, "timeouts") == 0
-            assert _count(outcome, "pool_crashes") == 0
-            assert target.attempts == 2
-        expected_corrupt = 1 if kind == "corrupt-payload" else 0
-        assert _count(outcome, "corrupt_payloads") == expected_corrupt
-
-    @pytest.mark.parametrize("jobs", [1, 4])
-    def test_transient_faults_with_cold_then_warm_cache(
-        self, jobs, golden, monkeypatch, tmp_path
-    ):
-        monkeypatch.setenv(
-            "REPRO_FAULT_PLAN", _plan("cache-transient-%d" % jobs, "transient")
-        )
-        cache_dir = tmp_path / "cache"
-        cold = run_cells_outcome(
-            CHEAP, jobs=jobs, cache=ResultCache(cache_dir), policy=_policy()
-        )
-        assert _payloads(cold) == golden
-        assert _count(cold, "retries") == 1
-        # warm: everything is served from cache, nothing runs, so the
-        # (exhausted) plan never fires and no retries happen
-        warm_cache = ResultCache(cache_dir)
-        warm = run_cells_outcome(CHEAP, jobs=jobs, cache=warm_cache, policy=_policy())
-        assert _payloads(warm) == golden
-        assert warm_cache.hits == len(CHEAP)
-        assert _count(warm, "retries") == 0
-        assert _count(warm, "quarantined") == 0
+    monkeypatch.setattr(cells, "run_cell", run_cell)
+    return calls
 
 
 class TestPoisonedCacheQuarantine:
-    def test_poisoned_entry_quarantined_and_resimulated(
-        self, golden, monkeypatch, tmp_path
-    ):
-        monkeypatch.setenv("REPRO_FAULT_PLAN", _plan("poison", "poison-cache-entry"))
+    def test_poisoned_entry_quarantined_and_resimulated(self, golden, tmp_path):
         cache_dir = tmp_path / "cache"
         cold_cache = ResultCache(cache_dir)
-        cold = run_cells_outcome(CHEAP, cache=cold_cache, policy=_policy())
+        cold = run_cells_outcome(CHEAP, cache=cold_cache)
         assert _payloads(cold) == golden
-        assert _count(cold, "quarantined") == 0  # poison lands on disk, silently
+        assert _count(cold, "quarantined") == 0
+        _entry_path(cold_cache, CHEAP[0]).write_bytes(b"\x00poisoned")
 
         warm_cache = ResultCache(cache_dir)
-        warm = run_cells_outcome(CHEAP, cache=warm_cache, policy=_policy())
+        warm = run_cells_outcome(CHEAP, cache=warm_cache)
         assert _payloads(warm) == golden
         assert _count(warm, "quarantined") == 1
         assert warm_cache.quarantined == 1
@@ -306,7 +87,7 @@ class TestPoisonedCacheQuarantine:
 
         # the re-store healed the cache: a third run is all hits
         healed_cache = ResultCache(cache_dir)
-        healed = run_cells_outcome(CHEAP, cache=healed_cache, policy=_policy())
+        healed = run_cells_outcome(CHEAP, cache=healed_cache)
         assert _payloads(healed) == golden
         assert healed_cache.hits == len(CHEAP)
         assert _count(healed, "quarantined") == 0
@@ -314,15 +95,14 @@ class TestPoisonedCacheQuarantine:
     def test_hash_mismatch_entry_quarantined_with_reason(self, tmp_path):
         cache = ResultCache(tmp_path / "cache")
         spec = CHEAP[1]
-        run_cells_outcome([spec], cache=cache, policy=_policy())
-        key = cache.key_for(spec)
-        path = cache.directory / key[:2] / (key + ".json")
+        run_cells_outcome([spec], cache=cache)
+        path = _entry_path(cache, spec)
         entry = json.loads(path.read_text())
         entry["payload"]["total_cycles"] = 1  # tamper, keep valid JSON
         path.write_text(json.dumps(entry))
 
         fresh = ResultCache(tmp_path / "cache")
-        outcome = run_cells_outcome([spec], cache=fresh, policy=_policy())
+        outcome = run_cells_outcome([spec], cache=fresh)
         assert outcome.results[spec.id].source == "run"
         assert fresh.quarantined == 1
         reason = next(fresh.quarantine_path().glob("*.reason")).read_text()
@@ -330,62 +110,23 @@ class TestPoisonedCacheQuarantine:
 
 
 class TestDegradationLadder:
-    def test_exhausted_pool_budget_degrades_to_serial_and_succeeds(
-        self, golden, monkeypatch
-    ):
-        # two injected failures vs. a budget of one: the pool gives up,
-        # the serial rung (attempt 2, past the plan) succeeds
-        monkeypatch.setenv(
-            "REPRO_FAULT_PLAN", _plan("degrade-ok", "transient", times=2)
-        )
-        outcome = run_cells_outcome(
-            CHEAP, jobs=4, policy=_policy(max_retries=1, cell_timeout_s=CELL_TIMEOUT_S)
-        )
-        assert _payloads(outcome) == golden
-        assert _count(outcome, "retries") == 1
-        assert _count(outcome, "degraded") == 1
-        assert _count(outcome, "failed") == 0
-        target = outcome.results[TARGET]
-        assert target.degraded is True
-        assert target.attempts == 3
-
-    @pytest.mark.parametrize("jobs", [1, 4])
-    def test_unrecoverable_cell_aborts_with_structured_report(
-        self, jobs, monkeypatch
-    ):
-        monkeypatch.setenv(
-            "REPRO_FAULT_PLAN", _plan("doom-%d" % jobs, "transient", times=99)
-        )
-        policy = _policy(
-            max_retries=1, cell_timeout_s=CELL_TIMEOUT_S if jobs > 1 else None
-        )
+    def test_unrecoverable_cell_aborts_with_structured_report(self, doomed):
         with pytest.raises(CellFailure) as excinfo:
-            run_cells_outcome(CHEAP, jobs=jobs, policy=policy)
+            run_cells_outcome(CHEAP)
         (failed,) = excinfo.value.failed_cells
         assert failed.cell_id == TARGET
         assert failed.kind == "micro"
-        # pool budget (2 attempts) plus, under jobs>1, the serial rung
-        expected_attempts = 3 if jobs > 1 else 2
-        assert len(failed.attempts) == expected_attempts
-        assert failed.degraded == (jobs > 1)
-        assert all("InjectedFault" in a.error for a in failed.attempts)
-        assert any("injected transient fault" in a.traceback for a in failed.attempts)
+        # exactly one attempt: nothing is retried
+        assert doomed.count(TARGET) == 1
+        (attempt,) = failed.attempts
+        assert attempt.kind == "exception"
+        assert "RuntimeError: injected failure" in attempt.error
+        assert "injected failure" in attempt.traceback
         report = excinfo.value.report_text()
         assert TARGET in report and "attempt 0" in report
 
-    @pytest.mark.parametrize("jobs", [1, 4])
-    def test_keep_going_completes_without_the_failed_cell(
-        self, jobs, golden, monkeypatch
-    ):
-        monkeypatch.setenv(
-            "REPRO_FAULT_PLAN", _plan("keep-going-%d" % jobs, "transient", times=99)
-        )
-        policy = _policy(
-            max_retries=0,
-            keep_going=True,
-            cell_timeout_s=CELL_TIMEOUT_S if jobs > 1 else None,
-        )
-        outcome = run_cells_outcome(CHEAP, jobs=jobs, policy=policy)
+    def test_keep_going_completes_without_the_failed_cell(self, golden, doomed):
+        outcome = run_cells_outcome(CHEAP, keep_going=True)
         assert TARGET not in outcome.results
         survivors = {spec.id for spec in CHEAP} - {TARGET}
         assert set(outcome.results) == survivors
@@ -393,50 +134,15 @@ class TestDegradationLadder:
             assert outcome.results[cell_id].payload == golden[cell_id]
         assert len(outcome.failures) == 1
         assert outcome.failures[0].cell_id == TARGET
+        assert len(outcome.failures[0].attempts) == 1
         assert _count(outcome, "failed") == 1
+        assert doomed.count(TARGET) == 1
 
     def test_nonretryable_error_fails_fast(self):
-        # a ConfigurationError burns no retries: attempt 0 is the end
+        # a bad cell kind fails on its one and only attempt
         bad = cells.CellSpec("no-such-kind")
         with pytest.raises(CellFailure) as excinfo:
-            run_cells_outcome([bad], policy=_policy(max_retries=5))
+            run_cells_outcome([bad])
         (failed,) = excinfo.value.failed_cells
         assert len(failed.attempts) == 1
         assert "ConfigurationError" in failed.attempts[0].error
-
-
-class TestFullGridChaos:
-    def test_full_report_under_compound_plan_matches_golden_sha(self, monkeypatch):
-        # the headline invariant at full scale: crash + transient +
-        # corrupt faults across the grid, merged report byte-identical
-        # to the golden anchor
-        import hashlib
-
-        from repro.runner.merge import full_report_text
-        from tests.test_obs_invariance import GOLDEN_FULL_REPORT_SHA256
-
-        plan = {
-            "name": "full-grid-compound",
-            "faults": [
-                {"cell": "micro[key=kvm-arm]", "kind": "crash", "times": 1},
-                {"cell": "breakdown", "kind": "transient", "times": 1},
-                {
-                    "cell": "appcol[irq_vcpus=1,key=xen-arm]",
-                    "kind": "corrupt-payload",
-                    "times": 1,
-                },
-            ],
-        }
-        monkeypatch.setenv("REPRO_FAULT_PLAN", json.dumps(plan))
-        outcome = run_cells_outcome(
-            cells.full_report_cells(),
-            jobs=4,
-            policy=_policy(cell_timeout_s=60.0),
-        )
-        assert not outcome.failures
-        report = full_report_text(outcome.results)
-        digest = hashlib.sha256(report.encode("utf-8")).hexdigest()
-        assert digest == GOLDEN_FULL_REPORT_SHA256
-        assert _count(outcome, "pool_crashes") == 1
-        assert _count(outcome, "corrupt_payloads") == 1
-        assert _count(outcome, "retries") == 2  # transient + corrupt charges

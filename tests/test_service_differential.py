@@ -3,8 +3,7 @@
 For every target (and for what-if override variants), the document a
 running server returns must carry a ``result`` whose canonical-JSON
 sha256 equals the one the direct PR-3 runner path computes for the same
-canonical query — across jobs=1 and jobs=4 execution and cold/warm
-cache.  This is the service twin of ``test_runner_differential.py``:
+canonical query — across cold and warm cache.  This is the service twin of ``test_runner_differential.py``:
 the server is allowed to add latency, never to move a byte.
 """
 
@@ -32,11 +31,11 @@ TARGET_MATRIX = [
 ]
 
 
-def _direct(target, params, costs=None, jobs=1, cache=None):
+def _direct(target, params, costs=None, cache=None):
     query, _options = queries.canonicalize(
         {"target": target, "params": params, "costs": costs or {}}
     )
-    result, stats = queries.run_direct(query, jobs=jobs, cache=cache)
+    result, stats = queries.run_direct(query, cache=cache)
     return query, result, stats
 
 
@@ -77,17 +76,6 @@ class TestServedEqualsDirect:
 
 
 class TestAcrossJobsAndCache:
-    def test_jobs4_server_matches_jobs1_direct(self):
-        _query, result, _stats = _direct("table2", {})
-        with running_server(jobs=4) as (_handle, client):
-            document = client.query("table2")
-        assert document["result_sha256"] == payload_digest(result)
-
-    def test_direct_jobs4_matches_direct_jobs1(self):
-        _one, serial, _s1 = _direct("table5", {"transactions": 10})
-        _two, fanned, _s2 = _direct("table5", {"transactions": 10}, jobs=4)
-        assert payload_digest(serial) == payload_digest(fanned)
-
     def test_cold_then_warm_cache_same_bytes(self, tmp_path):
         cache_dir = str(tmp_path / "cache")
         _query, direct_result, _stats = _direct("micro", {"key": "xen-arm"})

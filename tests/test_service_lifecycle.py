@@ -140,7 +140,7 @@ class TestDrain:
 
 class TestWorkerSupervision:
     def test_worker_death_fails_futures_and_respawns(self):
-        broker = SimulationBroker(jobs=1)
+        broker = SimulationBroker()
         try:
             broker.hold()
             futures, _stats = broker.submit(_micro_specs())
@@ -194,6 +194,55 @@ class TestWorkerSupervision:
             healed = client.query("micro", {"key": "kvm-arm"})
             assert healed["ok"] is True
             assert counter_value(handle, "service.worker.respawns") == 1
+            _status, health = client.request("GET", "/healthz")
+            assert health["active"] == 0
+
+
+class TestFailingCell:
+    def test_failing_cell_fails_once_and_spares_its_batch(self, monkeypatch):
+        from repro.runner import cells
+
+        calls = []
+        real_run_cell = cells.run_cell
+
+        def run_cell(spec):
+            calls.append(spec.id)
+            if spec.id == "breakdown":
+                raise RuntimeError("injected breakdown failure")
+            return real_run_cell(spec)
+
+        monkeypatch.setattr(cells, "run_cell", run_cell)
+        with running_server() as (handle, client):
+            handle.broker.hold()
+            try:
+                doomed = QueryThread(_no_retry_client(handle.port), "table3")
+                sibling = QueryThread(client, "micro", {"key": "kvm-arm"})
+                doomed.start()
+                sibling.start()
+                wait_until(
+                    lambda: counter_value(handle, "service.cells.requested") == 2,
+                    "both queries to reach the broker",
+                )
+            finally:
+                handle.broker.release()
+
+            with pytest.raises(Exception) as excinfo:
+                doomed.result()
+            document = excinfo.value.document
+            assert document["error"]["code"] == protocol.CELL_FAILED
+            (failed,) = document["error"]["failed_cells"]
+            assert failed["id"] == "breakdown"
+            (attempt,) = failed["attempts"]
+            assert "injected breakdown failure" in attempt["error"]
+            assert calls.count("breakdown") == 1  # failed once, no retry
+
+            # the sibling cell rode the same batch and still succeeded
+            assert sibling.result()["ok"] is True
+            assert counter_value(handle, "service.batches") == 1
+            assert counter_value(handle, "service.cells.failed") == 1
+
+            # nothing is wedged: a follow-up query succeeds, admission drains
+            assert client.query("micro", {"key": "xen-arm"})["ok"] is True
             _status, health = client.request("GET", "/healthz")
             assert health["active"] == 0
 

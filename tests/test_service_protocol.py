@@ -223,14 +223,12 @@ class TestServiceConfig:
                 "REPRO_SERVE_PORT": "9000",
                 "REPRO_ADMIT_MAX": "5",
                 "REPRO_QUERY_BUDGET": "12",
-                "REPRO_JOBS": "2",
             }
         )
         assert config.host == "0.0.0.0"
         assert config.port == 9000
         assert config.admit_max == 5
         assert config.query_budget == 12
-        assert config.jobs == 2
 
     def test_overrides_beat_env(self):
         config = ServiceConfig.from_env(

@@ -2,26 +2,27 @@
 """CI schema smoke for ``BENCH_suite.json`` bench documents.
 
 Checks the contract :mod:`repro.runner.bench` promises: a JSON object
-with the ``repro-bench/1`` schema tag, a positive ``jobs`` count, a
-``cache`` block with non-negative hit/miss counters, a non-empty
-``cells`` list where every cell carries id/kind/params/source and
-non-negative wall time, simulated cycles and engine counts, totals that
-agree with the per-cell rows, and a 64-hex ``report_sha256``.
+with the ``repro-bench/1`` schema tag, a ``cache`` block with
+non-negative hit/miss (and, when present, quarantine/write-error)
+counters, a non-empty ``cells`` list where every cell carries
+id/kind/params/source and non-negative wall time, simulated cycles and
+engine counts, totals that agree with the per-cell rows, and a 64-hex
+``report_sha256``.
 
-Optional sections added by the fault-tolerant runner are validated when
-present: a ``resilience`` block (non-negative counters plus the retry
-policy), a ``perf`` block (fast-lane counters with an in-range hit rate
-plus a throughput probe whose ``cycles_equal`` must be true), per-cell
-``attempts``/``degraded`` fields, and — under ``--keep-going`` — a
+Optional sections are validated when present: a ``perf`` block
+(fast-lane counters with an in-range hit rate plus a throughput probe
+whose ``cycles_equal`` must be true), and — under ``--keep-going`` — a
 ``partial`` flag and a ``failed_cells`` list whose entries carry
-id/kind/params and per-attempt failure records.
+id/kind/params and per-attempt failure records.  Keys written by older
+runners (``jobs``, ``resilience``, ``journal``) are ignored.
 
 With ``--history`` the arguments are ``repro-bench-history/1`` JSONL
 scoreboard files instead (one line per run, appended by
 ``python -m repro bench --history PATH``): every line must carry the
-schema tag, a 64-hex ``report_sha256``, positive ``jobs``/``cells``,
-the scoreboard throughput figures, the fastpath counters and a
-``partial`` flag.
+schema tag, a 64-hex ``report_sha256``, a positive ``cells`` count (and
+a positive ``jobs`` count on lines that still carry one), the
+scoreboard throughput figures, the fastpath counters and a ``partial``
+flag.
 
 Usage:
     python tools/validate_bench.py BENCH_suite.json [more.json ...]
@@ -36,21 +37,9 @@ import sys
 SCHEMA = "repro-bench/1"
 CELL_SOURCES = {"run", "cache"}
 SHA256_HEX_LEN = 64
-RESILIENCE_COUNTERS = (
-    "retries",
-    "requeues",
-    "timeouts",
-    "pool_crashes",
-    "corrupt_payloads",
-    "degraded",
-    "failed",
-    "quarantined",
-    "write_error",
-    "swept_tmp",
-)
 #: scoreboard figures (ROADMAP item 5): run-level throughput numbers
 SCOREBOARD_FIELDS = ("wall_clock_s", "cells_per_second", "cache_hit_rate")
-ATTEMPT_KINDS = {"exception", "timeout", "pool-crash", "corrupt-payload"}
+ATTEMPT_KINDS = {"exception"}
 
 
 def _is_nonneg_number(value):
@@ -73,8 +62,6 @@ def validate(path):
         return ["%s: document is not a JSON object" % path]
     if document.get("schema") != SCHEMA:
         problems.append("%s: schema is %r, expected %r" % (path, document.get("schema"), SCHEMA))
-    if not (_is_nonneg_int(document.get("jobs")) and document.get("jobs", 0) >= 1):
-        problems.append("%s: jobs=%r is not a positive int" % (path, document.get("jobs")))
 
     cache = document.get("cache")
     if not isinstance(cache, dict):
@@ -85,6 +72,9 @@ def validate(path):
         for key in ("hits", "misses"):
             if not _is_nonneg_int(cache.get(key)):
                 problems.append("%s: cache.%s=%r is not a non-negative int" % (path, key, cache.get(key)))
+        for key in ("quarantined", "write_errors"):
+            if key in cache and not _is_nonneg_int(cache[key]):
+                problems.append("%s: cache.%s=%r is not a non-negative int" % (path, key, cache[key]))
 
     cells = document.get("cells")
     if not isinstance(cells, list) or not cells:
@@ -107,10 +97,6 @@ def validate(path):
         for key in ("simulated_cycles", "engines"):
             if not _is_nonneg_int(cell.get(key)):
                 problems.append("%s: cell %d %s=%r is not a non-negative int" % (path, index, key, cell.get(key)))
-        if "attempts" in cell and not (_is_nonneg_int(cell["attempts"]) and cell["attempts"] >= 1):
-            problems.append("%s: cell %d attempts=%r is not a positive int" % (path, index, cell["attempts"]))
-        if "degraded" in cell and not isinstance(cell["degraded"], bool):
-            problems.append("%s: cell %d degraded=%r is not a bool" % (path, index, cell["degraded"]))
         if _is_nonneg_int(cell.get("simulated_cycles")):
             cycles_total += cell["simulated_cycles"]
 
@@ -127,9 +113,7 @@ def validate(path):
                 "%s: totals.simulated_cycles=%r but cells sum to %d" % (path, totals.get("simulated_cycles"), cycles_total)
             )
 
-    problems.extend(_validate_resilience(path, document))
     problems.extend(_validate_perf(path, document))
-    problems.extend(_validate_journal(path, document))
     problems.extend(_validate_failed_cells(path, document))
 
     digest = document.get("report_sha256")
@@ -139,50 +123,6 @@ def validate(path):
         or any(ch not in "0123456789abcdef" for ch in digest)
     ):
         problems.append("%s: report_sha256=%r is not 64 lowercase hex chars" % (path, digest))
-    return problems
-
-
-def _validate_resilience(path, document):
-    """Problems in the optional ``resilience`` block."""
-    if "resilience" not in document:
-        return []
-    problems = []
-    block = document["resilience"]
-    if not isinstance(block, dict):
-        return ["%s: resilience is not an object" % path]
-    for key in RESILIENCE_COUNTERS:
-        if not _is_nonneg_int(block.get(key)):
-            problems.append(
-                "%s: resilience.%s=%r is not a non-negative int" % (path, key, block.get(key))
-            )
-    for key in SCOREBOARD_FIELDS:
-        if not _is_nonneg_number(block.get(key)):
-            problems.append(
-                "%s: resilience.%s=%r is not a non-negative number" % (path, key, block.get(key))
-            )
-    hit_rate = block.get("cache_hit_rate")
-    if _is_nonneg_number(hit_rate) and hit_rate > 1.0:
-        problems.append("%s: resilience.cache_hit_rate=%r is not in [0, 1]" % (path, hit_rate))
-    policy = block.get("policy")
-    if not isinstance(policy, dict):
-        problems.append("%s: resilience.policy is not an object" % path)
-    else:
-        if not _is_nonneg_int(policy.get("max_retries")):
-            problems.append(
-                "%s: resilience.policy.max_retries=%r is not a non-negative int"
-                % (path, policy.get("max_retries"))
-            )
-        timeout = policy.get("cell_timeout_s")
-        if timeout is not None and not (_is_nonneg_number(timeout) and timeout > 0):
-            problems.append(
-                "%s: resilience.policy.cell_timeout_s=%r is not null or a positive number"
-                % (path, timeout)
-            )
-        if not isinstance(policy.get("keep_going"), bool):
-            problems.append(
-                "%s: resilience.policy.keep_going=%r is not a bool"
-                % (path, policy.get("keep_going"))
-            )
     return problems
 
 
@@ -246,30 +186,6 @@ def _validate_perf(path, document):
     return problems
 
 
-def _validate_journal(path, document):
-    """Problems in the optional ``journal`` block (durable-run runs)."""
-    if "journal" not in document:
-        return []
-    problems = []
-    block = document["journal"]
-    if not isinstance(block, dict):
-        return ["%s: journal is not an object" % path]
-    for key in ("run_id", "path"):
-        if not isinstance(block.get(key), str) or not block.get(key):
-            problems.append(
-                "%s: journal.%s=%r is not a non-empty string" % (path, key, block.get(key))
-            )
-    for key in ("resumed", "torn_tail"):
-        if not isinstance(block.get(key), bool):
-            problems.append("%s: journal.%s=%r is not a bool" % (path, key, block.get(key)))
-    for key in ("completed_before", "resimulated"):
-        if not _is_nonneg_int(block.get(key)):
-            problems.append(
-                "%s: journal.%s=%r is not a non-negative int" % (path, key, block.get(key))
-            )
-    return problems
-
-
 def _validate_failed_cells(path, document):
     """Problems in the optional ``partial``/``failed_cells`` sections."""
     problems = []
@@ -294,8 +210,6 @@ def _validate_failed_cells(path, document):
                 )
         if not isinstance(failed.get("params"), dict):
             problems.append("%s: failed_cells[%d] params is not an object" % (path, index))
-        if not isinstance(failed.get("degraded"), bool):
-            problems.append("%s: failed_cells[%d] degraded is not a bool" % (path, index))
         attempts = failed.get("attempts")
         if not isinstance(attempts, list) or not attempts:
             problems.append("%s: failed_cells[%d] attempts missing or empty" % (path, index))
@@ -355,7 +269,8 @@ def validate_history(path):
             problems.append(
                 "%s: report_sha256=%r is not 64 lowercase hex chars" % (where, digest)
             )
-        for field in ("jobs", "cells"):
+        # only lines written by older runners carry ``jobs``
+        for field in ("jobs", "cells") if "jobs" in row else ("cells",):
             value = row.get(field)
             if not _is_nonneg_int(value) or value < 1:
                 problems.append("%s: %s=%r must be a positive integer" % (where, field, value))
