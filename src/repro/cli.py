@@ -28,7 +28,6 @@ results as JSON alongside the rendered table.
 
 import argparse
 import json
-import os
 import sys
 
 from repro.core import reporting, suite
@@ -132,10 +131,6 @@ def _cmd_bench(args):
 
     if args.cache_verify:
         return _cmd_cache_verify(args, runner_bench)
-    if args.no_fastpath:
-        # Environment, not a parameter: the lane reads REPRO_FASTPATH
-        # wherever a machine is built.
-        os.environ["REPRO_FASTPATH"] = "0"
     try:
         outcome = runner_bench.run_bench(
             cache_dir=args.cache_dir,
@@ -415,13 +410,6 @@ def build_parser():
         help="ignore and do not write the content-addressed result cache",
     )
     bench.add_argument(
-        "--no-fastpath",
-        action="store_true",
-        help="disable the compiled world-switch fast lane (sets "
-        "REPRO_FASTPATH=0 for this run); results are "
-        "byte-identical either way, only wall time changes",
-    )
-    bench.add_argument(
         "--cache-dir",
         default=runner_bench.DEFAULT_CACHE_DIR,
         metavar="PATH",
@@ -447,7 +435,7 @@ def build_parser():
         default=None,
         metavar="PATH",
         help="append this run's scoreboard line (wall clock, cells/s, cache "
-        "hit rate, fastpath counters) to a JSONL history file; CI uses "
+        "hit rate) to a JSONL history file; CI uses "
         "BENCH_history.jsonl to track the throughput trajectory",
     )
     bench.add_argument(

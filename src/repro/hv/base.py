@@ -44,6 +44,21 @@ ALL_ARM_CLASSES = [
     RegClass.EL2_VIRTUAL_MEMORY,
 ]
 
+#: Op label of every per-class save/restore step, built once rather than
+#: formatted on each world switch.  Callers go through ``switch_label``
+#: because the path-spec extractor reads the ``f("save", reg_class)``
+#: call form as a per-class label.
+_SWITCH_LABELS = {
+    (prefix, reg_class): "%s_%s" % (prefix, reg_class.name.lower())
+    for prefix in ("save", "restore")
+    for reg_class in RegClass
+}
+
+
+def switch_label(prefix, reg_class):
+    """``"save_gp"``-style op label of one register class's switch step."""
+    return _SWITCH_LABELS[prefix, reg_class]
+
 #: Virtual IRQ numbers used by the models (ARM SPI-style numbering).
 VIRQ_IPI = 1  # SGI used for guest rescheduling IPIs
 VIRQ_VIRTIO_NET = 48  # KVM virtio-net queue interrupt

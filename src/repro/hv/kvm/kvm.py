@@ -55,26 +55,6 @@ class KvmHypervisor(Hypervisor):
                 if vhe:
                     pcpu.arch.set_e2h(True)
                     pcpu.arch.trap_to_el2("boot-into-el2-host")
-        # Fast-lane sites: the spec-id chain each compiled recording must
-        # match depends on which world switch this instance performs.
-        if not machine.is_arm:
-            exit_id = "hv/kvm/world_switch.py::x86_exit"
-            enter_id = "hv/kvm/world_switch.py::x86_enter"
-        elif vhe:
-            exit_id = "hv/kvm/world_switch.py::vhe_exit"
-            enter_id = "hv/kvm/world_switch.py::vhe_enter"
-        else:
-            exit_id = "hv/kvm/world_switch.py::split_mode_exit"
-            enter_id = "hv/kvm/world_switch.py::split_mode_enter"
-        fastlane = machine.fastlane
-        self._fast_hypercall = fastlane.site(
-            "%s.hypercall" % self.name,
-            (exit_id, "hv/kvm/kvm.py::KvmHypervisor._hypercall_path", enter_id),
-        )
-        self._fast_intc = fastlane.site(
-            "%s.intc_trap" % self.name,
-            (exit_id, "hv/kvm/kvm.py::KvmHypervisor._intc_path", enter_id),
-        )
 
     # --- configuration ----------------------------------------------------
 
@@ -165,8 +145,8 @@ class KvmHypervisor(Hypervisor):
     # --- Table I operations ----------------------------------------------------
 
     def run_hypercall(self, vcpu):
-        """Row 1: null hypercall round trip (fast lane when warm)."""
-        return self._fast_hypercall.run(vcpu, self._hypercall_path)
+        """Row 1: null hypercall round trip."""
+        return self._hypercall_path(vcpu)
 
     def _hypercall_path(self, vcpu):
         span = self.machine.obs.spans.begin("hypercall", "operation", vcpu.pcpu.index)
@@ -181,7 +161,7 @@ class KvmHypervisor(Hypervisor):
         KVM's distinguishing cost: the emulation runs in the *host*, so
         the access pays the full exit before any emulation happens.
         """
-        return self._fast_intc.run(vcpu, self._intc_path)
+        return self._intc_path(vcpu)
 
     def _intc_path(self, vcpu):
         span = self.machine.obs.spans.begin("intc_trap", "operation", vcpu.pcpu.index)

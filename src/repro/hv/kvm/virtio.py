@@ -31,6 +31,10 @@ class VirtioQueue:
             raise ProtocolError("virtqueue %s avail ring full" % self.name)
         self._avail.append(buffer)
 
+    def guest_fill(self):
+        """Guest driver: post fresh empty buffers until the avail ring is full."""
+        self._avail.extend({"empty": True} for _ in range(self.size - len(self._avail)))
+
     def guest_kick(self):
         """Guest driver: doorbell write (MMIO -> ioeventfd in the host)."""
         self.kicks += 1
@@ -73,5 +77,4 @@ class VirtioNetDevice:
 
     def refill_rx(self):
         """Guest driver keeps the rx ring stocked with empty buffers."""
-        while self.rx.avail_count < self.rx.size:
-            self.rx.guest_post({"empty": True})
+        self.rx.guest_fill()

@@ -11,17 +11,13 @@ tracer reconstructs the Table III breakdown) *and* really moves the
 architectural state, so tests can verify isolation and round-tripping.
 """
 
-from repro.hv.base import ALL_ARM_CLASSES, VcpuState
+from repro.hv.base import ALL_ARM_CLASSES, VcpuState, switch_label
 from repro.hw.cpu.arm import ExceptionLevel
 from repro.hw.cpu.registers import RegClass, fresh_context_image
 
 #: Save/restore order mirrors KVM's __kvm_vcpu_run: GP first (on trap),
 #: then FP, EL1 system registers, VGIC, timer, and the EL2 shadow state.
 ARM_SWITCH_ORDER = ALL_ARM_CLASSES
-
-
-def _label(prefix, reg_class):
-    return "%s_%s" % (prefix, reg_class.name.lower())
 
 
 def ensure_host_context(pcpu):
@@ -44,7 +40,7 @@ def split_mode_exit(machine, vcpu, dispatch=True, reason="trap"):
     arch.trap_to_el2(reason)
     yield pcpu.op("trap_to_el2", costs.trap_to_el2, "trap")
     for reg_class in ARM_SWITCH_ORDER:
-        yield pcpu.op(_label("save", reg_class), costs.save[reg_class], "save")
+        yield pcpu.op(switch_label("save", reg_class), costs.save[reg_class], "save")
     vcpu.saved_context = arch.save_context(ARM_SWITCH_ORDER)
     arch.disable_virt_features()
     yield pcpu.op("disable_virt_features", costs.virt_feature_toggle, "config")
@@ -74,7 +70,9 @@ def split_mode_enter(machine, vcpu, inject_virq=None):
         yield pcpu.op("virq_inject_lr", costs.virq_inject_lr, "vgic")
     pcpu.host_context = arch.save_context(ARM_SWITCH_ORDER)
     for reg_class in ARM_SWITCH_ORDER:
-        yield pcpu.op(_label("restore", reg_class), costs.restore[reg_class], "restore")
+        yield pcpu.op(
+            switch_label("restore", reg_class), costs.restore[reg_class], "restore"
+        )
     arch.load_context(vcpu.saved_context)
     arch.eret(ExceptionLevel.EL1)
     yield pcpu.op("eret_to_guest", costs.eret_to_el1, "trap")
@@ -141,7 +139,7 @@ def vhe_deferred_save(machine, vcpu):
     """
     pcpu, costs = vcpu.pcpu, machine.costs
     for reg_class in VHE_DEFERRED_CLASSES:
-        yield pcpu.op(_label("save", reg_class), costs.save[reg_class], "save")
+        yield pcpu.op(switch_label("save", reg_class), costs.save[reg_class], "save")
     vcpu.saved_context = pcpu.arch.save_context(ARM_SWITCH_ORDER)
 
 
@@ -151,7 +149,9 @@ def vhe_deferred_restore(machine, vcpu):
     """VHE lazy state restore when scheduling a VCPU back in."""
     pcpu, costs = vcpu.pcpu, machine.costs
     for reg_class in VHE_DEFERRED_CLASSES:
-        yield pcpu.op(_label("restore", reg_class), costs.restore[reg_class], "restore")
+        yield pcpu.op(
+            switch_label("restore", reg_class), costs.restore[reg_class], "restore"
+        )
     pcpu.arch.load_context(vcpu.saved_context)
     pcpu.arch.enable_virt_features(vcpu.vm.vmid)
 

@@ -18,6 +18,7 @@ from repro.hv.base import (
     VIRQ_IPI,
     Hypervisor,
     VcpuState,
+    switch_label,
 )
 from repro.hv.xen.event_channels import EventChannelTable
 from repro.hv.xen.netback import NetbackWorker
@@ -57,18 +58,6 @@ class XenHypervisor(Hypervisor):
             pcpu.irq_handler = self._irq_handler
             pcpu.current_context = IDLE
             pcpu.xen_idle_context = fresh_context_image()
-        # Fast-lane sites (see repro.sim.fastpath): the hypercall round
-        # trip is nothing but the light entry/return pair.
-        entry_id = "hv/xen/xen.py::XenHypervisor._xen_entry"
-        return_id = "hv/xen/xen.py::XenHypervisor._xen_return"
-        fastlane = machine.fastlane
-        self._fast_hypercall = fastlane.site(
-            "xen.hypercall", (entry_id, return_id)
-        )
-        self._fast_intc = fastlane.site(
-            "xen.intc_trap",
-            (entry_id, "hv/xen/xen.py::XenHypervisor._intc_path", return_id),
-        )
 
     # --- domain lifecycle ------------------------------------------------
 
@@ -197,7 +186,7 @@ class XenHypervisor(Hypervisor):
                 yield pcpu.op("trap_to_el2", costs.trap_to_el2, "trap")
             for reg_class in ALL_ARM_CLASSES:
                 yield pcpu.op(
-                    "save_%s" % reg_class.name.lower(), costs.save[reg_class], "save"
+                    switch_label("save", reg_class), costs.save[reg_class], "save"
                 )
             outgoing = arch.save_context(ALL_ARM_CLASSES)
             if out is IDLE:
@@ -213,7 +202,7 @@ class XenHypervisor(Hypervisor):
                 yield pcpu.op("virq_inject_lr", costs.virq_inject_lr, "vgic")
             for reg_class in ALL_ARM_CLASSES:
                 yield pcpu.op(
-                    "restore_%s" % reg_class.name.lower(),
+                    switch_label("restore", reg_class),
                     costs.restore[reg_class],
                     "restore",
                 )
@@ -246,7 +235,7 @@ class XenHypervisor(Hypervisor):
 
     def run_hypercall(self, vcpu):
         """Row 1: on ARM, little more than a GP push/pop in EL2."""
-        return self._fast_hypercall.run(vcpu, self._hypercall_path)
+        return self._hypercall_path(vcpu)
 
     def _hypercall_path(self, vcpu):
         span = self.machine.obs.spans.begin("hypercall", "operation", vcpu.pcpu.index)
@@ -256,7 +245,7 @@ class XenHypervisor(Hypervisor):
 
     def run_intc_trap(self, vcpu):
         """Row 2: the distributor is emulated *in EL2* — no host round trip."""
-        return self._fast_intc.run(vcpu, self._intc_path)
+        return self._intc_path(vcpu)
 
     def _intc_path(self, vcpu):
         if self.machine.is_arm:

@@ -22,13 +22,22 @@ class RegClass(enum.Enum):
     EL2_CONFIG = "EL2 Config Regs"
     EL2_VIRTUAL_MEMORY = "EL2 Virtual Memory Regs"
 
+    # Members are singletons, so identity hashing is exact; the C-level
+    # hash keeps the Python-level ``Enum.__hash__`` off every register
+    # bank and cost-table lookup.  No output iterates a set of classes,
+    # so no byte depends on the hash values.
+    __hash__ = object.__hash__
+
+
+#: Every class, in Table III order.
+ALL_CLASSES = tuple(RegClass)
 
 #: Representative register names per class.  The specific names matter for
 #: the VHE register-redirection model (TTBR1_EL1 vs TTBR1_EL2 and friends).
 REGISTER_NAMES = {
-    RegClass.GP: ["x%d" % i for i in range(31)] + ["sp", "pc", "pstate"],
-    RegClass.FP: ["q%d" % i for i in range(32)] + ["fpsr", "fpcr"],
-    RegClass.EL1_SYS: [
+    RegClass.GP: tuple("x%d" % i for i in range(31)) + ("sp", "pc", "pstate"),
+    RegClass.FP: tuple("q%d" % i for i in range(32)) + ("fpsr", "fpcr"),
+    RegClass.EL1_SYS: (
         "sctlr_el1",
         "ttbr0_el1",
         "ttbr1_el1",
@@ -47,23 +56,25 @@ REGISTER_NAMES = {
         "par_el1",
         "amair_el1",
         "actlr_el1",
-    ],
-    RegClass.VGIC: (
-        ["gich_hcr", "gich_vmcr", "gich_misr", "gich_eisr", "gich_elrsr", "gich_apr"]
-        + ["gich_lr%d" % i for i in range(4)]
     ),
-    RegClass.TIMER: ["cntv_ctl_el0", "cntv_cval_el0", "cntkctl_el1"],
-    RegClass.EL2_CONFIG: ["hcr_el2", "mdcr_el2", "cptr_el2", "hstr_el2"],
-    RegClass.EL2_VIRTUAL_MEMORY: ["vttbr_el2", "vtcr_el2", "vpidr_el2", "vmpidr_el2"],
+    RegClass.VGIC: (
+        ("gich_hcr", "gich_vmcr", "gich_misr", "gich_eisr", "gich_elrsr", "gich_apr")
+        + tuple("gich_lr%d" % i for i in range(4))
+    ),
+    RegClass.TIMER: ("cntv_ctl_el0", "cntv_cval_el0", "cntkctl_el1"),
+    RegClass.EL2_CONFIG: ("hcr_el2", "mdcr_el2", "cptr_el2", "hstr_el2"),
+    RegClass.EL2_VIRTUAL_MEMORY: ("vttbr_el2", "vtcr_el2", "vpidr_el2", "vmpidr_el2"),
 }
 
 
 class RegisterBank:
     """Named registers of one class with default-zero values."""
 
+    __slots__ = ("reg_class", "_values")
+
     def __init__(self, reg_class):
         self.reg_class = reg_class
-        self._values = {name: 0 for name in REGISTER_NAMES[reg_class]}
+        self._values = dict.fromkeys(REGISTER_NAMES[reg_class], 0)
 
     def read(self, name):
         if name not in self._values:
@@ -84,11 +95,11 @@ class RegisterBank:
 
     def snapshot(self):
         """Copy of all values (a memory image of this bank)."""
-        return dict(self._values)
+        return self._values.copy()
 
     def load(self, image):
         """Restore all values from a memory image."""
-        if set(image) != set(self._values):
+        if image.keys() != self._values.keys():
             raise HardwareFault(
                 "image does not match register class %s" % self.reg_class.name
             )
@@ -98,9 +109,9 @@ class RegisterBank:
 class RegisterFile:
     """A full set of banks, one per :class:`RegClass`."""
 
-    def __init__(self, classes=None):
-        if classes is None:
-            classes = list(RegClass)
+    __slots__ = ("banks",)
+
+    def __init__(self, classes=ALL_CLASSES):
         self.banks = {reg_class: RegisterBank(reg_class) for reg_class in classes}
 
     def bank(self, reg_class):
@@ -116,15 +127,25 @@ class RegisterFile:
 
     def snapshot(self, classes=None):
         """Memory image {RegClass: {name: value}} of selected classes."""
+        banks = self.banks
         if classes is None:
-            classes = list(self.banks)
-        return {reg_class: self.bank(reg_class).snapshot() for reg_class in classes}
+            classes = banks
+        try:
+            return {reg_class: banks[reg_class].snapshot() for reg_class in classes}
+        except KeyError as exc:
+            raise HardwareFault("no bank for class %s" % (exc.args[0],)) from None
 
     def load(self, image):
+        banks = self.banks
         for reg_class, bank_image in image.items():
-            self.bank(reg_class).load(bank_image)
+            bank = banks.get(reg_class)
+            if bank is None:
+                raise HardwareFault("no bank for class %s" % (reg_class,))
+            bank.load(bank_image)
 
 
-def fresh_context_image(classes=None):
+def fresh_context_image(classes=ALL_CLASSES):
     """A zeroed saved-context image (what a new VCPU starts from)."""
-    return RegisterFile(classes).snapshot()
+    return {
+        reg_class: dict.fromkeys(REGISTER_NAMES[reg_class], 0) for reg_class in classes
+    }

@@ -11,7 +11,7 @@ The architectural contrast the paper draws against ARM:
 """
 
 from repro.errors import HardwareFault
-from repro.hw.cpu.registers import RegClass, RegisterFile
+from repro.hw.cpu.registers import RegClass, RegisterFile, fresh_context_image
 
 #: Register classes captured in a VMCS guest-state area.  (x86 has no
 #: GIC/EL2 banks; we reuse the GP/FP/system/timer classes for the state
@@ -24,8 +24,8 @@ class Vmcs:
 
     def __init__(self, name=""):
         self.name = name
-        self.guest_state = RegisterFile(VMCS_GUEST_CLASSES).snapshot()
-        self.host_state = RegisterFile(VMCS_GUEST_CLASSES).snapshot()
+        self.guest_state = fresh_context_image(VMCS_GUEST_CLASSES)
+        self.host_state = fresh_context_image(VMCS_GUEST_CLASSES)
         #: pending event-injection field (interrupt vector or None)
         self.pending_injection = None
 

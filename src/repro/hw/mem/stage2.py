@@ -12,6 +12,10 @@ from repro.hw.mem.address import GPA, HPA, PAGE_SHIFT
 LEVELS = 3
 BITS_PER_LEVEL = 9  # 4K granule, 512 entries per table
 
+#: mask of one level's table index, and the shift of the root level's
+_INDEX_MASK = (1 << BITS_PER_LEVEL) - 1
+_TOP_SHIFT = BITS_PER_LEVEL * (LEVELS - 1)
+
 
 class Stage2Fault(HardwareFault):
     """Translation fault at Stage 2 (unmapped IPA)."""
@@ -31,19 +35,24 @@ class Stage2Tables:
 
     @staticmethod
     def _indices(page):
-        indices = []
-        for level in range(LEVELS):
-            shift = BITS_PER_LEVEL * (LEVELS - 1 - level)
-            indices.append((page >> shift) & ((1 << BITS_PER_LEVEL) - 1))
-        return indices
+        """The per-level table indices of ``page``, root level first."""
+        return (
+            (page >> _TOP_SHIFT) & _INDEX_MASK,
+            (page >> BITS_PER_LEVEL) & _INDEX_MASK,
+            page & _INDEX_MASK,
+        )
 
     def map_page(self, gpa_page, hpa_page, writable=True):
         """Install a 4K mapping gpa_page -> hpa_page."""
-        node = self._root
-        indices = self._indices(gpa_page)
-        for index in indices[:-1]:
-            node = node.setdefault(index, {})
-        node[indices[-1]] = (hpa_page, writable)
+        top, middle, leaf = self._indices(gpa_page)
+        root = self._root
+        table = root.get(top)
+        if table is None:
+            table = root[top] = {}
+        node = table.get(middle)
+        if node is None:
+            node = table[middle] = {}
+        node[leaf] = (hpa_page, writable)
 
     def unmap_page(self, gpa_page):
         node = self._root

@@ -21,7 +21,7 @@ from repro.hw.irq.apic import Apic
 from repro.hw.irq.gic import Gic
 from repro.hw.irq.ipi import IpiFabric
 from repro.obs import Observability
-from repro.sim import Clock, DeterministicRng, Engine, FastLane, Timeout, Tracer
+from repro.sim import Clock, DeterministicRng, Engine, Timeout, Tracer
 
 ARM = "arm"
 X86 = "x86"
@@ -93,9 +93,6 @@ class Pcpu:
         spans = self.machine.obs.spans
         if spans.enabled:
             spans.step(label, cycles, category, pcpu=self.index)
-        recording = self.machine.fastlane.recording
-        if recording is not None:
-            recording.append((label, cycles))
         return Timeout(cycles)
 
     def raise_physical_irq(self, irq, payload=None):
@@ -143,8 +140,6 @@ class Machine:
         self.ipi = IpiFabric(
             self.engine, wire_cycles=platform.costs.ipi_wire, metrics=self.obs.metrics
         )
-        #: compiled fast lane for hot trap paths (see repro.sim.fastpath)
-        self.fastlane = FastLane(self)
 
     @property
     def is_arm(self):

@@ -26,23 +26,8 @@ Document schema (``tools/validate_bench.py`` is the CI check):
          "engines": 2}
       ],
       "totals": {"cells": 34, "wall_ms": 900.1, "simulated_cycles": 1234567890},
-      "perf": {
-        "fastpath": {"enabled": true, "hits": 120, "misses": 0,
-                     "recordings": 10, "rejects": 0, "hit_rate": 0.92},
-        "probe": {"ops": 20000,
-                  "interp": {"wall_s": 0.8, "cycles": 65316325,
-                             "cycles_per_sec": 81645406.0},
-                  "fast": {"wall_s": 0.1, "cycles": 65316325,
-                           "cycles_per_sec": 653163250.0},
-                  "speedup": 8.0, "cycles_equal": true}
-      },
       "report_sha256": "..."
     }
-
-The ``perf`` block is the fast lane's scoreboard: aggregated lane
-counters over every freshly-run cell (cache hits contribute nothing —
-the lane never enters the cache key) plus a warm-lane throughput probe.
-CI gates on ``probe.cycles_equal`` and ``probe.speedup``.
 
 ``failed_cells`` is present only when ``--keep-going`` swallowed
 failures; the report then carries explicit section-omission markers and
@@ -52,7 +37,6 @@ failures; the report then carries explicit section-omission markers and
 import dataclasses
 import hashlib
 import json
-import os
 import time
 
 from repro.runner import cells, merge
@@ -62,9 +46,6 @@ from repro.runner.pool import run_cells_outcome
 BENCH_SCHEMA = "repro-bench/1"
 DEFAULT_CACHE_DIR = ".repro-cache"
 DEFAULT_DOCUMENT_PATH = "BENCH_suite.json"
-
-#: hypercall round trips per mode in the warm-lane throughput probe
-PROBE_OPS = 20000
 
 
 @dataclasses.dataclass
@@ -100,7 +81,6 @@ def run_bench(
     use_cache=True,
     transactions=cells.DEFAULT_RR_TRANSACTIONS,
     keep_going=False,
-    probe_ops=None,
 ):
     """Run the bench grid; returns a :class:`BenchOutcome`.
 
@@ -119,73 +99,11 @@ def run_bench(
     report = merge.full_report_text(
         outcome.results, transactions, partial=bool(outcome.failures)
     )
-    if probe_ops is None:
-        # test seam: REPRO_BENCH_PROBE_OPS shrinks the probe where wall
-        # time matters more than a stable speedup figure
-        probe_ops = int(os.environ.get("REPRO_BENCH_PROBE_OPS", PROBE_OPS))
-    perf = _perf_block(outcome, probe_ops)
-    document = _build_document(outcome, cache, cache_dir, wall_ms, report, perf)
+    document = _build_document(outcome, cache, cache_dir, wall_ms, report)
     return BenchOutcome(report=report, document=document)
 
 
-def _fastlane_probe(ops):
-    """Warm-lane throughput: the same hypercall storm, lane on vs off.
-
-    The probe forces the lane state explicitly (independent of
-    ``REPRO_FASTPATH``) so the fastpath-off CI run still measures — and
-    gates on — the same speedup.  ``cycles`` must be identical in both
-    modes; ``wall_s`` is host time, legitimate here because it measures
-    the runner's own throughput, never the model.
-    """
-    from repro.core.testbed import build_testbed
-
-    modes = {}
-    for mode in ("interp", "fast"):
-        bed = build_testbed("kvm-arm")
-        bed.machine.fastlane.enabled = mode == "fast"
-        hv = bed.hypervisor
-        vcpu = bed.vm.vcpu(0)
-        hv.install_guest(vcpu)
-        engine = bed.engine
-        start = time.perf_counter()
-        for _ in range(ops):
-            engine.spawn(hv.run_hypercall(vcpu), "probe")
-            engine.run()
-        wall_s = time.perf_counter() - start
-        modes[mode] = {
-            "wall_s": wall_s,
-            "cycles": engine.now,
-            "cycles_per_sec": engine.now / wall_s if wall_s > 0 else 0.0,
-        }
-    interp, fast = modes["interp"], modes["fast"]
-    return {
-        "ops": ops,
-        "interp": interp,
-        "fast": fast,
-        "speedup": interp["wall_s"] / fast["wall_s"] if fast["wall_s"] > 0 else 0.0,
-        "cycles_equal": interp["cycles"] == fast["cycles"],
-    }
-
-
-def _perf_block(outcome, probe_ops):
-    from repro.sim.fastpath import fastpath_enabled
-
-    lane = {"hits": 0, "misses": 0, "recordings": 0, "rejects": 0}
-    for result in outcome.results.values():
-        for name, count in result.fastpath.items():
-            lane[name] = lane.get(name, 0) + count
-    attempts = sum(lane.values())
-    return {
-        "fastpath": dict(
-            lane,
-            enabled=fastpath_enabled(),
-            hit_rate=lane["hits"] / attempts if attempts else 0.0,
-        ),
-        "probe": _fastlane_probe(probe_ops),
-    }
-
-
-def _build_document(outcome, cache, cache_dir, wall_ms, report, perf):
+def _build_document(outcome, cache, cache_dir, wall_ms, report):
     cell_rows = [
         {
             "id": result.spec.id,
@@ -218,7 +136,6 @@ def _build_document(outcome, cache, cache_dir, wall_ms, report, perf):
             "wall_ms": wall_ms,
             "simulated_cycles": sum(row["simulated_cycles"] for row in cell_rows),
         },
-        "perf": perf,
         "report_sha256": hashlib.sha256(report.encode("utf-8")).hexdigest(),
     }
     if outcome.failures:
@@ -254,7 +171,6 @@ def history_line(document):
     """
     totals = document["totals"]
     cache = document["cache"]
-    fastpath = document["perf"]["fastpath"]
     wall_clock_s = totals["wall_ms"] / 1000.0
     lookups = cache["hits"] + cache["misses"]
     return {
@@ -266,8 +182,6 @@ def history_line(document):
             totals["cells"] / wall_clock_s if wall_clock_s > 0 else 0.0
         ),
         "cache_hit_rate": cache["hits"] / lookups if lookups else 0.0,
-        "fastpath_enabled": fastpath["enabled"],
-        "fastpath_hits": fastpath["hits"],
         "partial": bool(document.get("partial", False)),
     }
 

@@ -69,10 +69,11 @@ class CellResult:
     engines: int
     source: str  # "run" | "cache"
     payload_sha256: str = ""
+    #: constant fields, kept because callers outside the runner read
+    #: them: one attempt and never degraded (there is no retry ladder),
+    #: no fast-lane counters (the interpreter is the only path)
     attempts: int = 1
     degraded: bool = False
-    #: aggregated fast-lane counters over the cell's engines (empty for
-    #: cache hits — the lane never enters the cache key or the payload)
     fastpath: dict = dataclasses.field(default_factory=dict)
 
 
@@ -121,13 +122,6 @@ def execute_cell(spec):
         sum(engine.now for engine in created)
     )
     metrics.gauge("runner.cell.wall_ms").set((time.perf_counter() - start) * 1000.0)
-    fastpath = {}
-    for engine in created:
-        lane = getattr(engine, "fastlane", None)
-        if lane is None:
-            continue
-        for name, count in lane.snapshot().items():
-            fastpath[name] = fastpath.get(name, 0) + count
     # Round-trip through JSON so a freshly simulated payload is
     # structurally identical to one loaded from the cache.
     payload = json.loads(json.dumps(payload))
@@ -139,7 +133,6 @@ def execute_cell(spec):
         engines=metrics.get("runner.cell.engines").value,
         source="run",
         payload_sha256=resilience.payload_digest(payload),
-        fastpath=fastpath,
     )
 
 

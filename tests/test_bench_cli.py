@@ -50,6 +50,8 @@ class TestParser:
             ["bench", "--cell-timeout", "2.5"],
             ["bench", "--resume"],
             ["bench", "--run-id", "run-1"],
+            # the compiled fast lane is gone with its switch
+            ["bench", "--no-fastpath"],
         ],
     )
     def test_bad_resilience_values_rejected(self, argv):
@@ -72,6 +74,7 @@ class TestExecution:
 
         document = json.loads((workdir / "BENCH_suite.json").read_text())
         assert document["schema"] == "repro-bench/1"
+        assert "perf" not in document  # the fast-lane scoreboard is gone
         assert document["cache"] == {
             "enabled": True,
             "directory": ".repro-cache",
@@ -347,43 +350,3 @@ class TestBenchHistory:
         history = pathlib.Path(__file__).resolve().parent.parent / "BENCH_history.jsonl"
         validator = _load_validate_bench()
         assert validator.validate_history(str(history)) == []
-
-
-class TestFastpathCli:
-    @pytest.fixture
-    def workdir(self, tmp_path, monkeypatch):
-        monkeypatch.chdir(tmp_path)
-        monkeypatch.delenv("REPRO_FASTPATH", raising=False)
-        return tmp_path
-
-    def test_no_fastpath_flag_parses(self):
-        assert build_parser().parse_args(["bench"]).no_fastpath is False
-        args = build_parser().parse_args(["bench", "--no-fastpath"])
-        assert args.no_fastpath is True
-
-    def test_perf_block_written_and_valid(self, workdir, capsys):
-        assert main(["bench", "--no-cache", "-o", "doc.json"]) == 0
-        capsys.readouterr()
-        document = json.loads((workdir / "doc.json").read_text())
-        perf = document["perf"]
-        assert perf["fastpath"]["enabled"] is True
-        assert perf["fastpath"]["hits"] > 0
-        assert 0 <= perf["fastpath"]["hit_rate"] <= 1
-        probe = perf["probe"]
-        assert probe["cycles_equal"] is True
-        assert probe["interp"]["cycles"] == probe["fast"]["cycles"] > 0
-        validator = _load_validate_bench()
-        assert validator.validate(str(workdir / "doc.json")) == []
-
-    def test_no_fastpath_reproduces_report_byte_for_byte(self, workdir, capsys):
-        assert main(["bench", "--no-cache", "-o", "on.json"]) == 0
-        on_out = capsys.readouterr().out
-        assert main(["bench", "--no-cache", "--no-fastpath", "-o", "off.json"]) == 0
-        off_out = capsys.readouterr().out
-        assert on_out == off_out
-        on = json.loads((workdir / "on.json").read_text())
-        off = json.loads((workdir / "off.json").read_text())
-        assert on["report_sha256"] == off["report_sha256"]
-        assert on["perf"]["fastpath"]["hits"] > 0
-        assert off["perf"]["fastpath"]["enabled"] is False
-        assert off["perf"]["fastpath"]["hits"] == 0

@@ -1,28 +1,26 @@
-"""Tests for the compiled world-switch fast lane (repro.sim.fastpath).
+"""Tests for the world-switch hot path (hypercall and interrupt-trap ops).
 
-The lane's contract is byte-identical simulation results with and
-without compilation: every test here ultimately checks either cycle
-equality between the two modes or that a safety condition forces the
-interpreted slow path.
+The interpreter is the only execution path: every op walks its
+``_*_path`` generator step by step.  These tests pin the properties the
+hot path must keep — guest state survives repeated world switches, cost
+fields are resolved live on every op, observers never change simulated
+cycles — and that the committed ``specs/`` goldens load and cover the
+world-switch chains.
 """
 
 import json
+import pathlib
 
-import pytest
+from repro.analysis.pathspec.extract import load_committed
+from repro.hv import KvmHypervisor
+from repro.hw.platform import Machine, arm_m400
+from repro.sim import Engine
 
-import repro.sim.fastpath as fastpath
-from repro.hv import KvmHypervisor, XenHypervisor
-from repro.hw.platform import Machine, arm_m400, x86_r320
-from repro.sim import Engine, FastLane, fastpath_enabled
-from repro.sim.fastpath import (
-    MAX_RECORD_FAILURES,
-    load_committed_specs,
-)
+SPEC_DIR = pathlib.Path(__file__).resolve().parents[1] / "specs"
 
 
-def make_kvm_arm(vhe=False, enabled=True):
+def make_kvm_arm(vhe=False):
     machine = Machine(arm_m400(vhe_capable=vhe))
-    machine.fastlane.enabled = enabled
     hv = KvmHypervisor(machine, vhe=vhe)
     vm = hv.create_vm("vm0", 2, [4, 5])
     vcpu = vm.vcpu(0)
@@ -40,46 +38,13 @@ def run_ops(machine, hv, vcpu, count, op="hypercall"):
     return machine.engine.now
 
 
-BUILDERS = {
-    "kvm-arm": lambda: (arm_m400(), lambda m: KvmHypervisor(m)),
-    "kvm-vhe-arm": lambda: (
-        arm_m400(vhe_capable=True),
-        lambda m: KvmHypervisor(m, vhe=True),
-    ),
-    "kvm-x86": lambda: (x86_r320(), lambda m: KvmHypervisor(m)),
-    "xen-arm": lambda: (arm_m400(), lambda m: XenHypervisor(m)),
-    "xen-x86": lambda: (x86_r320(), lambda m: XenHypervisor(m)),
-}
-
-
-def build_platform(key, enabled):
-    platform, make_hv = BUILDERS[key]()
-    machine = Machine(platform)
-    machine.fastlane.enabled = enabled
-    hv = make_hv(machine)
-    if isinstance(hv, XenHypervisor):
-        hv.boot_dom0(num_vcpus=2, pcpu_indices=[0, 1])
-    vm = hv.create_vm("vm0", 2, [4, 5])
-    vcpu = vm.vcpu(0)
-    hv.install_guest(vcpu)
-    return machine, hv, vcpu
+def plain_cycles(count, op="hypercall"):
+    """Cycles for ``count`` ops on a fresh machine with no observer."""
+    machine, hv, vcpu = make_kvm_arm()
+    return run_ops(machine, hv, vcpu, count, op=op)
 
 
 class TestByteIdentity:
-    @pytest.mark.parametrize("key", sorted(BUILDERS))
-    @pytest.mark.parametrize("op", ["hypercall", "intc"])
-    def test_cycles_identical_lane_on_vs_off(self, key, op):
-        results = {}
-        for enabled in (True, False):
-            machine, hv, vcpu = build_platform(key, enabled)
-            results[enabled] = run_ops(machine, hv, vcpu, 12, op=op)
-            if enabled:
-                counters = machine.fastlane.snapshot()
-                assert counters["recordings"] >= 1, counters
-                assert counters["hits"] >= 10, counters
-                assert counters["rejects"] == 0, counters
-        assert results[True] == results[False]
-
     def test_guest_state_preserved_across_replays(self):
         from repro.hw.cpu.registers import RegClass
 
@@ -87,15 +52,13 @@ class TestByteIdentity:
         arch = vcpu.pcpu.arch
         arch.regs.write(RegClass.GP, "x0", 0x1234)
         run_ops(machine, hv, vcpu, 8)
-        assert machine.fastlane.counters["hits"] >= 6
         assert arch.regs.read(RegClass.GP, "x0") == 0x1234
 
 
 class TestLiveCostResolution:
     def test_monkeypatched_cost_honored_without_invalidation(self):
         machine, hv, vcpu = make_kvm_arm()
-        run_ops(machine, hv, vcpu, 3)  # warm: record + replay
-        assert machine.fastlane.counters["hits"] >= 1
+        run_ops(machine, hv, vcpu, 3)
         before = machine.engine.now
         run_ops(machine, hv, vcpu, 1)
         baseline_delta = machine.engine.now - before
@@ -104,51 +67,28 @@ class TestLiveCostResolution:
         before = machine.engine.now
         run_ops(machine, hv, vcpu, 1)
         patched_delta = machine.engine.now - before
-        # The compiled entry re-resolves the field on every replay: the
-        # patched cost shows up immediately, still on the fast lane.
+        # Each op reads the cost field when it runs: the patch shows up
+        # on the very next op, with nothing to invalidate.
         assert patched_delta == baseline_delta + 1000
-        assert machine.fastlane.counters["misses"] == 0
 
     def test_patched_cost_matches_interpretation(self):
-        results = {}
-        for enabled in (True, False):
-            machine, hv, vcpu = make_kvm_arm(enabled=enabled)
-            run_ops(machine, hv, vcpu, 4)
-            machine.costs.mmio_decode += 77
-            run_ops(machine, hv, vcpu, 4, op="intc")
-            results[enabled] = machine.engine.now
-        assert results[True] == results[False]
-
-
-class TestGuard:
-    def test_guard_change_misses_and_recovers(self):
         machine, hv, vcpu = make_kvm_arm()
-        run_ops(machine, hv, vcpu, 3)
-        hits_before = machine.fastlane.counters["hits"]
-        # A pending virq changes the replay guard: the compiled entry
-        # must refuse (the interpreted path would deliver the virq).
-        vcpu.pending_virqs.append(27)
-        on_lane = {}
-        for enabled in (True, False):
-            m2, hv2, v2 = make_kvm_arm(enabled=enabled)
-            run_ops(m2, hv2, v2, 3)
-            v2.pending_virqs.append(27)
-            m2.engine.spawn(hv2.run_hypercall(v2), "op")
-            m2.run()
-            on_lane[enabled] = m2.engine.now
-        assert on_lane[True] == on_lane[False]
-        machine.engine.spawn(hv.run_hypercall(vcpu), "op")
-        machine.run()
-        assert machine.fastlane.counters["misses"] >= 1
-        # Entry is kept: once the guard holds again the lane hits.
-        vcpu.pending_virqs.clear()
-        run_ops(machine, hv, vcpu, 1)
-        assert machine.fastlane.counters["hits"] > hits_before
+        run_ops(machine, hv, vcpu, 4)
+        before = machine.engine.now
+        run_ops(machine, hv, vcpu, 4, op="intc")
+        baseline = machine.engine.now - before
+
+        machine, hv, vcpu = make_kvm_arm()
+        run_ops(machine, hv, vcpu, 4)
+        machine.costs.mmio_decode += 77
+        before = machine.engine.now
+        run_ops(machine, hv, vcpu, 4, op="intc")
+        # One MMIO decode per interrupt-controller trap.
+        assert machine.engine.now - before == baseline + 4 * 77
 
 
 class TestObserverPassthrough:
     def test_sanitizer_forces_interpretation(self):
-        machine, hv, vcpu = make_kvm_arm()
         class InertSanitizer:
             def on_schedule(self, engine, time, seq, callback):
                 return seq
@@ -156,138 +96,57 @@ class TestObserverPassthrough:
             def __getattr__(self, name):
                 return lambda *args, **kwargs: None
 
-        sentinel = InertSanitizer()
+        expected = plain_cycles(3)
+        machine, hv, vcpu = make_kvm_arm()
         old = Engine.sanitizer
-        Engine.sanitizer = sentinel
+        Engine.sanitizer = InertSanitizer()
         try:
-            assert not machine.fastlane.usable()
-            run_ops(machine, hv, vcpu, 3)
+            observed = run_ops(machine, hv, vcpu, 3)
         finally:
             Engine.sanitizer = old
-        assert machine.fastlane.counters["hits"] == 0
-        assert machine.fastlane.counters["recordings"] == 0
+        assert observed == expected
 
     def test_tracer_forces_interpretation(self):
+        expected = plain_cycles(3)
         machine, hv, vcpu = make_kvm_arm()
         machine.tracer.enabled = True
-        run_ops(machine, hv, vcpu, 3)
-        assert machine.fastlane.counters["hits"] == 0
+        assert run_ops(machine, hv, vcpu, 3) == expected
 
     def test_span_recording_forces_interpretation(self):
+        expected = plain_cycles(3, op="intc")
         machine, hv, vcpu = make_kvm_arm()
         machine.obs.spans.enabled = True
-        run_ops(machine, hv, vcpu, 3)
-        assert machine.fastlane.counters["hits"] == 0
-        assert machine.fastlane.counters["recordings"] == 0
-
-    def test_disabled_lane_is_pure_passthrough(self):
-        machine, hv, vcpu = make_kvm_arm(enabled=False)
-        run_ops(machine, hv, vcpu, 5)
-        assert machine.fastlane.snapshot() == {
-            "hits": 0,
-            "misses": 0,
-            "recordings": 0,
-            "rejects": 0,
-        }
-
-
-class TestEnvironmentSwitches:
-    def test_repro_fastpath_env_disables_default(self, monkeypatch):
-        monkeypatch.setenv("REPRO_FASTPATH", "0")
-        assert not fastpath_enabled()
-        machine = Machine(arm_m400())
-        assert not machine.fastlane.enabled
-        monkeypatch.setenv("REPRO_FASTPATH", "off")
-        assert not fastpath_enabled()
-        monkeypatch.setenv("REPRO_FASTPATH", "1")
-        assert fastpath_enabled()
-        monkeypatch.delenv("REPRO_FASTPATH")
-        assert fastpath_enabled()
-
-    def test_missing_spec_dir_refuses_to_compile(self, monkeypatch, tmp_path):
-        monkeypatch.setenv("REPRO_SPEC_DIR", str(tmp_path / "nowhere"))
-        machine, hv, vcpu = make_kvm_arm()
-        run_ops(machine, hv, vcpu, 2)
-        counters = machine.fastlane.snapshot()
-        assert counters["recordings"] == 0
-        assert counters["rejects"] >= 1
-
-    def test_spec_drift_refuses_to_compile(self, monkeypatch, tmp_path):
-        # Copy the committed goldens but corrupt one cost the hypercall
-        # chain depends on — SPEC001-style drift must refuse-to-compile.
-        committed = load_committed_specs()
-        drifted = []
-        for spec_id, spec in committed.items():
-            spec = json.loads(json.dumps(spec))
-            if spec_id == "hv/kvm/kvm.py::KvmHypervisor._hypercall_path":
-                for path in spec["paths"]:
-                    for step in path.get("steps", []):
-                        if step.get("op") == "hypercall_body":
-                            step["cost"] = "mmio_decode"
-            drifted.append(spec)
-        (tmp_path / "drifted.json").write_text(json.dumps({"specs": drifted}))
-        monkeypatch.setenv("REPRO_SPEC_DIR", str(tmp_path))
-        lane_on = {}
-        for enabled in (True, False):
-            machine, hv, vcpu = make_kvm_arm(enabled=enabled)
-            lane_on[enabled] = run_ops(machine, hv, vcpu, 4)
-            if enabled:
-                counters = machine.fastlane.snapshot()
-                assert counters["recordings"] == 0, counters
-                assert counters["rejects"] >= 1, counters
-        # Refusal mode is still cycle-identical to interpretation.
-        assert lane_on[True] == lane_on[False]
-
-
-class TestLifecycle:
-    def test_revalidation_re_records_periodically(self, monkeypatch):
-        monkeypatch.setattr(fastpath, "REVALIDATE_EVERY", 4)
-        machine, hv, vcpu = make_kvm_arm()
-        on = run_ops(machine, hv, vcpu, 12)
-        counters = machine.fastlane.snapshot()
-        assert counters["recordings"] >= 2, counters
-        m2, hv2, v2 = make_kvm_arm(enabled=False)
-        assert on == run_ops(m2, hv2, v2, 12)
-
-    def test_record_failures_cap_then_permanent_passthrough(
-        self, monkeypatch, tmp_path
-    ):
-        monkeypatch.setenv("REPRO_SPEC_DIR", str(tmp_path / "nowhere"))
-        machine, hv, vcpu = make_kvm_arm()
-        run_ops(machine, hv, vcpu, MAX_RECORD_FAILURES + 5)
-        counters = machine.fastlane.snapshot()
-        assert counters["rejects"] == MAX_RECORD_FAILURES
-        assert counters["hits"] == 0
-
-    def test_sites_registered_per_hypervisor(self):
-        machine, hv, _vcpu = make_kvm_arm()
-        names = [site.name for site in machine.fastlane.sites]
-        assert "%s.hypercall" % hv.name in names
-        assert "%s.intc_trap" % hv.name in names
-
-    def test_snapshot_is_plain_data_copy(self):
-        machine, hv, vcpu = make_kvm_arm()
-        run_ops(machine, hv, vcpu, 2)
-        snap = machine.fastlane.snapshot()
-        snap["hits"] += 100
-        assert machine.fastlane.counters["hits"] != snap["hits"]
+        assert run_ops(machine, hv, vcpu, 3, op="intc") == expected
 
 
 class TestSpecLoading:
     def test_load_missing_dir_returns_empty(self, tmp_path):
-        assert load_committed_specs(tmp_path / "absent") == {}
+        assert load_committed(tmp_path / "absent") == ({}, {}, [])
 
     def test_load_skips_unparseable_files(self, tmp_path):
         (tmp_path / "bad.json").write_text("{not json")
         (tmp_path / "good.json").write_text(
             json.dumps({"specs": [{"id": "a.py::f", "paths": []}]})
         )
-        committed = load_committed_specs(tmp_path)
+        committed, sources, problems = load_committed(tmp_path)
         assert list(committed) == ["a.py::f"]
+        assert sources["a.py::f"] == tmp_path / "good.json"
+        assert "bad.json" in [path.name for path, _message in problems]
 
     def test_committed_goldens_cover_wrapped_chains(self):
-        committed = load_committed_specs()
-        machine, hv, _vcpu = make_kvm_arm()
-        for site in machine.fastlane.sites:
-            for spec_id in site.chain:
-                assert spec_id in committed, spec_id
+        committed, _sources, _problems = load_committed(SPEC_DIR)
+        chains = [
+            "hv/kvm/world_switch.py::split_mode_exit",
+            "hv/kvm/world_switch.py::split_mode_enter",
+            "hv/kvm/world_switch.py::vhe_exit",
+            "hv/kvm/world_switch.py::vhe_enter",
+            "hv/kvm/world_switch.py::x86_exit",
+            "hv/kvm/world_switch.py::x86_enter",
+            "hv/kvm/kvm.py::KvmHypervisor._hypercall_path",
+            "hv/kvm/kvm.py::KvmHypervisor._intc_path",
+            "hv/xen/xen.py::XenHypervisor._xen_entry",
+            "hv/xen/xen.py::XenHypervisor._xen_return",
+            "hv/xen/xen.py::XenHypervisor._intc_path",
+        ]
+        for spec_id in chains:
+            assert spec_id in committed, spec_id

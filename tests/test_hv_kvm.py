@@ -5,6 +5,7 @@ import pytest
 from repro.errors import ConfigurationError
 from repro.hv import KvmHypervisor, build_hypervisor
 from repro.hv.base import VcpuState
+from repro.hv.kvm.virtio import VirtioNetDevice
 from repro.hw.cpu.arm import ExceptionLevel
 from repro.hw.cpu.registers import RegClass
 from repro.hw.platform import Machine, arm_m400, x86_r320
@@ -288,3 +289,19 @@ class TestVirtualIpi:
         assert fired_at > machine.costs.ipi_wire
         machine.run()
         assert vm.vcpu(1).state == VcpuState.GUEST
+
+
+class TestVirtioRefill:
+    def test_refill_rx_fills_the_ring_with_distinct_buffers(self):
+        _machine, _hv, vm = make_kvm()
+        device = VirtioNetDevice(vm, queue_size=8)
+        assert device.rx.avail_count == 8
+        for _ in range(3):
+            device.rx.backend_pop()
+        device.refill_rx()
+        assert device.rx.avail_count == 8
+        buffers = [device.rx.backend_pop() for _ in range(8)]
+        assert all(buffer == {"empty": True} for buffer in buffers)
+        assert len({id(buffer) for buffer in buffers}) == 8
+        device.refill_rx()
+        assert device.rx.avail_count == 8

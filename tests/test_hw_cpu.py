@@ -1,5 +1,7 @@
 """Unit tests for the ARM and x86 CPU models."""
 
+import pickle
+
 import pytest
 
 from repro.errors import HardwareFault
@@ -64,6 +66,85 @@ class TestRegisterFile:
     def test_fresh_context_image_is_zeroed(self):
         image = fresh_context_image([RegClass.GP])
         assert all(value == 0 for value in image[RegClass.GP].values())
+
+
+def _distinct_image(regs):
+    """Write a distinct non-zero value into every register of ``regs``."""
+    value = 1
+    for reg_class, bank in regs.banks.items():
+        for name in bank.names():
+            regs.write(reg_class, name, value)
+            value += 1
+    return regs.snapshot()
+
+
+class TestRegisterFileHotPaths:
+    """The plain-data snapshot/load paths keep every shape check."""
+
+    @pytest.mark.parametrize("reg_class", list(RegClass), ids=lambda c: c.name)
+    def test_snapshot_load_round_trips_each_class(self, reg_class):
+        regs = RegisterFile()
+        image = _distinct_image(regs)
+        saved = regs.snapshot([reg_class])
+        assert list(saved) == [reg_class]
+        assert saved[reg_class] == image[reg_class]
+        for name in REGISTER_NAMES[reg_class]:
+            regs.write(reg_class, name, 0)
+        regs.load(saved)
+        assert regs.snapshot() == image
+
+    @pytest.mark.parametrize("reg_class", list(RegClass), ids=lambda c: c.name)
+    def test_load_with_missing_name_rejected(self, reg_class):
+        regs = RegisterFile()
+        bank_image = regs.snapshot([reg_class])[reg_class]
+        del bank_image[REGISTER_NAMES[reg_class][0]]
+        with pytest.raises(HardwareFault):
+            regs.load({reg_class: bank_image})
+
+    @pytest.mark.parametrize("reg_class", list(RegClass), ids=lambda c: c.name)
+    def test_load_with_extra_name_rejected(self, reg_class):
+        regs = RegisterFile()
+        bank_image = regs.snapshot([reg_class])[reg_class]
+        bank_image["not_a_register"] = 1
+        with pytest.raises(HardwareFault):
+            regs.load({reg_class: bank_image})
+
+    def test_snapshot_of_absent_class_is_a_hardware_fault(self):
+        regs = RegisterFile([RegClass.GP])
+        with pytest.raises(HardwareFault) as info:
+            regs.snapshot([RegClass.GP, RegClass.VGIC])
+        assert not isinstance(info.value, KeyError)
+
+    def test_load_of_absent_class_is_a_hardware_fault(self):
+        regs = RegisterFile([RegClass.GP])
+        image = fresh_context_image([RegClass.VGIC])
+        with pytest.raises(HardwareFault):
+            regs.load(image)
+
+    def test_fresh_context_images_share_no_inner_dict(self):
+        first, second = fresh_context_image(), fresh_context_image()
+        assert list(first) == list(second) == list(RegClass)
+        for reg_class in RegClass:
+            assert first[reg_class] is not second[reg_class]
+            assert first[reg_class] == dict.fromkeys(REGISTER_NAMES[reg_class], 0)
+        first[RegClass.GP]["x0"] = 1
+        assert second[RegClass.GP]["x0"] == 0
+
+    def test_fresh_context_image_loads_into_a_register_file(self):
+        regs = RegisterFile()
+        _distinct_image(regs)
+        regs.load(fresh_context_image())
+        assert all(
+            value == 0 for bank in regs.snapshot().values() for value in bank.values()
+        )
+
+    def test_register_class_survives_pickling_as_a_dict_key(self):
+        # identity hashing is only sound because members are singletons
+        # that unpickle to themselves
+        for reg_class in RegClass:
+            assert pickle.loads(pickle.dumps(reg_class)) is reg_class
+        image = pickle.loads(pickle.dumps(fresh_context_image()))
+        RegisterFile().load(image)
 
 
 class TestArmCpu:

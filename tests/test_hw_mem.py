@@ -1,13 +1,32 @@
 """Unit tests for the memory system: Stage-2, TLB, grants, DMA."""
 
 import pytest
+from hypothesis import example, given, strategies as st
 
 from repro.errors import ConfigurationError, HardwareFault, ProtocolError
 from repro.hw.costs import arm_costs, x86_costs
 from repro.hw.mem import DmaEngine, GrantTable, Tlb, TlbShootdownModel
 from repro.hw.mem.address import GPA, HPA, PAGE_SIZE, page_of
 from repro.hw.mem.grant import grant_copy_cycles
-from repro.hw.mem.stage2 import Stage2Fault, Stage2Tables, identity_map
+from repro.hw.mem.stage2 import (
+    BITS_PER_LEVEL,
+    LEVELS,
+    Stage2Fault,
+    Stage2Tables,
+    identity_map,
+)
+
+#: every IPA page number the three-level radix can address
+MAX_PAGE = (1 << (LEVELS * BITS_PER_LEVEL)) - 1
+
+
+def reference_indices(page):
+    """The original per-level loop that ``Stage2Tables._indices`` replaced."""
+    indices = []
+    for level in range(LEVELS):
+        shift = BITS_PER_LEVEL * (LEVELS - 1 - level)
+        indices.append((page >> shift) & ((1 << BITS_PER_LEVEL) - 1))
+    return indices
 
 
 class TestAddresses:
@@ -66,6 +85,25 @@ class TestStage2:
         tables = identity_map(Stage2Tables(2), base_page=0x100, num_pages=4)
         for page in range(0x100, 0x104):
             assert tables.walk(GPA(page * PAGE_SIZE))[0].page == page
+
+
+class TestStage2Indices:
+    @given(st.integers(min_value=0, max_value=MAX_PAGE))
+    @example(0)
+    @example((1 << BITS_PER_LEVEL) - 1)
+    @example(1 << BITS_PER_LEVEL)
+    @example(MAX_PAGE)
+    def test_matches_reference_loop(self, page):
+        assert list(Stage2Tables._indices(page)) == reference_indices(page)
+
+    @given(st.lists(st.integers(min_value=0, max_value=MAX_PAGE), max_size=20))
+    def test_map_walk_round_trip(self, pages):
+        tables = Stage2Tables(vmid=1)
+        for page in pages:
+            tables.map_page(page, page ^ 0x5A5A)
+        for page in pages:
+            assert tables.walk(GPA(page * PAGE_SIZE))[0].page == page ^ 0x5A5A
+        assert tables.mapped_page_count() == len(set(pages))
 
 
 class TestTlb:

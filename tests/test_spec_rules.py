@@ -97,12 +97,12 @@ def test_narrowed_restore_sweep_fires_spec003_alone(tmp_path):
     original = (
         "            for reg_class in ALL_ARM_CLASSES:\n"
         "                yield pcpu.op(\n"
-        '                    "restore_%s" % reg_class.name.lower(),\n'
+        '                    switch_label("restore", reg_class),\n'
     )
     narrowed = (
         "            for reg_class in PARTIAL_RESTORE_ORDER:\n"
         "                yield pcpu.op(\n"
-        '                    "restore_%s" % reg_class.name.lower(),\n'
+        '                    switch_label("restore", reg_class),\n'
     )
     text = target.read_text()
     assert original in text, "_domain_switch changed shape; update this test"
