@@ -19,6 +19,7 @@ All costs are integers (cycles of the owning platform's CPU).
 
 import contextlib
 import dataclasses
+import threading
 
 from repro.errors import ConfigurationError
 from repro.hw.cpu.registers import RegClass
@@ -251,6 +252,7 @@ class X86Costs:
 def arm_costs():
     """Fresh (mutable) ARM cost model — default calibration plus any
     active what-if overrides (see :func:`overriding`)."""
+    _check_scope("arm")
     costs = ArmCosts()
     if _ACTIVE_OVERRIDES:
         _apply_section(costs, _ACTIVE_OVERRIDES.get("arm") or {})
@@ -260,6 +262,7 @@ def arm_costs():
 def x86_costs():
     """Fresh (mutable) x86 cost model — default calibration plus any
     active what-if overrides (see :func:`overriding`)."""
+    _check_scope("x86")
     costs = X86Costs()
     if _ACTIVE_OVERRIDES:
         _apply_section(costs, _ACTIVE_OVERRIDES.get("x86") or {})
@@ -278,15 +281,34 @@ def x86_costs():
 # where a plain key names a scalar dataclass field and a dotted
 # ``save.<CLASS>`` / ``restore.<CLASS>`` key names one register class of
 # the Table III sweep dicts.  ``repro.runner.cells`` installs a document
-# around one cell execution (the document travels inside the cell's
-# parameters, so spawned workers and the content-addressed cache key see
-# exactly what the parent sees).
+# around one cell execution.  A cell simulates one architecture, so only
+# that architecture's section travels inside the cell's parameters: a
+# cell the document does not touch keeps its default identity (id, cache
+# key, in-flight entry).  While a cell runs, :func:`scoped_to` makes
+# building the *other* architecture's table an error, so a cell that
+# declares the wrong architecture fails loudly instead of silently
+# ignoring the section it was stripped of.
 
 #: the override sections that address into a dict field (RegClass-keyed)
 _DICT_FIELDS = ("save", "restore")
 
 #: the currently installed override document (None = pure defaults)
 _ACTIVE_OVERRIDES = None
+
+#: ``.arch``: the one architecture the cell running on this thread
+#: simulates (None = unscoped).  Kept apart from the override document,
+#: which an outer block may own, and per thread, so another thread
+#: deriving a cache key (which builds both tables) is never caught by it.
+_SCOPE = threading.local()
+
+
+def _check_scope(arch):
+    scoped = getattr(_SCOPE, "arch", None)
+    if scoped is not None and arch != scoped:
+        raise ConfigurationError(
+            "a cell that simulates %s built the %s cost table; its "
+            "declared architecture is wrong" % (scoped, arch)
+        )
 
 
 def _override_targets(arch):
@@ -389,10 +411,10 @@ def overriding(document):
     """Install a what-if override document for the duration of a block.
 
     Every :func:`arm_costs` / :func:`x86_costs` call inside the block —
-    testbed construction, cache-key derivation, fast-lane cost
-    re-resolution — sees the overridden primitives; the previous state
-    is restored on exit even if the block raises.  Documents do not
-    merge: nesting replaces the outer document wholesale.
+    testbed construction and cache-key derivation alike — sees the
+    overridden primitives; the previous state is restored on exit even
+    if the block raises.  Documents do not merge: nesting replaces the
+    outer document wholesale.  Each table reads only its own section.
     """
     global _ACTIVE_OVERRIDES
     previous = _ACTIVE_OVERRIDES
@@ -401,3 +423,19 @@ def overriding(document):
         yield
     finally:
         _ACTIVE_OVERRIDES = previous
+
+
+@contextlib.contextmanager
+def scoped_to(arch):
+    """Allow only ``arch``'s cost table to be built inside the block,
+    on this thread.
+
+    ``None`` leaves the block unscoped.  The installed override document
+    is not touched, so an outer :func:`overriding` still applies.
+    """
+    previous = getattr(_SCOPE, "arch", None)
+    _SCOPE.arch = arch
+    try:
+        yield
+    finally:
+        _SCOPE.arch = previous

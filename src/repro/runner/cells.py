@@ -28,7 +28,7 @@ from repro.core.irqbalance import run_irq_distribution_ablation
 from repro.core.microbench import MicrobenchmarkSuite
 from repro.core.netanalysis import TcpRrBenchmark
 from repro.core.oversubscription import OversubscriptionExperiment
-from repro.core.testbed import build_testbed, native_testbed
+from repro.core.testbed import build_testbed, native_testbed, parse_key
 from repro.errors import ConfigurationError
 from repro.hw import costs as hw_costs
 from repro.paperdata import PLATFORM_ORDER
@@ -86,19 +86,39 @@ def _spec(kind, **params):
 COSTS_PARAM = "costs"
 
 
+#: kinds whose ``key`` parameter names the platform, and so the arch
+_KEYED_KINDS = frozenset(("micro", "appcol", "ablation", "oversub"))
+#: kinds that always simulate the same architecture
+_FIXED_ARCH = {"breakdown": "arm", "tcprr": "arm"}
+
+
+def cell_arch(spec):
+    """The one architecture a cell simulates, or None if its kind
+    declares none (such a cell carries the whole override document)."""
+    if spec.kind in _KEYED_KINDS:
+        return parse_key(spec.params_dict()["key"])[1]
+    return _FIXED_ARCH.get(spec.kind)
+
+
 def with_cost_overrides(spec, overrides):
     """The same cell under a what-if cost-override document.
 
     The document is validated and canonicalized
-    (:func:`repro.hw.costs.validate_overrides`) and then embedded in the
-    cell's parameters as compact sorted JSON — so the override travels
-    with the spec, distinguishes the cell's content-addressed cache key
-    from the default-calibration cell, and shows up verbatim in the
-    cell id.
+    (:func:`repro.hw.costs.validate_overrides`), cut down to the section
+    of the architecture the cell simulates (:func:`cell_arch`), and
+    embedded in the cell's parameters as compact sorted JSON — so the
+    override travels with the spec, distinguishes the cell's
+    content-addressed cache key from the default-calibration cell, and
+    shows up verbatim in the cell id.  A document that does not touch
+    the cell's architecture returns ``spec`` itself: the cell is the
+    default-world cell, and shares its id and cache entry.
     """
     if not overrides:
         return spec
     document = hw_costs.validate_overrides(overrides)
+    arch = cell_arch(spec)
+    if arch is not None:
+        document = {arch: document[arch]} if arch in document else {}
     if not document:
         return spec
     params = dict(spec.params)
@@ -222,17 +242,21 @@ def run_cell(spec):
     A cell carrying a ``costs`` parameter (see
     :func:`with_cost_overrides`) simulates under that what-if override
     document; the testbeds it builds see the overridden primitives and
-    nothing outside the cell does.
+    nothing outside the cell does.  Every cell, default or not, runs
+    scoped to its declared architecture (:func:`cell_arch`): a default
+    cell also answers what-if queries for the other architecture, so
+    building that architecture's cost table fails the cell.
     """
     runner = CELL_KINDS.get(spec.kind)
     if runner is None:
         raise ConfigurationError("unknown cell kind %r" % (spec.kind,))
     params = spec.params_dict()
     encoded = params.pop(COSTS_PARAM, None)
-    if encoded is None:
-        return runner(params)
-    with hw_costs.overriding(json.loads(encoded)):
-        return runner(params)
+    with hw_costs.scoped_to(cell_arch(spec)):
+        if encoded is None:
+            return runner(params)
+        with hw_costs.overriding(json.loads(encoded)):
+            return runner(params)
 
 
 # --- grids ---------------------------------------------------------------

@@ -17,7 +17,10 @@ runner path for the same canonical query.
 Cost overrides never leak into the merge layer: cells are *planned* at
 their base (default-calibration) identity, *executed* under the
 override-carrying twin (:func:`repro.runner.cells.with_cost_overrides`),
-and the results re-keyed back to base ids before assembly.
+and the results re-keyed back to base ids before assembly.  A twin
+carries only its own architecture's section, so a cell the document
+does not touch is the base cell itself and is shared with default
+queries.
 """
 
 import dataclasses
@@ -493,9 +496,10 @@ def plan(query):
     """``(base_specs, exec_specs)`` for one canonical query.
 
     Both lists are deduplicated and pairwise aligned: ``exec_specs[i]``
-    is ``base_specs[i]`` with the query's cost overrides embedded (a
-    no-op without overrides).  The broker runs the exec identities; the
-    merge layer consumes results re-keyed back to base identities.
+    is ``base_specs[i]`` with the query's cost overrides for that cell's
+    architecture embedded (a no-op when there are none).  The broker
+    runs the exec identities; the merge layer consumes results re-keyed
+    back to base identities.
     """
     base = cells.dedupe(TARGETS[query.target].plan(query.params))
     execs = [cells.with_cost_overrides(spec, query.costs) for spec in base]

@@ -360,7 +360,7 @@ class ServiceServer:
         if failed:
             return 500, protocol.error_document(
                 protocol.CELL_FAILED,
-                "%d cell(s) exhausted the retry ladder" % len(failed),
+                "%d cell(s) failed" % len(failed),
                 failed_cells=failed,
                 query_key=query.key,
             )

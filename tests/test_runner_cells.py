@@ -1,0 +1,159 @@
+"""Architecture-scoped what-if cells.
+
+A cell simulates exactly one architecture, so ``with_cost_overrides``
+embeds only that architecture's section of an override document, and a
+document that does not touch it leaves the cell at its default identity.
+The soundness test is the oracle for that cut: it runs every report cell
+the old way — the whole document installed, nothing stripped — under a
+document that rescales every primitive of the *other* architecture, and
+demands the default payload back.
+"""
+
+import dataclasses
+import threading
+
+import pytest
+
+from repro.errors import ConfigurationError
+from repro.hw import costs as hw_costs
+from repro.runner import cache, cells, pool
+from repro.runner.resilience import CellFailure
+
+ALL_CELLS = cells.dedupe(cells.bench_cells() + cells.vhe_cells())
+
+OTHER_ARCH = {"arm": "x86", "x86": "arm"}
+
+
+def _rescaled_document(arch):
+    """Every scalar and ``save.*``/``restore.*`` primitive of ``arch``,
+    each moved off its default (``2v + 1`` also moves a zero)."""
+    prototype = hw_costs.ArmCosts() if arch == "arm" else hw_costs.X86Costs()
+    section = {}
+    for field in dataclasses.fields(prototype):
+        value = getattr(prototype, field.name)
+        if isinstance(value, dict):
+            for reg_class, cost in value.items():
+                section["%s.%s" % (field.name, reg_class.name)] = 2 * cost + 1
+        elif isinstance(value, int) and not isinstance(value, bool):
+            section[field.name] = 2 * value + 1
+    return {arch: section}
+
+
+def _run_unstripped(spec, document=None):
+    """The cell's executor with the whole document installed, unscoped."""
+    executor = cells.CELL_KINDS[spec.kind]
+    if document is None:
+        return executor(spec.params_dict())
+    with hw_costs.overriding(document):
+        return executor(spec.params_dict())
+
+
+class TestDeclaredArchitecture:
+    def test_every_kind_declares_one(self):
+        assert {spec.kind for spec in ALL_CELLS} == set(cells.CELL_KINDS)
+        for spec in ALL_CELLS:
+            assert cells.cell_arch(spec) in ("arm", "x86"), spec.id
+
+    @pytest.mark.parametrize(
+        "spec,arch",
+        [
+            (cells.micro("kvm-x86"), "x86"),
+            (cells.micro("kvm-vhe-arm"), "arm"),
+            (cells.appcol("xen-x86"), "x86"),
+            (cells.ablation("xen-arm", "Apache"), "arm"),
+            (cells.oversub("kvm-x86", 100.0), "x86"),
+            (cells.breakdown(), "arm"),
+            (cells.tcprr("native"), "arm"),
+            (cells.CellSpec("keyless"), None),
+        ],
+    )
+    def test_arch_per_kind(self, spec, arch):
+        assert cells.cell_arch(spec) == arch
+
+
+class TestDroppingTheOtherSectionIsExact:
+    @pytest.mark.parametrize("spec", ALL_CELLS, ids=lambda spec: spec.id)
+    def test_other_arch_document_leaves_the_payload_alone(self, spec):
+        document = _rescaled_document(OTHER_ARCH[cells.cell_arch(spec)])
+        assert hw_costs.validate_overrides(document) == document
+        assert _run_unstripped(spec, document) == _run_unstripped(spec)
+        assert cells.with_cost_overrides(spec, document) is spec
+
+    def test_own_arch_section_still_bites(self):
+        spec = cells.micro("kvm-x86")
+        document = {"arm": {"trap_to_el2": 1}, "x86": {"vmexit_hw": 1040}}
+        what_if = cells.with_cost_overrides(spec, document)
+        assert what_if.params_dict()[cells.COSTS_PARAM] == (
+            '{"x86":{"vmexit_hw":1040}}'
+        )
+        assert cells.run_cell(what_if) != cells.run_cell(spec)
+
+
+class TestArchitectureGuard:
+    def test_wrong_declaration_fails_the_cell_naming_both(self, monkeypatch):
+        def builds_x86(_params):
+            hw_costs.x86_costs()
+            return {}
+
+        monkeypatch.setitem(cells.CELL_KINDS, "micro", builds_x86)
+        with pytest.raises(CellFailure) as failure:
+            pool.run_cells([cells.micro("kvm-arm")])
+        message = str(failure.value)
+        assert "ConfigurationError" in message
+        assert "simulates arm" in message and "x86 cost table" in message
+
+    def test_guard_holds_for_what_if_cells_too(self, monkeypatch):
+        def builds_arm(_params):
+            hw_costs.arm_costs()
+            return {}
+
+        monkeypatch.setitem(cells.CELL_KINDS, "micro", builds_arm)
+        spec = cells.with_cost_overrides(
+            cells.micro("xen-x86"), {"x86": {"vmexit_hw": 1040}}
+        )
+        with pytest.raises(ConfigurationError, match="simulates x86"):
+            cells.run_cell(spec)
+
+    def test_guard_is_lifted_after_the_cell(self):
+        cells.run_cell(cells.breakdown())
+        hw_costs.x86_costs()  # no scope outside a cell
+
+    def test_guard_binds_only_the_cell_thread(self):
+        # a cache key derived on another thread builds both tables
+        built = []
+        with hw_costs.scoped_to("arm"):
+            thread = threading.Thread(
+                target=lambda: built.append(cache.live_costs())
+            )
+            thread.start()
+            thread.join(10)
+            assert not thread.is_alive()
+            with pytest.raises(ConfigurationError):
+                hw_costs.x86_costs()
+        assert built and set(built[0]) == {"arm", "x86"}
+
+    def test_cell_without_costs_param_sees_an_outer_document(self):
+        spec = cells.micro("kvm-arm")
+        document = {"arm": {"trap_to_el2": 760}}
+        default = cells.run_cell(spec)
+        with hw_costs.overriding(document):
+            under_outer = cells.run_cell(spec)
+        assert under_outer != default
+        assert under_outer == cells.run_cell(
+            cells.with_cost_overrides(spec, document)
+        )
+
+    def test_keyless_kind_keeps_the_whole_document(self, monkeypatch):
+        def reads_both(_params):
+            return [
+                hw_costs.arm_costs().trap_to_el2,
+                hw_costs.x86_costs().vmexit_hw,
+            ]
+
+        monkeypatch.setitem(cells.CELL_KINDS, "keyless", reads_both)
+        document = {"arm": {"trap_to_el2": 7}, "x86": {"vmexit_hw": 9}}
+        spec = cells.with_cost_overrides(cells.CellSpec("keyless"), document)
+        assert spec.params_dict()[cells.COSTS_PARAM] == (
+            '{"arm":{"trap_to_el2":7},"x86":{"vmexit_hw":9}}'
+        )
+        assert cells.run_cell(spec) == [7, 9]

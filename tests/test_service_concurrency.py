@@ -154,3 +154,34 @@ class TestDistinctQueriesSharingCells:
         shas = [doc["result_sha256"] for doc in documents]
         assert shas[0] == shas[1]
         assert shas[2] != shas[0]
+
+    def test_other_arch_override_coalesces_with_default(self):
+        # an x86-only document does not touch an ARM cell: the what-if
+        # query joins the default pair's in-flight cell
+        costs = {"x86": {"vmexit_hw": 1040}}
+        with running_server(admit_max=3) as (handle, client):
+            handle.broker.hold()
+            try:
+                threads = launch_queries(
+                    client,
+                    [("micro", {"key": "kvm-arm"})] * 2,
+                    costs=None,
+                ) + launch_queries(
+                    client,
+                    [("micro", {"key": "kvm-arm"})],
+                    costs=costs,
+                )
+                wait_until(
+                    lambda: _requested(handle) == 3,
+                    "default pair plus what-if to register",
+                )
+            finally:
+                handle.broker.release()
+            documents = [thread.result() for thread in threads]
+            assert counter_value(handle, "service.cells.simulated") == 1
+            assert counter_value(handle, "service.cells.coalesced") == 2
+        shas = {doc["result_sha256"] for doc in documents}
+        assert len(shas) == 1
+        # the query itself keeps its identity: the echoed costs differ
+        assert documents[2]["costs"] == costs
+        assert documents[2]["query_key"] != documents[0]["query_key"]

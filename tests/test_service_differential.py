@@ -74,6 +74,20 @@ class TestServedEqualsDirect:
             document = client.query("table2", costs=costs)
         assert document["result_sha256"] == payload_digest(result)
 
+    def test_x86_override_reuses_the_default_arm_cells(self, tmp_path):
+        costs = {"x86": {"vmexit_hw": 1040}}
+        _query, direct_result, _stats = _direct("table2", {}, costs)
+        with running_server(cache_dir=str(tmp_path / "cache")) as (_h, client):
+            default = client.query("table2")
+            what_if = client.query("table2", costs=costs)
+        assert default["stats"]["simulated"] == 4
+        assert what_if["stats"]["cached"] == 2
+        assert what_if["stats"]["simulated"] == 2
+        for key in ("kvm-arm", "xen-arm"):
+            assert what_if["result"][key] == default["result"][key]
+        assert what_if["result"]["kvm-x86"] != default["result"]["kvm-x86"]
+        assert what_if["result_sha256"] == payload_digest(direct_result)
+
 
 class TestAcrossJobsAndCache:
     def test_cold_then_warm_cache_same_bytes(self, tmp_path):
