@@ -7,7 +7,6 @@ Usage:
     python -m repro.analysis --select CAL001,COV001 src/repro
     python -m repro.analysis --flow src/repro    # + CFG path-symmetry tier
     python -m repro.analysis --spec src/repro    # + path-spec golden tier
-    python -m repro.analysis --conc src/repro    # + concurrency tier (CON001..CON005)
     python -m repro.analysis --ignore DES001 --statistics src/repro
     python -m repro.analysis --list-rules
 
@@ -62,10 +61,6 @@ def build_parser():
         help="also run the path-spec tier (SPEC001, SPEC002, SPEC003)",
     )
     parser.add_argument(
-        "--conc", action="store_true",
-        help="also run the concurrency tier (CON001..CON005)",
-    )
-    parser.add_argument(
         "--statistics", action="store_true",
         help="append a per-rule finding-count summary",
     )
@@ -111,7 +106,6 @@ def main(argv=None):
             flow=args.flow,
             ignore=ignore,
             spec=args.spec,
-            conc=args.conc,
         )
     except KeyError as exc:
         print("repro.analysis: %s" % exc.args[0], file=sys.stderr)

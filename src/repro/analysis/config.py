@@ -47,14 +47,6 @@ DEFAULT_RULE_PATHS = {
     "SPEC001": ("hv",),
     "SPEC002": ("hv",),
     "SPEC003": ("hv",),
-    # conc tier: unscoped by default (fixture trees live outside the
-    # package layout); the repository's pyproject narrows these to the
-    # concurrent layers service/, runner/, sim/.
-    "CON001": (),
-    "CON002": (),
-    "CON003": (),
-    "CON004": (),
-    "CON005": (),
 }
 
 

@@ -191,7 +191,7 @@ def discover(paths):
     return Project(modules, roots=roots), errors
 
 
-def run_analysis(paths, config=None, select=None, flow=False, ignore=None, spec=False, conc=False):
+def run_analysis(paths, config=None, select=None, flow=False, ignore=None, spec=False):
     """Run the configured rules over ``paths``; returns sorted violations.
 
     ``config`` defaults to the built-in :class:`~repro.analysis.config.LintConfig`
@@ -199,9 +199,8 @@ def run_analysis(paths, config=None, select=None, flow=False, ignore=None, spec=
     optionally narrows to an iterable of rule codes, ``ignore`` drops
     codes *or code prefixes* from whatever was resolved (raising
     ``KeyError`` for entries matching nothing), ``flow`` enables the
-    CFG-based flow tier (SYM001/SYM002/FLW001), ``spec`` the path-spec
-    tier (SPEC001/SPEC002/SPEC003), and ``conc`` the concurrency tier
-    (CON001–CON005).
+    CFG-based flow tier (SYM001/SYM002/FLW001), and ``spec`` the path-spec
+    tier (SPEC001/SPEC002/SPEC003).
     """
     from repro.analysis.config import LintConfig
     from repro.analysis.rules import active_rules, expand_codes
@@ -210,7 +209,7 @@ def run_analysis(paths, config=None, select=None, flow=False, ignore=None, spec=
         config = LintConfig()
     project, errors = discover(paths)
     violations = list(errors)
-    rules = active_rules(config, select, flow=flow, spec=spec, conc=conc)
+    rules = active_rules(config, select, flow=flow, spec=spec)
     if ignore:
         dropped = expand_codes(ignore)
         rules = tuple(rule for rule in rules if rule.code not in dropped)

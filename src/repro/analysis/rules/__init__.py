@@ -3,11 +3,6 @@
 from repro.analysis.rules.api001 import RawMagicAddress
 from repro.analysis.rules.base import Rule
 from repro.analysis.rules.cal001 import CalibrationLeakage
-from repro.analysis.rules.con001 import LoopBlocking
-from repro.analysis.rules.con002 import SharedGuard
-from repro.analysis.rules.con003 import LockHold
-from repro.analysis.rules.con004 import LockOrderCycle
-from repro.analysis.rules.con005 import SignalSafety
 from repro.analysis.rules.cov001 import CostCoverage
 from repro.analysis.rules.des001 import DroppedGenerator
 from repro.analysis.rules.det001 import Determinism
@@ -18,7 +13,7 @@ from repro.analysis.rules.spec003 import SkeletonSymmetry
 from repro.analysis.rules.sym001 import PathSymmetry
 from repro.analysis.rules.sym002 import TrapPairing
 
-#: every registered rule, in reporting order (flow, spec, then conc tier)
+#: every registered rule, in reporting order (line, flow, then spec tier)
 ALL_RULES = (
     CalibrationLeakage(),
     Determinism(),
@@ -31,25 +26,19 @@ ALL_RULES = (
     SpecDrift(),
     SpecCostConsistency(),
     SkeletonSymmetry(),
-    LoopBlocking(),
-    SharedGuard(),
-    LockHold(),
-    LockOrderCycle(),
-    SignalSafety(),
 )
 
 RULES_BY_CODE = {rule.code: rule for rule in ALL_RULES}
 
 
-def active_rules(config, select=None, flow=False, spec=False, conc=False):
+def active_rules(config, select=None, flow=False, spec=False):
     """Resolve the rule set.
 
     An explicit ``select`` (CLI) is exact: it runs precisely those rules,
-    flow, spec and conc tiers included.  Otherwise the config's ``select``
-    (or the full registry) applies, with flow-tier rules filtered out
-    unless ``flow=True``, spec-tier rules unless ``spec=True``, and
-    conc-tier rules unless ``conc=True`` — that is what lets
-    ``[tool.repro-lint]`` list every code while plain ``repro lint``
+    flow and spec tiers included.  Otherwise the config's ``select`` (or
+    the full registry) applies, with flow-tier rules filtered out unless
+    ``flow=True`` and spec-tier rules unless ``spec=True`` — that is what
+    lets ``[tool.repro-lint]`` list every code while plain ``repro lint``
     stays cheap.
     """
     if select is not None:
@@ -62,8 +51,6 @@ def active_rules(config, select=None, flow=False, spec=False, conc=False):
         rules = tuple(rule for rule in rules if rule.tier != "flow")
     if not spec:
         rules = tuple(rule for rule in rules if rule.tier != "spec")
-    if not conc:
-        rules = tuple(rule for rule in rules if rule.tier != "conc")
     return rules
 
 

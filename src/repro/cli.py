@@ -20,7 +20,6 @@ Usage:
     python -m repro serve              # what-if query server (asyncio)
     python -m repro query --target table2      # query a running server
     python -m repro query --direct --target table2  # same, no server
-    python -m repro serve-bench        # service load-profile meta-bench
 
 Table commands accept ``--emit-json PATH`` to write the underlying
 results as JSON alongside the rendered table.
@@ -146,9 +145,6 @@ def _cmd_bench(args):
     # bench summary goes to stderr so redirected output stays clean.
     print(outcome.report)
     runner_bench.write_document(args.output, outcome.document)
-    if args.history:
-        runner_bench.append_history(args.history, outcome.document)
-        print("appended scoreboard line to %s" % args.history, file=sys.stderr)
     print(outcome.summary, file=sys.stderr)
     print("wrote %s" % args.output, file=sys.stderr)
     if outcome.document.get("failed_cells"):
@@ -274,16 +270,6 @@ def _cmd_query(args):
     return 0
 
 
-def _cmd_serve_bench(args):
-    from repro.service import loadgen
-
-    document = loadgen.run_profile(clients=args.clients)
-    loadgen.write_document(args.output, document)
-    print(loadgen.summary_text(document), file=sys.stderr)
-    print("wrote %s" % args.output, file=sys.stderr)
-    return 0 if all(phase["ok"] for phase in document["phases"]) else 1
-
-
 def _positive_int(text):
     value = int(text)
     if value < 1:
@@ -342,7 +328,6 @@ COMMANDS = {
     "sanitize": _cmd_sanitize,
     "serve": _cmd_serve,
     "query": _cmd_query,
-    "serve-bench": _cmd_serve_bench,
 }
 
 
@@ -429,14 +414,6 @@ def build_parser():
         metavar="PATH",
         help="where to write the bench document (default %s)"
         % runner_bench.DEFAULT_DOCUMENT_PATH,
-    )
-    bench.add_argument(
-        "--history",
-        default=None,
-        metavar="PATH",
-        help="append this run's scoreboard line (wall clock, cells/s, cache "
-        "hit rate) to a JSONL history file; CI uses "
-        "BENCH_history.jsonl to track the throughput trajectory",
     )
     bench.add_argument(
         "--keep-going",
@@ -623,27 +600,6 @@ def build_parser():
     )
     query.add_argument(
         "-o", "--output", metavar="PATH", help="write the response document to PATH"
-    )
-    serve_bench = sub.add_parser(
-        "serve-bench",
-        help="replay a serversim-style closed-loop load profile against an "
-        "in-process server and write a SERVICE_bench.json document",
-    )
-    serve_bench.add_argument(
-        "--clients",
-        type=_positive_int,
-        default=4,
-        metavar="N",
-        help="closed-loop client population (default 4)",
-    )
-    from repro.service.loadgen import DEFAULT_DOCUMENT_PATH as SERVICE_BENCH_PATH
-
-    serve_bench.add_argument(
-        "-o",
-        "--output",
-        default=SERVICE_BENCH_PATH,
-        metavar="PATH",
-        help="where to write the bench document (default %s)" % SERVICE_BENCH_PATH,
     )
     micro = sub.add_parser("micro", help="one platform's microbenchmark column")
     micro.add_argument(

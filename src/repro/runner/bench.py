@@ -158,37 +158,3 @@ def write_document(path, document):
         json.dump(document, handle, indent=1, sort_keys=True)
         handle.write("\n")
 
-
-#: one-line-per-run scoreboard history (ROADMAP item 5)
-HISTORY_SCHEMA = "repro-bench-history/1"
-
-
-def history_line(document):
-    """Distill a bench document into one scoreboard row.
-
-    Enough to plot the suite's throughput trajectory across runs without
-    carrying per-cell payloads.
-    """
-    totals = document["totals"]
-    cache = document["cache"]
-    wall_clock_s = totals["wall_ms"] / 1000.0
-    lookups = cache["hits"] + cache["misses"]
-    return {
-        "schema": HISTORY_SCHEMA,
-        "report_sha256": document["report_sha256"],
-        "cells": totals["cells"],
-        "wall_clock_s": wall_clock_s,
-        "cells_per_second": (
-            totals["cells"] / wall_clock_s if wall_clock_s > 0 else 0.0
-        ),
-        "cache_hit_rate": cache["hits"] / lookups if lookups else 0.0,
-        "partial": bool(document.get("partial", False)),
-    }
-
-
-def append_history(path, document):
-    """Append the run's scoreboard line to a JSONL history file."""
-    line = history_line(document)
-    with open(path, "a", encoding="utf-8") as handle:
-        handle.write(json.dumps(line, sort_keys=True) + "\n")
-    return line

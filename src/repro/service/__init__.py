@@ -21,9 +21,7 @@ Module map:
 * :mod:`repro.service.server` — admission control, budgets, deadlines,
   and the asyncio endpoint itself;
 * :mod:`repro.service.client` — sync and async clients (the CLI's
-  ``python -m repro query`` rides the sync one);
-* :mod:`repro.service.loadgen` — the serversim-style meta-benchmark
-  behind ``python -m repro serve-bench``.
+  ``python -m repro query`` rides the sync one).
 """
 
 from repro.service.broker import SimulationBroker

@@ -277,9 +277,5 @@ class SimulationBroker:
         self._gate.set()
         self._wake.set()
         if thread is not None:
-            # repro-lint: ignore[CON001] — close() is the shutdown path,
-            # called from the owning thread (ServerHandle.close / tests /
-            # run_forever's finally), never from the event loop; the loop
-            # context is the fuzzy `close` collision with the asyncio
-            # stream writer's close() in ServiceServer._handle.
+            # called by the owning thread on shutdown, never from the loop
             thread.join(timeout)

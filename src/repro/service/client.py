@@ -2,7 +2,7 @@
 
 The sync client backs ``python -m repro query`` and thread-based tests;
 the async client lets one thread hold many concurrent queries open —
-the shape the coalescing burst tests and the loadgen need.  Both raise
+the shape perfbench's served harness needs.  Both raise
 :class:`ServiceError` for any non-ok response, carrying the server's
 stable error document verbatim.
 
@@ -145,12 +145,7 @@ def _checked(status, document):
 class ServiceClient:
     """Blocking client: one HTTP connection per call, stdlib only."""
 
-    #: test seam: retry waits route through here.  Suppressing at the
-    #: alias definition waives every call routed through the seam.
-    # repro-lint: ignore[CON001] — ServiceClient is the *blocking* surface
-    # (CLI, threads, loadgen workers); loop callers use AsyncServiceClient.
-    # The event-loop context is the fuzzy `query`/`request` name collision
-    # with the async twin's coroutines.
+    #: test seam: retry waits route through here
     _sleep = staticmethod(time.sleep)
 
     def __init__(self, host="127.0.0.1", port=None, timeout=120.0, retry=None):
@@ -170,8 +165,7 @@ class ServiceClient:
                 method, path, body=body,
                 headers={"Content-Type": "application/json"},
             )
-            # repro-lint: ignore[CON001] — blocking by contract: this is
-            # the sync client (see the class-level note above _sleep).
+            # blocking by contract: the sync client (loops use the async one)
             response = connection.getresponse()
             text = response.read().decode("utf-8")
             status = response.status

@@ -26,8 +26,6 @@ from repro.errors import ReproError
 SCHEMA = "repro-service/1"
 #: ``GET /v1/metrics`` document schema
 METRICS_SCHEMA = "repro-service-metrics/1"
-#: ``python -m repro serve-bench`` document schema
-BENCH_SCHEMA = "repro-service-bench/1"
 
 #: the default ``python -m repro serve`` port (``REPRO_SERVE_PORT``)
 DEFAULT_PORT = 8123

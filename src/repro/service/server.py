@@ -453,7 +453,7 @@ def run_forever(server, announce=None):
 
 
 class ServerHandle:
-    """A running in-thread server (tests, loadgen, notebooks)."""
+    """A running in-thread server (tests, notebooks)."""
 
     def __init__(self, server, loop, stop_event, thread):
         self.server = server
@@ -480,11 +480,11 @@ class ServerHandle:
     def _assert_off_loop(self, what):
         """Refuse to block *on* the loop this handle manages.
 
-        ``drain``/``close`` park the calling thread on a future the
-        server loop must fulfil — called from that same loop they would
-        deadlock until the timeout.  The lint-level counterpart is
-        CON001; this runtime guard turns the latent deadlock into an
-        immediate, actionable error.
+        ``drain``/``close`` park the calling thread on a future (or a
+        thread join) that the server loop must fulfil.  Called from that
+        same loop, the loop stops turning while it waits on itself, and
+        the call deadlocks until its timeout.  This guard turns that
+        deadlock into an immediate, actionable error.
         """
         try:
             running = asyncio.get_running_loop()
@@ -508,10 +508,6 @@ class ServerHandle:
             self.server.drain(timeout), self._loop
         )
         budget = timeout if timeout is not None else self.server.config.drain_timeout
-        # repro-lint: ignore[CON001] — proven off-loop: the guard above
-        # raises when invoked from this server's loop thread, and the
-        # event-loop context here is the resolver's documented fuzzy
-        # `drain` name collision with the async ServiceServer.drain.
         return future.result(budget + 30.0)
 
     def close(self):
@@ -520,9 +516,6 @@ class ServerHandle:
             self._loop.call_soon_threadsafe(self._stop.set)
         except RuntimeError:
             pass  # loop already gone
-        # repro-lint: ignore[CON001] — proven off-loop (guard above);
-        # loop reachability is the fuzzy `close` collision with the
-        # stream writer's close() in ServiceServer._handle.
         self._thread.join(30.0)
         self.server.broker.close()
 

@@ -12,6 +12,8 @@ import shutil
 
 from repro.analysis import run_analysis
 from repro.analysis.config import LintConfig
+from repro.analysis.engine import discover
+from repro.analysis.rules import RULES_BY_CODE
 
 REPO = pathlib.Path(__file__).parent.parent
 SRC = REPO / "src" / "repro"
@@ -34,11 +36,20 @@ def test_repo_tree_is_clean_with_flow_and_spec_tiers():
     assert violations == [], "\n".join(v.format() for v in violations)
 
 
-def test_repo_tree_is_conc_clean():
-    """The concurrency tier: every CON finding in the serving stack is
-    either fixed or carries a reviewed in-source waiver."""
-    violations = run_analysis([SRC], config=repo_config(), conc=True)
-    assert violations == [], "\n".join(v.format() for v in violations)
+def test_every_waiver_names_a_registered_rule():
+    """The engine accepts an in-source waiver for any code (only
+    ``--ignore`` rejects unknown ones), so a waiver outliving its rule
+    would sit in the tree unnoticed: each ``repro-lint: ignore[...]``
+    entry must name a registered rule code or prefix."""
+    project, _errors = discover([SRC])
+    stale = sorted(
+        "%s:%d %s" % (module.relpath, line, entry)
+        for module in project.modules
+        for line, entries in module.suppressions.items()
+        for entry in entries - {"*"}
+        if not any(code.startswith(entry) for code in RULES_BY_CODE)
+    )
+    assert stale == [], "waivers naming no registered rule:\n" + "\n".join(stale)
 
 
 def test_every_calibrated_primitive_is_consumed():

@@ -40,8 +40,8 @@ def expected_findings(rule=None):
 
 
 def reported_findings(select=None):
-    # flow/spec/conc=True: the fixture tree seeds those tiers too
-    violations = run_analysis([FIXTURES], select=select, flow=True, spec=True, conc=True)
+    # flow/spec=True: the fixture tree seeds those tiers too
+    violations = run_analysis([FIXTURES], select=select, flow=True, spec=True)
     reported = set()
     for violation in violations:
         rel = pathlib.Path(violation.path).relative_to(FIXTURES).as_posix()
@@ -132,7 +132,7 @@ class TestConfig:
         assert [rule.code for rule in active_rules(config)] == ["CAL001"]
         # CLI select overrides config select
         assert [rule.code for rule in active_rules(config, ["DES001"])] == ["DES001"]
-        assert active_rules(LintConfig(), flow=True, spec=True, conc=True) is ALL_RULES
+        assert active_rules(LintConfig(), flow=True, spec=True) is ALL_RULES
 
     def test_flow_tier_gated_behind_flag(self):
         # without --flow, the CFG-based rules stay out of the default set
@@ -159,12 +159,10 @@ class TestConfig:
         assert section["select"] == [
             "CAL001", "DET001", "DES001", "COV001", "API001",
             "SYM001", "SYM002", "FLW001", "SPEC001", "SPEC002", "SPEC003",
-            "CON001", "CON002", "CON003", "CON004", "CON005",
         ]
         assert section["paths"]["API001"] == ["hv"]
         assert section["paths"]["SYM001"] == ["hv"]
         assert section["paths"]["SPEC001"] == ["hv"]
-        assert section["paths"]["CON001"] == ["service", "runner", "sim"]
         assert section["paths"]["DES001"] == []
         assert section["options"]["cal001-min-literal"] == 50
         assert section["options"]["spec-dir"] == "specs"
@@ -175,9 +173,7 @@ class TestConfig:
         assert config.select == (
             "CAL001", "DET001", "DES001", "COV001", "API001",
             "SYM001", "SYM002", "FLW001", "SPEC001", "SPEC002", "SPEC003",
-            "CON001", "CON002", "CON003", "CON004", "CON005",
         )
-        assert config.paths_for("CON003") == ("service", "runner", "sim")
         assert "workloads" in config.paths_for("COV001")
         assert config.cal001_min_literal == 50
         assert config.det001_allow == ("sim/rng.py",)

@@ -261,92 +261,3 @@ class TestValidateBenchTool:
         validator = _load_validate_bench()
         assert validator.main([]) == 2
 
-
-class TestBenchHistory:
-    @pytest.fixture
-    def workdir(self, tmp_path, monkeypatch):
-        monkeypatch.chdir(tmp_path)
-        return tmp_path
-
-    def test_history_flag_appends_one_line_per_run(self, workdir, capsys):
-        assert main(["bench", "--history", "hist.jsonl"]) == 0
-        err = capsys.readouterr().err
-        assert "appended scoreboard line to hist.jsonl" in err
-        assert main(["bench", "--history", "hist.jsonl"]) == 0
-        capsys.readouterr()
-
-        lines = (workdir / "hist.jsonl").read_text().splitlines()
-        assert len(lines) == 2
-        cold, warm = (json.loads(line) for line in lines)
-        assert cold["schema"] == "repro-bench-history/1"
-        assert cold["report_sha256"] == warm["report_sha256"]
-        assert cold["cache_hit_rate"] == 0.0
-        assert warm["cache_hit_rate"] == 1.0
-        assert cold["cells"] == warm["cells"] > 0
-        assert cold["partial"] is False
-
-        validator = _load_validate_bench()
-        assert validator.validate_history(str(workdir / "hist.jsonl")) == []
-        assert validator.main(["--history", str(workdir / "hist.jsonl")]) == 0
-
-    def test_no_history_flag_writes_nothing(self, workdir, capsys):
-        assert main(["bench"]) == 0
-        err = capsys.readouterr().err
-        assert "scoreboard" not in err
-        assert list(workdir.glob("*.jsonl")) == []
-
-    def test_history_line_matches_document_scoreboard(self, workdir, capsys):
-        from repro.runner import bench as runner_bench
-
-        assert main(["bench", "--history", "hist.jsonl", "-o", "doc.json"]) == 0
-        capsys.readouterr()
-        document = json.loads((workdir / "doc.json").read_text())
-        (line,) = [
-            json.loads(raw)
-            for raw in (workdir / "hist.jsonl").read_text().splitlines()
-        ]
-        assert line == runner_bench.history_line(document)
-        assert line["wall_clock_s"] == document["totals"]["wall_ms"] / 1000.0
-        assert line["cells"] == document["totals"]["cells"]
-
-    def test_validator_rejects_corrupt_history(self, tmp_path):
-        validator = _load_validate_bench()
-        empty = tmp_path / "empty.jsonl"
-        empty.write_text("")
-        assert validator.validate_history(str(empty))
-
-        bad = tmp_path / "bad.jsonl"
-        bad.write_text(
-            json.dumps(
-                {
-                    "schema": "repro-bench-history/1",
-                    "report_sha256": "nope",
-                    "jobs": 0,
-                    "cells": 3,
-                    "wall_clock_s": -1,
-                    "cells_per_second": 1.0,
-                    "cache_hit_rate": 2.0,
-                    "fastpath_enabled": "yes",
-                    "fastpath_hits": -1,
-                    "partial": False,
-                }
-            )
-            + "\nnot json\n"
-        )
-        problems = validator.validate_history(str(bad))
-        for needle in (
-            "report_sha256",
-            "jobs",
-            "wall_clock_s",
-            "cache_hit_rate",
-            "fastpath_enabled",
-            "fastpath_hits",
-            "not JSON",
-        ):
-            assert any(needle in problem for problem in problems), needle
-        assert validator.main(["--history", str(bad)]) == 1
-
-    def test_committed_history_is_valid(self):
-        history = pathlib.Path(__file__).resolve().parent.parent / "BENCH_history.jsonl"
-        validator = _load_validate_bench()
-        assert validator.validate_history(str(history)) == []

@@ -1,10 +1,9 @@
-"""CLI surface for the service: serve/query/serve-bench exit codes.
+"""CLI surface for the service: serve/query exit codes.
 
 Exercises ``python -m repro query`` in-process via ``cli.main`` — the
 direct path, the served path against a live in-thread server, the
-health probe, structured error exits, and the serve-bench document —
-and checks every artifact with ``tools/validate_service.py`` exactly as
-the CI job does.
+health probe and structured error exits — and checks every artifact
+with ``tools/validate_service.py`` exactly as the CI job does.
 """
 
 import importlib.util
@@ -153,20 +152,3 @@ class TestQueryServed:
         with pytest.raises(SystemExit):
             cli.main(["query", "--port", "1"])
 
-
-class TestServeBench:
-    def test_tiny_bench_run_validates(self, tmp_path, capsys):
-        out = tmp_path / "bench.json"
-        status = cli.main(["serve-bench", "--clients", "2", "-o", str(out)])
-        assert status == 0
-        document = json.loads(out.read_text())
-        assert _load_validator().validate_document(document) == []
-        assert document["clients"] == 2
-        names = [phase["name"] for phase in document["phases"]]
-        assert "burst" in names
-        burst = document["phases"][names.index("burst")]
-        # the burst phase is the coalescing proof: 2 identical clients,
-        # one simulated cell set
-        assert burst["stats"]["coalesced"] > 0
-        stderr = capsys.readouterr().err
-        assert "wrote %s" % out in stderr

@@ -7,11 +7,14 @@ canonical query — across cold and warm cache.  This is the service twin of ``t
 the server is allowed to add latency, never to move a byte.
 """
 
+import asyncio
+
 import pytest
 
 from repro.runner.cache import ResultCache
 from repro.runner.resilience import payload_digest
 from repro.service import queries
+from repro.service.client import AsyncServiceClient
 
 from tests.serviceutil import running_server
 
@@ -43,8 +46,12 @@ class TestServedEqualsDirect:
     @pytest.mark.parametrize("target,params", TARGET_MATRIX)
     def test_every_target_is_byte_identical(self, target, params):
         query, result, _stats = _direct(target, params)
-        with running_server() as (_handle, client):
+        with running_server() as (handle, client):
             document = client.query(target, params)
+            async_client = AsyncServiceClient(port=handle.port)
+            async_document = asyncio.run(async_client.query(target, params))
+        # the asyncio-streams client parses the very same result bytes
+        assert payload_digest(async_document["result"]) == document["result_sha256"]
         assert document["query_key"] == query.key
         assert document["result_sha256"] == payload_digest(result)
         # the parsed response body re-digests to the same bytes: the

@@ -1,10 +1,10 @@
 """ServerHandle off-loop guard + event-loop responsiveness regression.
 
 ``ServerHandle.drain``/``close`` block the calling thread on work the
-server loop must perform — invoked *from* that loop they would deadlock
-until the timeout.  The handle now refuses with a RuntimeError instead
-(the runtime counterpart of lint rule CON001).  And the loop itself must
-keep answering ``/healthz`` while a slow query is parked on the broker.
+server loop must perform.  Invoked *from* that loop, the loop waits on
+itself and the call deadlocks until its timeout; the handle refuses with
+a RuntimeError instead.  And the loop itself must keep answering
+``/healthz`` while a slow query is parked on the broker.
 """
 
 import asyncio

@@ -14,18 +14,8 @@ a ``partial`` flag and a ``failed_cells`` list whose entries carry
 id/kind/params and per-attempt failure records.  Keys written by older
 runners (``jobs``, ``resilience``, ``journal``, ``perf``) are ignored.
 
-With ``--history`` the arguments are ``repro-bench-history/1`` JSONL
-scoreboard files instead (one line per run, appended by
-``python -m repro bench --history PATH``): every line must carry the
-schema tag, a 64-hex ``report_sha256``, a positive ``cells`` count,
-the scoreboard throughput figures and a ``partial`` flag.  Lines
-written by older runners may also carry a ``jobs`` count and the
-``fastpath_enabled``/``fastpath_hits`` lane counters; those are checked
-only where present.
-
 Usage:
     python tools/validate_bench.py BENCH_suite.json [more.json ...]
-    python tools/validate_bench.py --history BENCH_history.jsonl
 
 Exits 0 when every file validates, 1 otherwise.
 """
@@ -36,8 +26,6 @@ import sys
 SCHEMA = "repro-bench/1"
 CELL_SOURCES = {"run", "cache"}
 SHA256_HEX_LEN = 64
-#: scoreboard figures (ROADMAP item 5): run-level throughput numbers
-SCOREBOARD_FIELDS = ("wall_clock_s", "cells_per_second", "cache_hit_rate")
 ATTEMPT_KINDS = {"exception"}
 
 
@@ -170,78 +158,13 @@ def _validate_failed_cells(path, document):
     return problems
 
 
-#: ``--history``: one-scoreboard-line-per-run JSONL (ROADMAP item 5)
-HISTORY_SCHEMA = "repro-bench-history/1"
-
-
-def validate_history(path):
-    """Problems in a ``repro-bench-history/1`` JSONL scoreboard file."""
-    problems = []
-    try:
-        with open(path, "r", encoding="utf-8") as handle:
-            lines = handle.read().splitlines()
-    except OSError as exc:
-        return ["%s: cannot read: %s" % (path, exc)]
-    if not lines:
-        return ["%s: history has no scoreboard lines" % path]
-    for number, raw in enumerate(lines, start=1):
-        where = "%s:%d" % (path, number)
-        try:
-            row = json.loads(raw)
-        except ValueError as exc:
-            problems.append("%s: not JSON: %s" % (where, exc))
-            continue
-        if not isinstance(row, dict):
-            problems.append("%s: scoreboard line must be an object" % where)
-            continue
-        if row.get("schema") != HISTORY_SCHEMA:
-            problems.append(
-                "%s: schema=%r, want %r" % (where, row.get("schema"), HISTORY_SCHEMA)
-            )
-        digest = row.get("report_sha256")
-        if (
-            not isinstance(digest, str)
-            or len(digest) != SHA256_HEX_LEN
-            or any(ch not in "0123456789abcdef" for ch in digest)
-        ):
-            problems.append(
-                "%s: report_sha256=%r is not 64 lowercase hex chars" % (where, digest)
-            )
-        # only lines written by older runners carry ``jobs``
-        for field in ("jobs", "cells") if "jobs" in row else ("cells",):
-            value = row.get(field)
-            if not _is_nonneg_int(value) or value < 1:
-                problems.append("%s: %s=%r must be a positive integer" % (where, field, value))
-        for field in SCOREBOARD_FIELDS:
-            if not _is_nonneg_number(row.get(field)):
-                problems.append(
-                    "%s: %s=%r must be a non-negative number" % (where, field, row.get(field))
-                )
-        rate = row.get("cache_hit_rate")
-        if _is_nonneg_number(rate) and rate > 1:
-            problems.append("%s: cache_hit_rate=%r is outside [0, 1]" % (where, rate))
-        if "fastpath_enabled" in row and not isinstance(row["fastpath_enabled"], bool):
-            problems.append("%s: fastpath_enabled must be a boolean" % where)
-        if "fastpath_hits" in row and not _is_nonneg_int(row["fastpath_hits"]):
-            problems.append(
-                "%s: fastpath_hits=%r must be a non-negative integer"
-                % (where, row.get("fastpath_hits"))
-            )
-        if not isinstance(row.get("partial"), bool):
-            problems.append("%s: partial must be a boolean" % where)
-    return problems
-
-
 def main(argv):
-    args = list(argv)
-    history_mode = "--history" in args
-    args = [arg for arg in args if arg != "--history"]
-    if not args:
+    if not argv:
         print(__doc__.strip(), file=sys.stderr)
         return 2
     failures = 0
-    for path in args:
-        problems = validate_history(path) if history_mode else validate(path)
+    for path in argv:
+        problems = validate(path)
         if problems:
             failures += 1
             for problem in problems:

@@ -7,8 +7,7 @@ Accepts any mix of service documents and dispatches on the ``schema``
 field:
 
 * ``repro-service/1``          — query responses (success or error);
-* ``repro-service-metrics/1``  — ``GET /v1/metrics`` snapshots;
-* ``repro-service-bench/1``    — ``python -m repro serve-bench`` output.
+* ``repro-service-metrics/1``  — ``GET /v1/metrics`` snapshots.
 
 For success responses the validator *recomputes* ``result_sha256`` over
 the ``result`` member (compact separators, insertion order — the same
@@ -24,7 +23,6 @@ import sys
 
 RESPONSE_SCHEMA = "repro-service/1"
 METRICS_SCHEMA = "repro-service-metrics/1"
-BENCH_SCHEMA = "repro-service-bench/1"
 
 ERROR_CODES = (
     "bad-request",
@@ -150,50 +148,9 @@ def validate_metrics(document):
     return errors
 
 
-def validate_bench(document):
-    errors = []
-    _check(document.get("schema") == BENCH_SCHEMA, errors, "bad schema tag")
-    _check(
-        isinstance(document.get("clients"), int) and document["clients"] >= 1,
-        errors,
-        "'clients' must be a positive integer",
-    )
-    phases = document.get("phases")
-    _check(
-        isinstance(phases, list) and phases, errors, "'phases' must be a non-empty list"
-    )
-    if isinstance(phases, list):
-        for phase in phases:
-            label = phase.get("name") if isinstance(phase, dict) else "?"
-            _check(isinstance(phase, dict), errors, "phase entry is not an object")
-            if not isinstance(phase, dict):
-                continue
-            for field in ("name", "queries", "ok", "wall_ms", "stats"):
-                _check(field in phase, errors, "phase %r missing %r" % (label, field))
-            if "stats" in phase and isinstance(phase["stats"], dict):
-                for field in STAT_FIELDS:
-                    _check(
-                        field in phase["stats"],
-                        errors,
-                        "phase %r stats missing %r" % (label, field),
-                    )
-            if "wall_ms" in phase:
-                _check(
-                    isinstance(phase["wall_ms"], (int, float))
-                    and phase["wall_ms"] >= 0,
-                    errors,
-                    "phase %r wall_ms must be non-negative" % label,
-                )
-    totals = document.get("totals")
-    _check(isinstance(totals, dict), errors, "'totals' must be an object")
-    _check(isinstance(document.get("metrics"), dict), errors, "'metrics' must be an object")
-    return errors
-
-
 VALIDATORS = {
     RESPONSE_SCHEMA: validate_response,
     METRICS_SCHEMA: validate_metrics,
-    BENCH_SCHEMA: validate_bench,
 }
 
 
