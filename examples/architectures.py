@@ -33,13 +33,12 @@ def main():
         machine = testbed.machine
         suite_vcpu = testbed.vm.vcpu(0)
         testbed.hypervisor.install_guest(suite_vcpu)
-        machine.tracer.enabled = True
-        machine.tracer.begin("hypercall")
+        machine.obs.spans.enabled = True
         machine.engine.spawn(testbed.hypervisor.run_hypercall(suite_vcpu), "hc")
         machine.run()
-        trace = machine.tracer.end()
-        print("\n%s hypercall path (%d cycles):" % (key, trace.total_cycles))
-        for label, cycles in trace.by_label().items():
+        steps = machine.obs.spans.leaf_totals()
+        print("\n%s hypercall path (%d cycles):" % (key, sum(steps.values())))
+        for label, cycles in steps.items():
             print("    %-24s %6d" % (label, cycles))
 
 

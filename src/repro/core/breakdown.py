@@ -1,10 +1,10 @@
-"""Table III: the KVM ARM hypercall cost breakdown, from execution traces.
+"""Table III: the KVM ARM hypercall cost breakdown, from recorded spans.
 
 The paper instruments KVM ARM's world switch to attribute the Hypercall
 microbenchmark's cycles to register-class save/restore work.  Here the
-breakdown is reconstructed from the *step trace* of the simulated path —
-if the hypervisor model stopped saving the VGIC, the table would change,
-which is the point.
+breakdown is reconstructed from the *leaf spans* the simulated path
+records (one per costed ``pcpu.op`` step) — if the hypervisor model
+stopped saving the VGIC, the table would change, which is the point.
 """
 
 import dataclasses
@@ -43,7 +43,7 @@ class HypercallBreakdown:
 
 
 def hypercall_breakdown(testbed=None):
-    """Run the Hypercall microbenchmark traced; return the Table III rows.
+    """Run the Hypercall microbenchmark with spans on; return the Table III rows.
 
     ``testbed`` defaults to a fresh KVM ARM testbed (the configuration the
     paper analyzes); pass another to compare (e.g. 'kvm-vhe-arm' to see
@@ -51,15 +51,11 @@ def hypercall_breakdown(testbed=None):
     """
     if testbed is None:
         testbed = build_testbed("kvm-arm")
-    machine = testbed.machine
     suite = MicrobenchmarkSuite(testbed, iterations=1)
-    machine.tracer.enabled = True
-    machine.tracer.begin("hypercall")
-    result = suite.hypercall()
-    trace = machine.tracer.end()
-    machine.tracer.enabled = False
+    spans = testbed.machine.obs.spans
+    result, window = spans.record_window(suite.hypercall)
 
-    per_label = trace.by_label()
+    per_label = spans.leaf_totals(roots=window)
     rows = []
     attributed = 0
     for reg_class in RegClass:

@@ -113,18 +113,23 @@ def _measure_notify_running(testbed):
     if hv.design == "type1":
         hv.install_guest(hv.dom0.vcpu(0))
     hv.install_guest(vm.vcpu(0))
-    machine.tracer.enabled = True
-    machine.tracer.begin("notify-running")
-    start = machine.engine.now
-    done = hv.notify_guest(vm)
-    fired_at = machine.engine.run_until_fired(done)
-    machine.run()
-    trace = machine.tracer.end()
-    machine.tracer.enabled = False
-    total = fired_at - start
+
+    def notify():
+        start = machine.engine.now
+        fired_at = machine.engine.run_until_fired(hv.notify_guest(vm))
+        machine.run()
+        return fired_at - start
+
+    spans = machine.obs.spans
+    total, window = spans.record_window(notify)
     # Everything charged to the target VCPU's PCPU is serialized behind
     # its virtual interrupt handling (delivery + completion included).
-    occupancy = trace.cycles_on_pcpu(vm.vcpu(0).pcpu.index)
+    target = vm.vcpu(0).pcpu.index
+    occupancy = sum(
+        span.duration
+        for span in spans.iter_spans(window)
+        if span.is_leaf and span.pcpu == target
+    )
     return total, occupancy
 
 

@@ -162,7 +162,7 @@ class Hypervisor:
 
     Concrete designs (KVM split-mode / KVM VHE / Xen) implement the
     generators; all take care to execute their costed steps through
-    ``pcpu.op`` so traces reconstruct breakdowns like Table III.
+    ``pcpu.op`` so recorded spans reconstruct breakdowns like Table III.
     """
 
     #: 'type1' or 'type2' — for reporting
@@ -175,12 +175,12 @@ class Hypervisor:
         self.costs = machine.costs
         self.vms = []
         self._next_vmid = 1
-        #: statistics for workload accounting — a dict-like facade over
-        #: the machine's metrics registry (``hv.traps`` etc.), so the
+        #: counters in the machine's metrics registry, so the
         #: observability exporters see the same numbers.
-        self.stats = machine.obs.metrics.bank(
-            "hv", ("traps", "vm_switches", "virqs_injected")
-        )
+        metrics = machine.obs.metrics
+        self.traps = metrics.counter("hv.traps")
+        self.vm_switches = metrics.counter("hv.vm_switches")
+        self.virqs_injected = metrics.counter("hv.virqs_injected")
 
     # --- VM lifecycle ---------------------------------------------------
 

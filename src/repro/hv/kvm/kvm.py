@@ -128,7 +128,7 @@ class KvmHypervisor(Hypervisor):
     # --- internal switch selection ------------------------------------------
 
     def _exit(self, vcpu, dispatch=True, reason="trap"):
-        self.stats["traps"] += 1
+        self.traps.inc()
         if not self.machine.is_arm:
             return ws.x86_exit(self.machine, vcpu, dispatch, reason)
         if self.vhe:
@@ -201,7 +201,7 @@ class KvmHypervisor(Hypervisor):
             yield pcpu.op("apic_ipi_emulate", costs.apic_ipi_emulate, "emul")
         yield pcpu.op("virq_set_pending", costs.virq_set_pending, "emul")
         dst_vcpu.queue_virq(VIRQ_IPI)
-        self.stats["virqs_injected"] += 1
+        self.virqs_injected.inc()
         self.machine.ipi.send(
             dst_vcpu.pcpu,
             HOST_IPI_IRQ,
@@ -242,7 +242,7 @@ class KvmHypervisor(Hypervisor):
         between two VCPU threads, with the VM state moved on each side."""
         if vcpu_out.pcpu is not vcpu_in.pcpu:
             raise ConfigurationError("VM switch benchmark uses one physical core")
-        self.stats["vm_switches"] += 1
+        self.vm_switches.inc()
         pcpu, costs = vcpu_out.pcpu, self.costs
         span = self.machine.obs.spans.begin("vm_switch", "operation", pcpu.index)
         yield from self._exit(vcpu_out, reason="preempt")
@@ -300,7 +300,7 @@ class KvmHypervisor(Hypervisor):
         span = self.machine.obs.spans.begin("virtio_notify", "io", pcpu.index)
         dst = vm.next_irq_vcpu()
         dst.queue_virq(virq)
-        self.stats["virqs_injected"] += 1
+        self.virqs_injected.inc()
         yield pcpu.op("virq_set_pending", costs.virq_set_pending, "emul")
         # repro-lint: ignore[FLW001] -- intentional asymmetry: waking a
         # blocked VCPU thread charges the host scheduler (sched_wakeup,

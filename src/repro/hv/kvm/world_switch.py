@@ -6,9 +6,10 @@ Three variants:
 * ARM VHE (ARMv8.1): host lives in EL2; only GP registers move.
 * x86: hardware vmexit/vmentry against the VMCS.
 
-Each generator executes costed steps through ``pcpu.op`` (so an enabled
-tracer reconstructs the Table III breakdown) *and* really moves the
-architectural state, so tests can verify isolation and round-tripping.
+Each generator executes costed steps through ``pcpu.op`` (so the leaf
+spans recorded by ``machine.obs.spans`` reconstruct the Table III
+breakdown) *and* really moves the architectural state, so tests can
+verify isolation and round-tripping.
 """
 
 from repro.hv.base import ALL_ARM_CLASSES, VcpuState, switch_label

@@ -138,7 +138,7 @@ class XenHypervisor(Hypervisor):
     # the Type 1 hypercall advantage).
     def _xen_entry(self, vcpu, reason="trap"):
         """Guest -> Xen.  On ARM this is just a GP bank push in EL2."""
-        self.stats["traps"] += 1
+        self.traps.inc()
         pcpu, costs = vcpu.pcpu, self.costs
         if pcpu.current_context is not vcpu:
             raise HardwareFault(
@@ -175,7 +175,7 @@ class XenHypervisor(Hypervisor):
         one — which is why signaling an idling Dom0 costs a whole VM
         switch (paper Section IV, I/O Latency discussion).
         """
-        self.stats["vm_switches"] += 1
+        self.vm_switches.inc()
         costs = self.costs
         arch = pcpu.arch
         out = pcpu.current_context
@@ -198,7 +198,7 @@ class XenHypervisor(Hypervisor):
             yield pcpu.op("xen_ctx_extra", costs.xen_ctx_extra, "sched")
             if inject_virq is not None:
                 in_vcpu.vif.inject(inject_virq)
-                self.stats["virqs_injected"] += 1
+                self.virqs_injected.inc()
                 yield pcpu.op("virq_inject_lr", costs.virq_inject_lr, "vgic")
             for reg_class in ALL_ARM_CLASSES:
                 yield pcpu.op(
@@ -222,7 +222,7 @@ class XenHypervisor(Hypervisor):
             yield pcpu.op("vmcs_switch", costs.vmcs_switch, "hw-switch")
             if inject_virq is not None:
                 arch.inject_on_next_entry(inject_virq)
-                self.stats["virqs_injected"] += 1
+                self.virqs_injected.inc()
                 yield pcpu.op("virq_inject", costs.virq_inject, "inject")
             yield pcpu.op("vmentry_hw", costs.vmentry_hw, "hw-switch")
             arch.vmentry()
@@ -284,7 +284,7 @@ class XenHypervisor(Hypervisor):
             yield pcpu.op("apic_ipi_emulate", costs.apic_ipi_emulate, "emul")
             yield pcpu.op("virq_set_pending", costs.virq_set_pending, "emul")
         dst_vcpu.queue_virq(VIRQ_IPI)
-        self.stats["virqs_injected"] += 1
+        self.virqs_injected.inc()
         self.machine.ipi.send(
             dst_vcpu.pcpu,
             EVTCHN_IPI_IRQ,
@@ -453,7 +453,7 @@ class XenHypervisor(Hypervisor):
             yield pcpu.op("gic_phys_ack", costs.gic_phys_ack, "irq")
             yield pcpu.op("xen_inject_slowpath", costs.xen_inject_slowpath, "emul")
             vcpu.vif.inject(virq)
-            self.stats["virqs_injected"] += 1
+            self.virqs_injected.inc()
             yield pcpu.op("virq_inject_lr", costs.virq_inject_lr, "vgic")
             yield pcpu.op("restore_gp_light", costs.gp_restore_light, "restore")
             pcpu.arch.eret(ExceptionLevel.EL1)
@@ -463,7 +463,7 @@ class XenHypervisor(Hypervisor):
             yield pcpu.op("vmexit_hw", costs.vmexit_hw, "hw-switch")
             yield pcpu.op("apic_phys_ack", costs.apic_phys_ack, "irq")
             pcpu.arch.inject_on_next_entry(virq)
-            self.stats["virqs_injected"] += 1
+            self.virqs_injected.inc()
             yield pcpu.op("virq_inject", costs.virq_inject, "inject")
             yield pcpu.op("vmentry_hw", costs.vmentry_hw, "hw-switch")
             pcpu.arch.vmentry()

@@ -114,16 +114,16 @@ class RegisterFile:
     def __init__(self, classes=ALL_CLASSES):
         self.banks = {reg_class: RegisterBank(reg_class) for reg_class in classes}
 
-    def bank(self, reg_class):
+    def _bank(self, reg_class):
         if reg_class not in self.banks:
             raise HardwareFault("no bank for class %s" % (reg_class,))
         return self.banks[reg_class]
 
     def read(self, reg_class, name):
-        return self.bank(reg_class).read(name)
+        return self._bank(reg_class).read(name)
 
     def write(self, reg_class, name, value):
-        self.bank(reg_class).write(name, value)
+        self._bank(reg_class).write(name, value)
 
     def snapshot(self, classes=None):
         """Memory image {RegClass: {name: value}} of selected classes."""

@@ -21,7 +21,7 @@ from repro.hw.irq.apic import Apic
 from repro.hw.irq.gic import Gic
 from repro.hw.irq.ipi import IpiFabric
 from repro.obs import Observability
-from repro.sim import Clock, DeterministicRng, Engine, Timeout, Tracer
+from repro.sim import Clock, DeterministicRng, Engine, Timeout
 
 ARM = "arm"
 X86 = "x86"
@@ -83,13 +83,12 @@ class Pcpu:
         self.current_context = None
 
     def op(self, label, cycles, category=""):
-        """A costed step: records into the tracer, returns its Timeout.
+        """A costed step: returns its Timeout.
 
         Hypervisor paths use ``yield pcpu.op("save_vgic", 3250, "save")``.
-        When observability is enabled the step is also recorded as a leaf
+        When span recording is on the step is also recorded as a leaf
         span at the current engine time (see :mod:`repro.obs`).
         """
-        self.machine.tracer.record(label, cycles, category, pcpu=self.index)
         spans = self.machine.obs.spans
         if spans.enabled:
             spans.step(label, cycles, category, pcpu=self.index)
@@ -116,7 +115,6 @@ class Machine:
         self.platform = platform
         self.engine = Engine()
         self.clock = Clock(platform.frequency_hz)
-        self.tracer = Tracer(enabled=False)
         #: structured observability (spans + metrics), disabled by default
         self.obs = Observability(self.engine)
         self.rng = DeterministicRng(seed)

@@ -3,9 +3,10 @@
 One :class:`Observability` instance belongs to each simulated machine
 (``machine.obs``) and bundles:
 
-* a :class:`~repro.obs.spans.SpanRecorder` — nested, wall-positioned
-  cycle attribution recorded at engine ``now`` (Table III, but with
-  parents, children, and real timeline positions);
+* a :class:`~repro.obs.spans.SpanRecorder` — the model's one
+  cycle-recording layer: nested, wall-positioned cycle attribution
+  recorded at engine ``now``.  Table III and the delivery occupancy
+  are read from its leaf spans;
 * a :class:`~repro.obs.metrics.MetricsRegistry` — counters, gauges and
   cycle histograms components register into (traps, world switches,
   IPIs, grant ops, vhost kicks...);
@@ -21,7 +22,6 @@ by tests/test_obs_invariance.py).
 
 from repro.obs.metrics import (
     Counter,
-    CounterBank,
     CycleHistogram,
     Gauge,
     MetricsRegistry,
@@ -41,17 +41,16 @@ class Observability:
     def enabled(self):
         return self.spans.enabled
 
-    def enable(self, trace_resume=False, span_histograms=True):
+    def enable(self, trace_resume=False):
         """Turn span recording on.
 
-        ``trace_resume`` additionally marks every process resume on the
-        engine track (opt-in: it is high-volume).  ``span_histograms``
-        feeds each closed span's duration into a per-category cycle
-        histogram (``span_cycles.<category>``).
+        Each closed span's duration feeds a per-category cycle histogram
+        (``span_cycles.<category>``).  ``trace_resume`` additionally
+        marks every process resume on the engine track (opt-in: it is
+        high-volume).
         """
         self.spans.enabled = True
-        if span_histograms:
-            self.spans.on_close = self._observe_span
+        self.spans.on_close = self._observe_span
         if trace_resume:
             self.engine.observer = self
 
@@ -73,7 +72,6 @@ class Observability:
 
 __all__ = [
     "Counter",
-    "CounterBank",
     "CycleHistogram",
     "Gauge",
     "MetricsRegistry",

@@ -3,8 +3,7 @@
 This is the machinery behind ``python -m repro trace``: build a fresh
 testbed, enable ``machine.obs``, execute one Table I operation (or the
 Table III breakdown run), and hand back the populated recorder plus —
-for ``table3`` — the breakdown object, so exporters can prove the span
-totals reconcile with the published table's rows.
+for ``table3`` — the breakdown object read from those same spans.
 
 Imports run downward only (obs.capture -> core -> hv/hw -> obs), and
 this module is *not* pulled in by ``repro.obs`` itself, so the base
@@ -17,7 +16,6 @@ from repro.core.breakdown import hypercall_breakdown
 from repro.core.microbench import MicrobenchmarkSuite
 from repro.core.testbed import build_testbed
 from repro.errors import ConfigurationError
-from repro.hw.cpu.registers import RegClass
 
 #: CLI trace target -> MicrobenchmarkSuite method name.
 MICROBENCH_TARGETS = {
@@ -44,35 +42,6 @@ class Capture:
     obs: object
     machine: object
     breakdown: object = None
-
-    def reconciliation(self):
-        """Span-layer save/restore totals next to the Table III rows.
-
-        Only meaningful for ``table3`` captures; proves the exported
-        spans carry exactly the cycles the breakdown attributes.
-        """
-        if self.breakdown is None:
-            return None
-        leaf = self.obs.spans.leaf_totals()
-        rows = []
-        for reg_class in RegClass:
-            suffix = reg_class.name.lower()
-            row = self.breakdown.row(reg_class.value)
-            rows.append(
-                {
-                    "register_state": reg_class.value,
-                    "save_cycles": row.save_cycles,
-                    "save_span_cycles": leaf.get("save_%s" % suffix, 0),
-                    "restore_cycles": row.restore_cycles,
-                    "restore_span_cycles": leaf.get("restore_%s" % suffix, 0),
-                }
-            )
-        return {
-            "rows": rows,
-            "total_cycles": self.breakdown.total_cycles,
-            "root_span_cycles": sum(root.duration for root in self.obs.spans.roots),
-            "other_cycles": self.breakdown.other_cycles,
-        }
 
 
 def capture_table3(trace_resume=False):

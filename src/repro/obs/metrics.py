@@ -112,46 +112,6 @@ class CycleHistogram:
         return "CycleHistogram(%r, n=%d)" % (self.name, self.count)
 
 
-class CounterBank:
-    """A dict-like facade over a group of prefixed counters.
-
-    Preserves the legacy ``hv.stats["traps"] += 1`` interface while the
-    values live in the shared registry (so exporters see them too).
-    """
-
-    def __init__(self, registry, prefix, names):
-        self._counters = OrderedDict(
-            (name, registry.counter("%s.%s" % (prefix, name))) for name in names
-        )
-
-    def __getitem__(self, name):
-        return self._counters[name].value
-
-    def __setitem__(self, name, value):
-        self._counters[name].value = value
-
-    def __contains__(self, name):
-        return name in self._counters
-
-    def __iter__(self):
-        return iter(self._counters)
-
-    def __len__(self):
-        return len(self._counters)
-
-    def keys(self):
-        return self._counters.keys()
-
-    def items(self):
-        return [(name, counter.value) for name, counter in self._counters.items()]
-
-    def as_dict(self):
-        return OrderedDict(self.items())
-
-    def __repr__(self):
-        return "CounterBank(%r)" % (self.as_dict(),)
-
-
 class MetricsRegistry:
     """All instruments of one machine, keyed by name (get-or-create)."""
 
@@ -177,10 +137,6 @@ class MetricsRegistry:
 
     def histogram(self, name):
         return self._get_or_create(name, CycleHistogram)
-
-    def bank(self, prefix, names):
-        """A :class:`CounterBank` of ``prefix.<name>`` counters."""
-        return CounterBank(self, prefix, names)
 
     def __contains__(self, name):
         return name in self._instruments

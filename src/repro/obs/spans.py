@@ -1,11 +1,13 @@
 """Nested spans: wall-positioned cycle attribution over the DES.
 
 A :class:`Span` covers a half-open cycle interval ``[start, end)`` of
-engine time and may contain child spans.  Unlike the flat step list of
-:class:`repro.sim.trace.StepTrace`, spans record *where* on the timeline
-work happened (start/end are read from the engine's ``now``), so a
-Chrome-trace/Perfetto export shows real wall positions, not just
-durations.
+engine time and may contain child spans.  Spans are the model's one
+cycle-recording layer: every costed ``pcpu.op`` step becomes a leaf
+span, so Table III (leaf totals by label) and the delivery occupancy
+(leaf cycles on one pcpu) are read from them.  Spans also record
+*where* on the timeline work happened (start/end are read from the
+engine's ``now``), so a Chrome-trace/Perfetto export shows real wall
+positions, not just durations.
 
 Nesting is tracked per ``pcpu`` tag: each physical CPU is one "thread"
 of the trace (one stack of open spans), which matches how the simulator
@@ -19,7 +21,6 @@ check when observability is off.
 """
 
 from collections import OrderedDict
-from contextlib import contextmanager
 
 from repro.errors import SimulationError
 
@@ -148,9 +149,9 @@ class SpanRecorder:
     def step(self, label, cycles, category="", pcpu=None):
         """Record a leaf span of ``cycles`` starting at the current time.
 
-        This is the span-layer twin of ``Tracer.record``: ``pcpu.op``
-        calls it just before yielding the step's Timeout, so the interval
-        ``[now, now + cycles)`` is exactly when the step executes.
+        ``pcpu.op`` calls it just before yielding the step's Timeout, so
+        the interval ``[now, now + cycles)`` is exactly when the step
+        executes.
         """
         if not self.enabled:
             return None
@@ -166,15 +167,24 @@ class SpanRecorder:
         """Record a zero-width marker (e.g. a process resume)."""
         return self.step(name, 0, category, pcpu)
 
-    @contextmanager
-    def span(self, name, category="", pcpu=None):
-        """Context manager sugar over ``begin``/``end`` (for plain,
-        non-generator code paths)."""
-        span = self.begin(name, category, pcpu)
+    def record_window(self, run):
+        """Call ``run()`` with recording on; return ``(result, roots)``.
+
+        ``roots`` are the root spans recorded during the call (spans
+        opened inside a span that was already open are not among them).
+        The recorder is left on or off as the caller had it; when it was
+        off, the window's spans are dropped again afterwards.
+        """
+        enabled, self.enabled = self.enabled, True
+        first = len(self.roots)
         try:
-            yield span
+            result = run()
+            window = self.roots[first:]
         finally:
-            self.end(span)
+            self.enabled = enabled
+            if not enabled:
+                del self.roots[first:]
+        return result, window
 
     def _attach(self, span, pcpu):
         stack = self._stacks.get(pcpu)
@@ -189,16 +199,18 @@ class SpanRecorder:
         """All currently open spans across every pcpu track."""
         return [span for stack in self._stacks.values() for span in stack]
 
-    def iter_spans(self):
-        """All recorded spans, depth-first from each root, in order."""
-        for root in self.roots:
+    def iter_spans(self, roots=None):
+        """All spans under ``roots`` (default: every recorded root),
+        depth-first from each root, in order."""
+        for root in self.roots if roots is None else roots:
             yield from root.walk()
 
-    def leaf_totals(self, category=None):
-        """Ordered {label: total cycles} over leaf spans (optionally
-        filtered by category) — the span-layer view of Table III."""
+    def leaf_totals(self, category=None, roots=None):
+        """Ordered {label: total cycles} over leaf spans under ``roots``
+        (default: all), optionally filtered by category — the Table III
+        view."""
         totals = OrderedDict()
-        for span in self.iter_spans():
+        for span in self.iter_spans(roots):
             if not span.is_leaf:
                 continue
             if category is not None and span.category != category:

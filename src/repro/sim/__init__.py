@@ -17,7 +17,6 @@ from repro.sim.process import Process
 from repro.sim.channel import Channel
 from repro.sim.clock import Clock
 from repro.sim.rng import DeterministicRng
-from repro.sim.trace import Step, StepTrace, Tracer
 
 __all__ = [
     "AllOf",
@@ -28,8 +27,5 @@ __all__ = [
     "Engine",
     "Process",
     "SimEvent",
-    "Step",
-    "StepTrace",
     "Timeout",
-    "Tracer",
 ]

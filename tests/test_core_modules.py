@@ -68,6 +68,21 @@ class TestDerivedCosts:
     def test_occupancy_less_than_total(self, kvm):
         assert 0 < kvm.delivery_occupancy <= kvm.io_notify_running
 
+    @pytest.mark.parametrize(
+        "key, occupancy",
+        [
+            ("kvm-arm", 6939),
+            ("xen-arm", 2425),
+            ("kvm-x86", 3856),
+            ("xen-x86", 3764),
+            ("kvm-vhe-arm", 1025),
+        ],
+    )
+    def test_delivery_occupancy_pinned(self, key, occupancy):
+        """Leaf-span cycles on the target VCPU's pcpu per delivery to a
+        running VM; the application models consume this number."""
+        assert measure_derived_costs(key).delivery_occupancy == occupancy
+
     def test_grant_costs_zero_for_kvm(self, kvm, xen):
         assert kvm.grant_copy_mtu == 0
         assert xen.grant_copy_mtu > 0

@@ -128,11 +128,9 @@ class TestVhe:
         hv.install_guest(vcpu)
         arch = vcpu.pcpu.arch
         arch.regs.write(RegClass.EL1_SYS, "ttbr1_el1", 0xAAAA)
-        machine.tracer.enabled = True
-        machine.tracer.begin("vhe-hypercall")
+        machine.obs.spans.enabled = True
         run(machine, hv.run_hypercall(vcpu))
-        trace = machine.tracer.end()
-        labels = set(trace.labels())
+        labels = machine.obs.spans.leaf_totals()
         assert not any("el1_sys" in label for label in labels)
         assert not any("vgic" in label for label in labels)
         # Guest EL1 state stayed live through the whole round trip.
@@ -160,10 +158,9 @@ class TestVhe:
         a, b = vm.vcpu(0), vm2.vcpu(0)
         hv.install_guest(a)
         hv.park_vcpu(b)
-        machine.tracer.enabled = True
-        machine.tracer.begin("vhe-switch")
+        machine.obs.spans.enabled = True
         run(machine, hv.switch_vm(a, b))
-        labels = set(machine.tracer.end().labels())
+        labels = machine.obs.spans.leaf_totals()
         assert "save_vgic" in labels
         assert "restore_el1_sys" in labels
 
@@ -173,10 +170,9 @@ class TestX86:
         machine, hv, vm = make_kvm(arch="x86")
         vcpu = vm.vcpu(0)
         hv.install_guest(vcpu)
-        machine.tracer.enabled = True
-        machine.tracer.begin("x86-hypercall")
+        machine.obs.spans.enabled = True
         run(machine, hv.run_hypercall(vcpu))
-        labels = machine.tracer.end().by_label()
+        labels = machine.obs.spans.leaf_totals()
         assert labels["vmexit_hw"] == machine.costs.vmexit_hw
         assert labels["vmentry_hw"] == machine.costs.vmentry_hw
 
@@ -232,24 +228,22 @@ class TestIoSignaling:
     def test_notify_blocked_vm_pays_wakeup(self):
         machine, hv, vm = make_kvm()
         hv.park_vcpu(vm.vcpu(0))
-        machine.tracer.enabled = True
-        machine.tracer.begin("notify")
+        machine.obs.spans.enabled = True
         done = hv.notify_guest(vm)
         machine.engine.run_until_fired(done)
         machine.run()
-        labels = machine.tracer.end().by_label()
+        labels = machine.obs.spans.leaf_totals()
         assert labels.get("sched_wakeup") == machine.costs.sched_wakeup
         assert labels.get("host_thread_switch") == machine.costs.host_thread_switch
 
     def test_notify_running_vm_skips_wakeup(self):
         machine, hv, vm = make_kvm()
         hv.install_guest(vm.vcpu(0))
-        machine.tracer.enabled = True
-        machine.tracer.begin("notify-running")
+        machine.obs.spans.enabled = True
         done = hv.notify_guest(vm)
         machine.engine.run_until_fired(done)
         machine.run()
-        labels = machine.tracer.end().by_label()
+        labels = machine.obs.spans.leaf_totals()
         assert "sched_wakeup" not in labels
         assert labels.get("gic_phys_ack") == machine.costs.gic_phys_ack
 

@@ -55,10 +55,9 @@ class TestHypercall:
         hv.install_guest(vcpu)
         arch = vcpu.pcpu.arch
         arch.regs.write(RegClass.EL1_SYS, "ttbr1_el1", 0x5555)
-        machine.tracer.enabled = True
-        machine.tracer.begin("xen-hypercall")
+        machine.obs.spans.enabled = True
         run(machine, hv.run_hypercall(vcpu))
-        labels = set(machine.tracer.end().labels())
+        labels = machine.obs.spans.leaf_totals()
         assert not any("el1_sys" in label for label in labels)
         assert arch.regs.read(RegClass.EL1_SYS, "ttbr1_el1") == 0x5555
 
@@ -109,10 +108,9 @@ class TestDomainSwitch:
         full VM switch, not a cheap resume."""
         machine, hv, domu = make_xen()
         dom0_vcpu = hv.dom0.vcpu(0)
-        machine.tracer.enabled = True
-        machine.tracer.begin("idle-switch")
+        machine.obs.spans.enabled = True
         run(machine, hv._domain_switch(dom0_vcpu.pcpu, dom0_vcpu))
-        labels = machine.tracer.end().by_label()
+        labels = machine.obs.spans.leaf_totals()
         assert labels["save_vgic"] == machine.costs.save[RegClass.VGIC]
         assert labels["xen_ctx_extra"] == machine.costs.xen_ctx_extra
 
@@ -184,12 +182,11 @@ class TestIoPaths:
         vcpu = domu.vcpu(0)
         hv.install_guest(vcpu)
         hv.park_vcpu(hv.dom0.vcpu(0))
-        machine.tracer.enabled = True
-        machine.tracer.begin("kick")
+        machine.obs.spans.enabled = True
         observed = hv.kick_backend(vcpu)
         machine.engine.run_until_fired(observed)
         machine.run()
-        labels = machine.tracer.end().by_label()
+        labels = machine.obs.spans.leaf_totals()
         assert "xen_ctx_extra" in labels  # the idle->Dom0 switch happened
         assert "netback_kick" in labels
         assert hv.dom0.vcpu(0).state == VcpuState.GUEST
@@ -199,12 +196,11 @@ class TestIoPaths:
         vcpu = domu.vcpu(0)
         hv.install_guest(vcpu)
         hv.install_guest(hv.dom0.vcpu(0))
-        machine.tracer.enabled = True
-        machine.tracer.begin("kick-hot")
+        machine.obs.spans.enabled = True
         observed = hv.kick_backend(vcpu)
         machine.engine.run_until_fired(observed)
         machine.run()
-        labels = machine.tracer.end().by_label()
+        labels = machine.obs.spans.leaf_totals()
         assert "xen_ctx_extra" not in labels
 
     def test_notify_guest_switches_idle_to_domu(self):
@@ -246,11 +242,12 @@ class TestIoPaths:
         vcpu = domu.vcpu(0)
         hv.install_guest(vcpu)
         hv.park_vcpu(hv.dom0.vcpu(0))
-        before = hv.stats["vm_switches"]
+        switches = machine.obs.metrics.counter("hv.vm_switches")
+        before = switches.value
         observed = hv.kick_backend(vcpu)
         machine.engine.run_until_fired(observed)
         machine.run()
-        assert hv.stats["vm_switches"] == before + 1
+        assert switches.value == before + 1
 
 
 class TestX86Xen:

@@ -100,12 +100,11 @@ class TestPlatform:
 
     def test_pcpu_op_records_when_tracing(self):
         machine = Machine(arm_m400())
-        machine.tracer.enabled = True
-        machine.tracer.begin("t")
+        machine.obs.spans.enabled = True
         timeout = machine.pcpu(0).op("save_gp", 152, "save")
         assert isinstance(timeout, Timeout)
         assert timeout.delay == 152
-        assert machine.tracer.end().by_label() == {"save_gp": 152}
+        assert machine.obs.spans.leaf_totals() == {"save_gp": 152}
 
     def test_pcpu_out_of_range(self):
         with pytest.raises(ConfigurationError):

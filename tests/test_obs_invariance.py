@@ -12,7 +12,7 @@ import hashlib
 
 from repro.core import suite
 from repro.core.microbench import MicrobenchmarkSuite
-from repro.core.testbed import build_testbed
+from repro.core.testbed import ALL_KEYS, build_testbed
 
 #: sha256 of ``suite.full_report()`` captured on the pre-observability
 #: tree.  Observability must never move this; a *deliberate* model
@@ -33,7 +33,7 @@ def test_full_report_byte_identical_with_obs_disabled():
 
 
 def test_microbench_cycles_identical_with_obs_enabled():
-    for key in ("kvm-arm", "xen-arm"):
+    for key in ALL_KEYS:
         baseline = MicrobenchmarkSuite(build_testbed(key)).run_all()
         testbed = build_testbed(key)
         testbed.machine.obs.enable(trace_resume=True)

@@ -1,9 +1,9 @@
-"""Unit tests for channels, clock, RNG, and step tracing."""
+"""Unit tests for channels, clock and RNG."""
 
 import pytest
 
 from repro.errors import ConfigurationError, SimulationError
-from repro.sim import Channel, Clock, DeterministicRng, Engine, Step, StepTrace, Timeout, Tracer
+from repro.sim import Channel, Clock, DeterministicRng, Engine
 
 
 class TestChannel:
@@ -106,90 +106,3 @@ class TestRng:
         rng = DeterministicRng()
         for _ in range(100):
             assert 3 <= rng.randint("r", 3, 9) <= 9
-
-
-class TestTrace:
-    def test_total_and_labels(self):
-        trace = StepTrace("t")
-        trace.add(Step("save_gp", 152, "save"))
-        trace.add(Step("save_vgic", 3250, "save"))
-        trace.add(Step("restore_gp", 184, "restore"))
-        assert trace.total_cycles == 3586
-        assert trace.labels() == ["save_gp", "save_vgic", "restore_gp"]
-
-    def test_by_label_aggregates_duplicates(self):
-        trace = StepTrace()
-        trace.add(Step("trap", 76))
-        trace.add(Step("trap", 76))
-        assert trace.by_label() == {"trap": 152}
-
-    def test_by_category(self):
-        trace = StepTrace()
-        trace.add(Step("save_gp", 152, "save"))
-        trace.add(Step("restore_gp", 184, "restore"))
-        trace.add(Step("restore_fp", 310, "restore"))
-        assert trace.by_category() == {"save": 152, "restore": 494}
-
-    def test_tracer_disabled_records_nothing(self):
-        tracer = Tracer(enabled=False)
-        tracer.begin("t")
-        tracer.record("step", 100)
-        assert len(tracer.end()) == 0
-
-    def test_tracer_enabled_records_into_current(self):
-        tracer = Tracer(enabled=True)
-        tracer.begin("t")
-        tracer.record("a", 10)
-        tracer.record("b", 20, category="save")
-        trace = tracer.end()
-        assert trace.total_cycles == 30
-        assert tracer.last is trace
-
-    def test_record_outside_trace_is_noop(self):
-        tracer = Tracer(enabled=True)
-        tracer.record("orphan", 5)
-        assert tracer.traces == []
-
-
-class TestTracerNesting:
-    def test_nested_traces_record_into_innermost(self):
-        tracer = Tracer(enabled=True)
-        tracer.begin("outer")
-        tracer.record("before", 10)
-        tracer.begin("inner")
-        tracer.record("within", 20)
-        inner = tracer.end()
-        tracer.record("after", 30)
-        outer = tracer.end()
-        assert inner.name == "inner"
-        assert inner.by_label() == {"within": 20}
-        assert outer.name == "outer"
-        assert outer.by_label() == {"before": 10, "after": 30}
-
-    def test_depth_tracks_open_traces(self):
-        tracer = Tracer(enabled=True)
-        assert tracer.depth == 0
-        tracer.begin("a")
-        tracer.begin("b")
-        assert tracer.depth == 2
-        tracer.end()
-        assert tracer.depth == 1
-        tracer.end()
-        assert tracer.depth == 0
-
-    def test_end_without_begin_raises(self):
-        tracer = Tracer(enabled=True)
-        with pytest.raises(SimulationError):
-            tracer.end()
-
-    def test_nested_begin_no_longer_discards_outer(self):
-        # Regression: begin() used to overwrite the current trace, silently
-        # dropping the outer trace's identity and steps recorded so far.
-        tracer = Tracer(enabled=True)
-        tracer.begin("outer")
-        tracer.record("outer_step", 5)
-        tracer.begin("inner")
-        tracer.end()
-        outer = tracer.end()
-        assert outer.name == "outer"
-        assert "outer_step" in outer.by_label()

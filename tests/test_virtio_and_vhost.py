@@ -129,7 +129,7 @@ class TestXenDataPathFailures:
     def test_xen_rx_pays_copy_kvm_does_not(self):
         """Failure-injection style check on the structural difference:
         drive the same packet through both rx paths and compare the
-        per-packet copy work recorded in the traces."""
+        per-packet copy work recorded in the spans."""
         copies = {}
         for key in ("kvm-arm", "xen-arm"):
             testbed = build_testbed(key)
@@ -137,12 +137,10 @@ class TestXenDataPathFailures:
             hv.park_vcpu(testbed.vm.vcpu(0))
             if hv.design == "type1":
                 hv.park_vcpu(hv.dom0.vcpu(0))
-            machine = testbed.machine
-            machine.tracer.enabled = True
-            machine.tracer.begin("rx")
+            spans = testbed.machine.obs.spans
+            spans.enabled = True
             testbed.client_nic.transmit(Packet(1500))
             testbed.engine.run()
-            trace = machine.tracer.end()
-            copies[key] = trace.by_category().get("copy", 0)
+            copies[key] = sum(spans.leaf_totals(category="copy").values())
         assert copies["kvm-arm"] == 0
         assert copies["xen-arm"] > 7000  # the >3us grant copy

@@ -88,7 +88,7 @@ class TestLiveCostResolution:
 
 
 class TestObserverPassthrough:
-    def test_sanitizer_forces_interpretation(self):
+    def test_sanitizer_leaves_cycles_unchanged(self):
         class InertSanitizer:
             def on_schedule(self, engine, time, seq, callback):
                 return seq
@@ -106,17 +106,19 @@ class TestObserverPassthrough:
             Engine.sanitizer = old
         assert observed == expected
 
-    def test_tracer_forces_interpretation(self):
-        expected = plain_cycles(3)
-        machine, hv, vcpu = make_kvm_arm()
-        machine.tracer.enabled = True
-        assert run_ops(machine, hv, vcpu, 3) == expected
-
-    def test_span_recording_forces_interpretation(self):
-        expected = plain_cycles(3, op="intc")
+    @staticmethod
+    def check_span_recording_leaves_cycles_unchanged(op):
+        expected = plain_cycles(3, op=op)
         machine, hv, vcpu = make_kvm_arm()
         machine.obs.spans.enabled = True
-        assert run_ops(machine, hv, vcpu, 3, op="intc") == expected
+        assert run_ops(machine, hv, vcpu, 3, op=op) == expected
+        assert machine.obs.spans.leaf_totals()
+
+    def test_span_recording_leaves_hypercall_cycles_unchanged(self):
+        self.check_span_recording_leaves_cycles_unchanged("hypercall")
+
+    def test_span_recording_leaves_intc_trap_cycles_unchanged(self):
+        self.check_span_recording_leaves_cycles_unchanged("intc-trap")
 
 
 class TestSpecLoading:

@@ -29,10 +29,9 @@ class TestSplitModeSwitch:
         machine, hv, vm = make()
         vcpu = vm.vcpu(0)
         hv.install_guest(vcpu)
-        machine.tracer.enabled = True
-        machine.tracer.begin("exit")
+        machine.obs.spans.enabled = True
         run(machine, ws.split_mode_exit(machine, vcpu))
-        labels = machine.tracer.end().labels()
+        labels = list(machine.obs.spans.leaf_totals())
         assert labels[0] == "trap_to_el2"
         assert labels[1] == "save_gp"
         assert "disable_virt_features" in labels
@@ -118,17 +117,15 @@ class TestX86Switch:
         a_pcpu = a.pcpu
         b.pcpu = a_pcpu  # colocate for the test
         hv.install_guest(a)
-        machine.tracer.enabled = True
-        machine.tracer.begin("x86")
+        spans = machine.obs.spans
+        spans.enabled = True
         run(machine, ws.x86_exit(machine, a))
         run(machine, ws.x86_enter(machine, a))  # same VMCS: no vmptrld
-        trace = machine.tracer.end()
-        assert "vmcs_switch" not in trace.labels()
-        machine.tracer.begin("x86-switch")
+        assert "vmcs_switch" not in spans.leaf_totals()
+        spans.clear()
         run(machine, ws.x86_exit(machine, a))
         run(machine, ws.x86_enter(machine, b))  # different VMCS
-        trace = machine.tracer.end()
-        assert "vmcs_switch" in trace.labels()
+        assert "vmcs_switch" in spans.leaf_totals()
 
     def test_injection_via_vmcs_field(self):
         machine, hv, vm = make(arch="x86")
