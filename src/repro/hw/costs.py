@@ -22,6 +22,7 @@ import dataclasses
 import threading
 
 from repro.errors import ConfigurationError
+from repro.hw import readguard
 from repro.hw.cpu.registers import RegClass
 
 
@@ -256,7 +257,7 @@ def arm_costs():
     costs = ArmCosts()
     if _ACTIVE_OVERRIDES:
         _apply_section(costs, _ACTIVE_OVERRIDES.get("arm") or {})
-    return costs
+    return _guard_reads(costs, "arm")
 
 
 def x86_costs():
@@ -266,7 +267,7 @@ def x86_costs():
     costs = X86Costs()
     if _ACTIVE_OVERRIDES:
         _apply_section(costs, _ACTIVE_OVERRIDES.get("x86") or {})
-    return costs
+    return _guard_reads(costs, "x86")
 
 
 # --- what-if overrides ------------------------------------------------------
@@ -281,13 +282,19 @@ def x86_costs():
 # where a plain key names a scalar dataclass field and a dotted
 # ``save.<CLASS>`` / ``restore.<CLASS>`` key names one register class of
 # the Table III sweep dicts.  ``repro.runner.cells`` installs a document
-# around one cell execution.  A cell simulates one architecture, so only
-# that architecture's section travels inside the cell's parameters: a
-# cell the document does not touch keeps its default identity (id, cache
-# key, in-flight entry).  While a cell runs, :func:`scoped_to` makes
-# building the *other* architecture's table an error, so a cell that
-# declares the wrong architecture fails loudly instead of silently
-# ignoring the section it was stripped of.
+# around one cell execution.  A cell simulates one architecture, and a
+# golden cell (one of the bench grid) also has a committed *read set*:
+# the fields of that architecture it reads, with each ``save.<CLASS>`` /
+# ``restore.<CLASS>`` entry counted on its own
+# (``repro.runner.readsets_golden``).  Only the overrides inside the
+# read set travel in the cell's parameters, so a cell that none of them
+# touch keeps its default identity (id, cache key, in-flight entry) and
+# shares the default payload.  That payload then answers every query
+# whose overrides were stripped.  So while a golden cell runs, default
+# or what-if, :func:`scoped_to` fails it on reading any field outside
+# its read set, as on building the *other* architecture's table.  A
+# cell outside the golden carries its architecture's whole section and
+# is guarded at architecture level only.
 
 #: the override sections that address into a dict field (RegClass-keyed)
 _DICT_FIELDS = ("save", "restore")
@@ -295,10 +302,13 @@ _DICT_FIELDS = ("save", "restore")
 #: the currently installed override document (None = pure defaults)
 _ACTIVE_OVERRIDES = None
 
-#: ``.arch``: the one architecture the cell running on this thread
-#: simulates (None = unscoped).  Kept apart from the override document,
-#: which an outer block may own, and per thread, so another thread
-#: deriving a cache key (which builds both tables) is never caught by it.
+#: The guard of the cell running on this thread: ``.arch`` is the one
+#: architecture it simulates and ``.reads`` its read set (None =
+#: unscoped / no field guard); ``.recorder`` collects the fields read
+#: outside ``.reads`` instead of failing on them.  Kept apart from the
+#: override document, which an outer block may own, and per thread, so
+#: another thread deriving a cache key (which builds both full tables)
+#: is never caught by it.
 _SCOPE = threading.local()
 
 
@@ -311,8 +321,35 @@ def _check_scope(arch):
         )
 
 
+def _outside_read_set(arch):
+    """The :func:`repro.hw.readguard.restrict` callback for ``arch``."""
+
+    def on_read(field, value):
+        recorder = getattr(_SCOPE, "recorder", None)
+        if recorder is None:
+            raise ConfigurationError(
+                "a cell that simulates %s read %s.%s, which is not in its "
+                "read set" % (arch, arch, field)
+            )
+        recorder.add(field)
+        return value
+
+    return on_read
+
+
+_ON_READ = {"arm": _outside_read_set("arm"), "x86": _outside_read_set("x86")}
+
+
+def _guard_reads(costs, arch):
+    reads = getattr(_SCOPE, "reads", None)
+    if reads is None:
+        return costs
+    return readguard.restrict(costs, reads, _ON_READ[arch])
+
+
 def _override_targets(arch):
-    """(prototype instance, arch label) for one override section."""
+    """A default-calibration instance of ``arch``'s cost class, which
+    override field names are checked against."""
     if arch == "arm":
         return ArmCosts()
     if arch == "x86":
@@ -426,16 +463,28 @@ def overriding(document):
 
 
 @contextlib.contextmanager
-def scoped_to(arch):
-    """Allow only ``arch``'s cost table to be built inside the block,
-    on this thread.
+def scoped_to(arch, reads=None, recorder=None):
+    """Guard the cost tables built inside the block, on this thread.
 
-    ``None`` leaves the block unscoped.  The installed override document
-    is not touched, so an outer :func:`overriding` still applies.
+    Only ``arch``'s table may be built (``None`` leaves the block
+    unscoped).  ``reads`` is a read set (a frozenset of field names, see
+    the what-if notes above): every table built in the block answers
+    those fields as before, and reading any other field raises
+    :class:`~repro.errors.ConfigurationError` naming the architecture
+    and the field.  ``None`` adds no field guard.  With ``recorder`` (a
+    set), such a read adds the field to it and returns the real value
+    instead, which is how the read sets are generated.
+
+    The installed override document is not touched, so an outer
+    :func:`overriding` still applies.
     """
-    previous = getattr(_SCOPE, "arch", None)
-    _SCOPE.arch = arch
+    previous = (
+        getattr(_SCOPE, "arch", None),
+        getattr(_SCOPE, "reads", None),
+        getattr(_SCOPE, "recorder", None),
+    )
+    _SCOPE.arch, _SCOPE.reads, _SCOPE.recorder = arch, reads, recorder
     try:
         yield
     finally:
-        _SCOPE.arch = previous
+        _SCOPE.arch, _SCOPE.reads, _SCOPE.recorder = previous

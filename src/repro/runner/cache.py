@@ -31,7 +31,6 @@ the whole store on demand (``python -m repro bench --cache-verify``).
 """
 
 import dataclasses
-import enum
 import hashlib
 import json
 import os
@@ -69,24 +68,23 @@ def model_fingerprint():
     return _MODEL_FINGERPRINT
 
 
-def _canonical(value):
-    """Recursively turn a value into deterministic JSON-able data."""
-    if dataclasses.is_dataclass(value) and not isinstance(value, type):
-        return _canonical(dataclasses.asdict(value))
-    if isinstance(value, dict):
-        return {str(key): _canonical(item) for key, item in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_canonical(item) for item in value]
-    if isinstance(value, enum.Enum):
-        return str(value)
-    return value
+def _cost_document(costs):
+    """One cost table as JSON-able data: each field by name, and each
+    register-class table keyed by ``str(RegClass.X)``."""
+    document = {}
+    for field in dataclasses.fields(costs):
+        value = getattr(costs, field.name)
+        if isinstance(value, dict):
+            value = {str(key): item for key, item in value.items()}
+        document[field.name] = value
+    return document
 
 
 def live_costs():
     """The cost tables as the simulator would see them *right now*."""
     return {
-        "arm": _canonical(hw_costs.arm_costs()),
-        "x86": _canonical(hw_costs.x86_costs()),
+        "arm": _cost_document(hw_costs.arm_costs()),
+        "x86": _cost_document(hw_costs.x86_costs()),
     }
 
 

@@ -32,6 +32,7 @@ from repro.core.testbed import build_testbed, native_testbed, parse_key
 from repro.errors import ConfigurationError
 from repro.hw import costs as hw_costs
 from repro.paperdata import PLATFORM_ORDER
+from repro.runner.readsets_golden import READ_SETS
 from repro.workloads import FIGURE4_WORKLOADS
 
 #: netperf TCP_RR transactions simulated per Table V cell (the
@@ -100,25 +101,45 @@ def cell_arch(spec):
     return _FIXED_ARCH.get(spec.kind)
 
 
+#: base cell id -> the cost fields the cell reads (see
+#: :mod:`repro.runner.readsets`)
+_READ_SETS = {cell_id: frozenset(fields) for cell_id, fields in READ_SETS.items()}
+
+
+def read_set(spec):
+    """The committed read set of a golden cell, or None for a cell
+    outside the golden (its parameters are off the bench grid)."""
+    return _READ_SETS.get(strip_cost_overrides(spec).id)
+
+
 def with_cost_overrides(spec, overrides):
     """The same cell under a what-if cost-override document.
 
     The document is validated and canonicalized
-    (:func:`repro.hw.costs.validate_overrides`), cut down to the section
-    of the architecture the cell simulates (:func:`cell_arch`), and
-    embedded in the cell's parameters as compact sorted JSON — so the
-    override travels with the spec, distinguishes the cell's
-    content-addressed cache key from the default-calibration cell, and
-    shows up verbatim in the cell id.  A document that does not touch
-    the cell's architecture returns ``spec`` itself: the cell is the
-    default-world cell, and shares its id and cache entry.
+    (:func:`repro.hw.costs.validate_overrides`) and cut down to what can
+    move the cell: the section of the architecture it simulates
+    (:func:`cell_arch`), and within it, for a golden cell, only the
+    fields of its read set (:func:`read_set`).  What is left is embedded
+    in the cell's parameters as compact sorted JSON, so the override
+    travels with the spec, distinguishes the cell's content-addressed
+    cache key from the default-calibration cell, and shows up verbatim
+    in the cell id.  When nothing is left this returns ``spec`` itself:
+    the cell is the default-world cell, and shares its id, cache entry
+    and in-flight entry.  A cell outside the golden keeps its
+    architecture's whole section.
     """
     if not overrides:
         return spec
     document = hw_costs.validate_overrides(overrides)
     arch = cell_arch(spec)
     if arch is not None:
-        document = {arch: document[arch]} if arch in document else {}
+        section = document.get(arch, {})
+        reads = read_set(spec)
+        if reads is not None:
+            section = {
+                field: value for field, value in section.items() if field in reads
+            }
+        document = {arch: section} if section else {}
     if not document:
         return spec
     params = dict(spec.params)
@@ -243,16 +264,19 @@ def run_cell(spec):
     :func:`with_cost_overrides`) simulates under that what-if override
     document; the testbeds it builds see the overridden primitives and
     nothing outside the cell does.  Every cell, default or not, runs
-    scoped to its declared architecture (:func:`cell_arch`): a default
-    cell also answers what-if queries for the other architecture, so
-    building that architecture's cost table fails the cell.
+    guarded (:func:`repro.hw.costs.scoped_to`): building the cost table
+    of an architecture other than :func:`cell_arch` fails the cell, and
+    so does a golden cell reading a field outside its :func:`read_set`.
+    A default cell's payload also answers every what-if query whose
+    overrides were stripped, so an undeclared read anywhere would give
+    some query wrong bytes.
     """
     runner = CELL_KINDS.get(spec.kind)
     if runner is None:
         raise ConfigurationError("unknown cell kind %r" % (spec.kind,))
     params = spec.params_dict()
     encoded = params.pop(COSTS_PARAM, None)
-    with hw_costs.scoped_to(cell_arch(spec)):
+    with hw_costs.scoped_to(cell_arch(spec), read_set(spec)):
         if encoded is None:
             return runner(params)
         with hw_costs.overriding(json.loads(encoded)):

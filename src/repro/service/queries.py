@@ -18,9 +18,10 @@ Cost overrides never leak into the merge layer: cells are *planned* at
 their base (default-calibration) identity, *executed* under the
 override-carrying twin (:func:`repro.runner.cells.with_cost_overrides`),
 and the results re-keyed back to base ids before assembly.  A twin
-carries only its own architecture's section, so a cell the document
-does not touch is the base cell itself and is shared with default
-queries.
+carries only the overrides that can move it: its own architecture's
+section, cut down for a golden cell to the fields of its committed read
+set (:func:`repro.runner.cells.read_set`).  A cell none of the document
+touches is the base cell itself, and is shared with default queries.
 """
 
 import dataclasses
@@ -496,8 +497,8 @@ def plan(query):
     """``(base_specs, exec_specs)`` for one canonical query.
 
     Both lists are deduplicated and pairwise aligned: ``exec_specs[i]``
-    is ``base_specs[i]`` with the query's cost overrides for that cell's
-    architecture embedded (a no-op when there are none).  The broker
+    is ``base_specs[i]`` with the query's cost overrides that the cell
+    reads embedded (a no-op when there are none).  The broker
     runs the exec identities; the merge layer consumes results re-keyed
     back to base identities.
     """

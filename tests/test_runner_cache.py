@@ -6,6 +6,8 @@ and a poisoned or corrupt cache entry must degrade to a miss — never a
 crash, never a stale hit.
 """
 
+import dataclasses
+import enum
 import json
 import os
 
@@ -13,7 +15,7 @@ import pytest
 
 from repro.hw import costs as hw_costs
 from repro.runner import ResultCache, cells, run_cells
-from repro.runner.cache import CACHE_SCHEMA, QUARANTINE_DIR
+from repro.runner.cache import CACHE_SCHEMA, QUARANTINE_DIR, live_costs
 
 
 MICRO = cells.micro("kvm-arm")
@@ -68,6 +70,36 @@ class TestKeyDerivation:
 
         monkeypatch.setattr(hw_costs, "x86_costs", mutated)
         assert cache.key_for(cells.micro("kvm-x86")) != before
+
+
+def _asdict_canonical(value):
+    """The recursive ``asdict`` serializer ``live_costs`` once used."""
+    if dataclasses.is_dataclass(value) and not isinstance(value, type):
+        return _asdict_canonical(dataclasses.asdict(value))
+    if isinstance(value, dict):
+        return {str(key): _asdict_canonical(item) for key, item in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_asdict_canonical(item) for item in value]
+    if isinstance(value, enum.Enum):
+        return str(value)
+    return value
+
+
+@pytest.mark.parametrize(
+    "document",
+    [None, {"arm": {"save.VGIC": 7, "trap_to_el2": 9}, "x86": {"vmexit_hw": 11}}],
+    ids=["default", "overridden"],
+)
+def test_live_costs_document_is_the_asdict_form(document):
+    with hw_costs.overriding(document):
+        expected = {
+            "arm": _asdict_canonical(hw_costs.arm_costs()),
+            "x86": _asdict_canonical(hw_costs.x86_costs()),
+        }
+        assert json.dumps(live_costs(), sort_keys=True) == json.dumps(
+            expected, sort_keys=True
+        )
+        assert live_costs() == expected
 
 
 class TestInvalidation:
