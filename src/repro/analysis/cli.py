@@ -54,11 +54,11 @@ def build_parser():
     )
     parser.add_argument(
         "--flow", action="store_true",
-        help="also run the flow-sensitive tier (SYM001, SYM002, FLW001)",
+        help="also run the flow-sensitive tier (SYM001, SYM002)",
     )
     parser.add_argument(
         "--spec", action="store_true",
-        help="also run the path-spec tier (SPEC001, SPEC002, SPEC003)",
+        help="also run the path-spec tier (SPEC001, SPEC002)",
     )
     parser.add_argument(
         "--statistics", action="store_true",

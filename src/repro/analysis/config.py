@@ -41,12 +41,10 @@ DEFAULT_RULE_PATHS = {
     # the repository's pyproject narrows these to the model layers.
     "SYM001": (),
     "SYM002": (),
-    "FLW001": (),
     # spec tier: the hypervisor models are what the committed path specs
     # describe, in fixture trees and the real package alike.
     "SPEC001": ("hv",),
     "SPEC002": ("hv",),
-    "SPEC003": ("hv",),
 }
 
 

@@ -199,8 +199,8 @@ def run_analysis(paths, config=None, select=None, flow=False, ignore=None, spec=
     optionally narrows to an iterable of rule codes, ``ignore`` drops
     codes *or code prefixes* from whatever was resolved (raising
     ``KeyError`` for entries matching nothing), ``flow`` enables the
-    CFG-based flow tier (SYM001/SYM002/FLW001), and ``spec`` the path-spec
-    tier (SPEC001/SPEC002/SPEC003).
+    CFG-based flow tier (SYM001/SYM002), and ``spec`` the path-spec
+    tier (SPEC001/SPEC002).
     """
     from repro.analysis.config import LintConfig
     from repro.analysis.rules import active_rules, expand_codes

@@ -1,6 +1,6 @@
 """Flow-sensitive analysis: per-function CFGs + architectural effects.
 
-Shared machinery for the path-symmetry rules (SYM001, SYM002, FLW001):
+Shared machinery for the path-symmetry rules (SYM001, SYM002):
 :mod:`repro.analysis.flow.cfg` builds the control-flow graph and
 enumerates acyclic paths; :mod:`repro.analysis.flow.effects` maps
 statements to the architectural primitives they invoke.

@@ -1,6 +1,6 @@
 """Per-function control-flow graphs over stdlib ``ast``.
 
-The flow rules (SYM001/SYM002/FLW001) need to reason about *paths*, not
+The flow rules (SYM001/SYM002) need to reason about *paths*, not
 lines: "is there a way through this world-switch function that saves the
 VGIC state but returns before restoring it?".  This module builds a
 statement-level CFG for one function and enumerates its acyclic paths.

@@ -13,8 +13,7 @@ The extracted specs are committed as golden JSON under ``specs/``
 (schema ``repro-pathspec/1``) and checked by the ``--spec`` lint tier:
 
 * SPEC001 — code ↔ committed-spec drift (golden-file semantics),
-* SPEC002 — spec ↔ cost-table consistency in both directions,
-* SPEC003 — cross-hypervisor/VHE skeleton symmetry per Table III.
+* SPEC002 — spec ↔ cost-table consistency in both directions.
 """
 
 from repro.analysis.pathspec.extract import (  # noqa: F401
@@ -26,7 +25,6 @@ from repro.analysis.pathspec.extract import (  # noqa: F401
     group_for,
     load_committed,
     module_specs,
-    primary_path,
     render_document,
     resolve_spec_dir,
 )

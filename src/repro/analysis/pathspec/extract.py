@@ -98,16 +98,6 @@ def serialize_step(step):
     return doc
 
 
-def primary_path(spec):
-    """The representative path: the first enumerated path carrying the
-    most steps — on the in-tree models, the all-branches-taken switch."""
-    best = None
-    for trace in spec.paths:
-        if best is None or len(trace.steps) > len(best.steps):
-            best = trace
-    return best
-
-
 def _module_name_aliases(tree):
     """Top-level ``NAME = OTHER_NAME`` assigns, resolved transitively."""
     import ast

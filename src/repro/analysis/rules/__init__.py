@@ -6,10 +6,8 @@ from repro.analysis.rules.cal001 import CalibrationLeakage
 from repro.analysis.rules.cov001 import CostCoverage
 from repro.analysis.rules.des001 import DroppedGenerator
 from repro.analysis.rules.det001 import Determinism
-from repro.analysis.rules.flw001 import BranchCostDrift
 from repro.analysis.rules.spec001 import SpecDrift
 from repro.analysis.rules.spec002 import SpecCostConsistency
-from repro.analysis.rules.spec003 import SkeletonSymmetry
 from repro.analysis.rules.sym001 import PathSymmetry
 from repro.analysis.rules.sym002 import TrapPairing
 
@@ -22,10 +20,8 @@ ALL_RULES = (
     RawMagicAddress(),
     PathSymmetry(),
     TrapPairing(),
-    BranchCostDrift(),
     SpecDrift(),
     SpecCostConsistency(),
-    SkeletonSymmetry(),
 )
 
 RULES_BY_CODE = {rule.code: rule for rule in ALL_RULES}

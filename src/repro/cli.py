@@ -16,7 +16,6 @@ Usage:
     python -m repro spec extract       # (re)write specs/*.json goldens
     python -m repro trace table3 -o trace.json   # Perfetto span trace
     python -m repro bench              # whole grid + BENCH_suite.json
-    python -m repro sanitize suite     # SimSan tie-order race sweep
     python -m repro serve              # what-if query server (asyncio)
     python -m repro query --target table2      # query a running server
     python -m repro query --direct --target table2  # same, no server
@@ -62,40 +61,6 @@ def _cmd_spec(args):
     from repro.analysis.pathspec import cli as spec_cli
 
     return spec_cli.main(args.spec_args)
-
-
-def _cmd_sanitize(args):
-    from repro.sanitize import report as sanitize_report
-    from repro.sanitize import runner as sanitize_runner
-
-    report = sanitize_runner.sanitize_target(
-        args.target,
-        track_writes=not args.no_write_tracking,
-        max_cells=args.max_cells,
-    )
-    rendered = (
-        sanitize_report.render_json(report)
-        if args.format == "json"
-        else sanitize_report.render_text(report)
-    )
-    print(rendered, end="")
-    if args.output:
-        with open(args.output, "w", encoding="utf-8") as handle:
-            handle.write(sanitize_report.render_json(report))
-        print("wrote %s" % args.output, file=sys.stderr)
-    if args.target == "selftest":
-        # the seeded fixtures must trip the detector, not pass it
-        from repro.sanitize.selftest import cells as selftest_cells
-
-        expectations = {cell.id: cell.expect_race for cell in selftest_cells()}
-        for entry in report["cells"]:
-            raced = bool(
-                entry["races"]["tie_order"] or entry["races"]["multi_writer"]
-            )
-            if raced != expectations[entry["cell"]]:
-                return 1
-        return 0
-    return 0 if report["summary"]["clean"] else 1
 
 
 def _cmd_trace(args):
@@ -325,7 +290,6 @@ COMMANDS = {
     "spec": _cmd_spec,
     "trace": _cmd_trace,
     "bench": _cmd_bench,
-    "sanitize": _cmd_sanitize,
     "serve": _cmd_serve,
     "query": _cmd_query,
 }
@@ -426,43 +390,6 @@ def build_parser():
         action="store_true",
         help="instead of running the bench, re-hash every cache entry and "
         "quarantine mismatches (exit 1 if any were quarantined)",
-    )
-    from repro.sanitize.runner import TARGETS as SANITIZE_TARGETS
-
-    sanitize = sub.add_parser(
-        "sanitize",
-        help="run cells twice under SimSan (FIFO vs inverted tie-break) and "
-        "report simulation-time races; exit 1 on any finding",
-    )
-    sanitize.add_argument(
-        "target",
-        nargs="?",
-        default="suite",
-        choices=sorted(SANITIZE_TARGETS),
-        help="cell group to sanitize (default: suite = everything the full "
-        "report simulates; selftest = seeded detector fixtures)",
-    )
-    sanitize.add_argument(
-        "--format",
-        choices=("text", "json"),
-        default="text",
-        help="stdout rendering (default text)",
-    )
-    sanitize.add_argument(
-        "-o", "--output", metavar="PATH", help="also write the JSON report to PATH"
-    )
-    sanitize.add_argument(
-        "--max-cells",
-        type=_positive_int,
-        default=None,
-        metavar="N",
-        help="sanitize only the first N cells of the target (CI smoke)",
-    )
-    sanitize.add_argument(
-        "--no-write-tracking",
-        action="store_true",
-        help="skip the shared-state multi-writer instrumentation "
-        "(tie-break inversion only)",
     )
     from repro.service import protocol as service_protocol
 

@@ -302,10 +302,10 @@ class KvmHypervisor(Hypervisor):
         dst.queue_virq(virq)
         self.virqs_injected.inc()
         yield pcpu.op("virq_set_pending", costs.virq_set_pending, "emul")
-        # repro-lint: ignore[FLW001] -- intentional asymmetry: waking a
-        # blocked VCPU thread charges the host scheduler (sched_wakeup,
-        # Table V), while kicking a running one costs the sender nothing
-        # -- the destination PCPU's IPI handler pays for the injection.
+        # Waking a blocked VCPU thread charges the host scheduler
+        # (sched_wakeup, Table V), while kicking a running one costs the
+        # sender nothing -- the destination PCPU's IPI handler pays for
+        # the injection.
         if dst.state == VcpuState.GUEST:
             self.machine.ipi.send(
                 dst.pcpu, HOST_IPI_IRQ, {"kind": "inject_running", "vcpu": dst, "done": done}

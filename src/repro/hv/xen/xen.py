@@ -167,7 +167,7 @@ class XenHypervisor(Hypervisor):
 
     # --- the generic domain switch (idle domain included) --------------------
 
-    def _domain_switch(self, pcpu, in_vcpu, inject_virq=None, from_guest_trap=False):
+    def _domain_switch(self, pcpu, in_vcpu, inject_virq=None):
         """Full context switch to ``in_vcpu`` on ``pcpu``.
 
         Xen's context switch code is generic: it saves the full outgoing

@@ -21,14 +21,6 @@ class Engine:
     #: events or otherwise feed back into the simulation.
     created_hook = None
 
-    #: optional class-wide sanitizer (see repro.sanitize.SimSan).  When
-    #: set, it supplies the equal-time ordering key pushed into the heap
-    #: (which is how the tie-break can be deterministically inverted) and
-    #: observes every schedule/fire for provenance.  When ``None`` — the
-    #: default — the hot paths do nothing beyond one identity check, so
-    #: reports stay byte-identical with the sanitizer absent.
-    sanitizer = None
-
     def __init__(self):
         self._now = 0
         self._queue = []  # heap of (time, seq, callable)
@@ -60,13 +52,7 @@ class Engine:
         if delay < 0:
             raise SimulationError("cannot schedule into the past (delay=%d)" % delay)
         self._seq += 1
-        if Engine.sanitizer is None:
-            key = self._seq
-        else:
-            key = Engine.sanitizer.on_schedule(
-                self, self._now + delay, self._seq, callback
-            )
-        heapq.heappush(self._queue, (self._now + delay, key, callback))
+        heapq.heappush(self._queue, (self._now + delay, self._seq, callback))
 
     def spawn(self, generator, name=""):
         """Start a new process from a generator; returns the Process."""
@@ -156,7 +142,7 @@ class Engine:
         ``until`` (the clock then rests exactly at ``until``).
         """
         while self._queue:
-            time, key, callback = self._queue[0]
+            time, _seq, callback = self._queue[0]
             if until is not None and time > until:
                 self._now = until
                 return
@@ -166,8 +152,6 @@ class Engine:
                     "time went backwards: %d < %d" % (time, self._now)
                 )
             self._now = time
-            if Engine.sanitizer is not None:
-                Engine.sanitizer.on_fire(self, time, key)
             callback()
         if until is not None and until > self._now:
             self._now = until
@@ -182,7 +166,7 @@ class Engine:
         at 1e9 needs a deadline past 1e9, not a small count.
         """
         while self._queue and not event.fired:
-            time, key, callback = self._queue[0]
+            time, _seq, callback = self._queue[0]
             if deadline is not None and time > deadline:
                 # Peek, don't pop: the queue must stay intact so the
                 # caller can recover (or inspect) after the deadline.
@@ -196,8 +180,6 @@ class Engine:
                 )
             heapq.heappop(self._queue)
             self._now = time
-            if Engine.sanitizer is not None:
-                Engine.sanitizer.on_fire(self, time, key)
             callback()
         if not event.fired:
             raise SimulationError("deadlock: queue drained before %r fired" % (event.name,))

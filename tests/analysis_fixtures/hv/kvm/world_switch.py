@@ -1,10 +1,10 @@
-"""Clean skeleton fixture: the KVM split-mode halves of SPEC003's group.
+"""Clean fixture: the KVM split-mode halves, shaped like the real
+``repro/hv/kvm/world_switch.py`` (double trap, full register-class
+sweep, feature toggle each direction, run-loop dispatch on exit).
 
-Mirrors the real ``repro/hv/kvm/world_switch.py`` shape closely enough
-that the ``arm-full-vm-switch`` skeleton group resolves its member ids
-against this tree: double trap, full register-class sweep, feature
-toggle each direction, run-loop dispatch on exit.  The seeded asymmetry
-lives in the Xen fixture — this member is the healthy reference.
+Each half is one-sided, so it carries a SYM001 waiver; the flow and
+spec tiers must stay silent here.  The seeded asymmetry lives in the
+Xen fixture.
 """
 
 ALL_ARM_CLASSES = ("gp", "fp", "el1_sys", "vgic", "timer", "el2_shadow")

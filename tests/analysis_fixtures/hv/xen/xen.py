@@ -1,10 +1,9 @@
-"""Seeded SPEC003/SYM001 fixture: a Xen domain switch whose restore
-sweep covers fewer register classes than its save sweep.
+"""Seeded SYM001 fixture: a Xen domain switch whose restore sweep
+covers fewer register classes than its save sweep.
 
-The ``arm-full-vm-switch`` skeleton group compares this member's
-ordered sweep tokens against the KVM split-mode reference — restoring
-``PARTIAL_RESTORE_ORDER`` where ``ALL_ARM_CLASSES`` was saved is
-exactly the asymmetry SPEC003 (and, per-path, SYM001) must flag.
+SYM001 pairs saves and restores by register-class token, so restoring
+``PARTIAL_RESTORE_ORDER`` where ``ALL_ARM_CLASSES`` was saved leaves
+both sweeps unmatched on every path.
 """
 
 ALL_ARM_CLASSES = ("gp", "fp", "el1_sys", "vgic", "timer", "el2_shadow")
@@ -15,7 +14,7 @@ PARTIAL_RESTORE_ORDER = ALL_ARM_CLASSES[:1]
 
 
 class XenHypervisor:
-    def _domain_switch(self, machine, vcpu):  # expect: SPEC003
+    def _domain_switch(self, machine, vcpu):
         pcpu, costs = vcpu.pcpu, machine.costs
         arch = pcpu.arch
         arch.trap_to_el2("domain-switch")

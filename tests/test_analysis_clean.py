@@ -31,7 +31,7 @@ def test_repo_tree_is_lint_clean():
 
 def test_repo_tree_is_clean_with_flow_and_spec_tiers():
     """The full ladder — including SPEC001 drift against the committed
-    ``specs/`` goldens and SPEC003 cross-hypervisor symmetry — is clean."""
+    ``specs/`` goldens — is clean."""
     violations = run_analysis([SRC], config=repo_config(), flow=True, spec=True)
     assert violations == [], "\n".join(v.format() for v in violations)
 

@@ -137,16 +137,16 @@ class TestConfig:
     def test_flow_tier_gated_behind_flag(self):
         # without --flow, the CFG-based rules stay out of the default set
         default_codes = {rule.code for rule in active_rules(LintConfig())}
-        assert {"SYM001", "SYM002", "FLW001"} & default_codes == set()
+        assert {"SYM001", "SYM002"} & default_codes == set()
         # an explicit select runs a flow rule even without the flag
         assert [r.code for r in active_rules(LintConfig(), ["SYM001"])] == ["SYM001"]
 
     def test_spec_tier_gated_behind_flag(self):
         # without --spec, the golden-file rules stay out of the default set
         default_codes = {rule.code for rule in active_rules(LintConfig())}
-        assert {"SPEC001", "SPEC002", "SPEC003"} & default_codes == set()
+        assert {"SPEC001", "SPEC002"} & default_codes == set()
         flow_codes = {rule.code for rule in active_rules(LintConfig(), flow=True)}
-        assert {"SPEC001", "SPEC002", "SPEC003"} & flow_codes == set()
+        assert {"SPEC001", "SPEC002"} & flow_codes == set()
         # an explicit select runs a spec rule even without the flag
         assert [r.code for r in active_rules(LintConfig(), ["SPEC002"])] == ["SPEC002"]
 
@@ -158,7 +158,7 @@ class TestConfig:
         section = data["tool"]["repro-lint"]
         assert section["select"] == [
             "CAL001", "DET001", "DES001", "COV001", "API001",
-            "SYM001", "SYM002", "FLW001", "SPEC001", "SPEC002", "SPEC003",
+            "SYM001", "SYM002", "SPEC001", "SPEC002",
         ]
         assert section["paths"]["API001"] == ["hv"]
         assert section["paths"]["SYM001"] == ["hv"]
@@ -172,7 +172,7 @@ class TestConfig:
         config = LintConfig.load(pyproject)
         assert config.select == (
             "CAL001", "DET001", "DES001", "COV001", "API001",
-            "SYM001", "SYM002", "FLW001", "SPEC001", "SPEC002", "SPEC003",
+            "SYM001", "SYM002", "SPEC001", "SPEC002",
         )
         assert "workloads" in config.paths_for("COV001")
         assert config.cal001_min_literal == 50

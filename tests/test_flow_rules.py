@@ -141,34 +141,6 @@ class TestSym002:
         assert "returns at line 4" in findings[0][1]
 
 
-class TestFlw001:
-    def test_same_shape_one_arm_charged(self):
-        findings = check(
-            "FLW001",
-            """\
-            def notify(pcpu, costs, vcpu):
-                if vcpu.running:
-                    yield pcpu.op("kick", costs.kick, "sched")
-                    vcpu.poke()
-                else:
-                    vcpu.poke()
-            """,
-        )
-        assert [line for line, _ in findings] == [2]
-
-    def test_no_else_stays_silent(self):
-        findings = check(
-            "FLW001",
-            """\
-            def notify(pcpu, costs, vcpu):
-                if vcpu.running:
-                    yield pcpu.op("kick", costs.kick, "sched")
-                    vcpu.poke()
-            """,
-        )
-        assert findings == []
-
-
 class TestSuppressionBlocks:
     def test_block_comment_above_def_suppresses(self, tmp_path):
         target = tmp_path / "hv"

@@ -102,6 +102,9 @@ class TestDomainSwitch:
         assert a.saved_context[RegClass.GP]["x0"] == 0xA
         assert a.state == VcpuState.BLOCKED
         assert b.state == VcpuState.GUEST
+        # the incoming domain's Stage-2 tables are live after the switch
+        assert arch.virt_features_enabled
+        assert arch.current_vmid == b.vm.vmid
 
     def test_idle_to_domain_switch_costs_like_vm_switch(self):
         """The paper's I/O latency insight: waking an idling Dom0 pays a

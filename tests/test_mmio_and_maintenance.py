@@ -4,7 +4,7 @@ import pytest
 
 from repro.core.testbed import build_testbed
 from repro.errors import HardwareFault
-from repro.hv.base import GICD_BASE_GPA, GUEST_RAM_BASE_PAGE
+from repro.hv.base import GICD_BASE_GPA, GUEST_RAM_BASE_PAGE, VcpuState
 from repro.hw.mem.address import GPA, PAGE_SIZE
 from repro.hw.mem.stage2 import Stage2Fault
 
@@ -66,6 +66,12 @@ class TestMaintenanceInterrupts:
     def test_overflowed_virqs_eventually_delivered(self):
         _testbed, delivered, _cycles = self._storm("kvm-arm")
         assert sorted(delivered) == list(range(100, 107))
+
+    @pytest.mark.parametrize("key", ["kvm-arm", "kvm-vhe-arm", "xen-arm"])
+    def test_storm_leaves_the_vcpu_in_the_guest(self, key):
+        """Every maintenance refill re-enters the guest it trapped out of."""
+        testbed, _delivered, _cycles = self._storm(key)
+        assert testbed.vm.vcpu(0).state == VcpuState.GUEST
 
     def test_kvm_maintenance_costs_a_full_exit(self):
         """Refilling LRs costs split-mode KVM a world switch per

@@ -29,7 +29,6 @@ from repro.analysis.pathspec.extract import (
     extract_tree,
     group_for,
     module_specs,
-    primary_path,
     render_document,
 )
 
@@ -178,19 +177,6 @@ class TestExtraction:
         )
         tokens = {step.reg_class for step in op_steps(specs["switch"])}
         assert tokens == {"ALL_ARM_CLASSES"}
-
-    def test_primary_path_is_the_longest(self):
-        specs = specs_for(
-            """\
-            def enter(pcpu, costs, inject):
-                yield pcpu.op("trap", costs.trap_to_el2, "trap")
-                if inject:
-                    yield pcpu.op("virq", costs.virq_inject_lr, "vgic")
-                yield pcpu.op("eret", costs.eret_to_el1, "trap")
-            """
-        )
-        primary = primary_path(specs["enter"])
-        assert len(primary.steps) == 3  # the inject-taken path
 
     def test_serialize_dedupes_structurally_equal_paths(self):
         # both arms yield the same steps -> one serialized path, two live

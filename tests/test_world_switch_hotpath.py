@@ -14,7 +14,6 @@ import pathlib
 from repro.analysis.pathspec.extract import load_committed
 from repro.hv import KvmHypervisor
 from repro.hw.platform import Machine, arm_m400
-from repro.sim import Engine
 
 SPEC_DIR = pathlib.Path(__file__).resolve().parents[1] / "specs"
 
@@ -88,24 +87,6 @@ class TestLiveCostResolution:
 
 
 class TestObserverPassthrough:
-    def test_sanitizer_leaves_cycles_unchanged(self):
-        class InertSanitizer:
-            def on_schedule(self, engine, time, seq, callback):
-                return seq
-
-            def __getattr__(self, name):
-                return lambda *args, **kwargs: None
-
-        expected = plain_cycles(3)
-        machine, hv, vcpu = make_kvm_arm()
-        old = Engine.sanitizer
-        Engine.sanitizer = InertSanitizer()
-        try:
-            observed = run_ops(machine, hv, vcpu, 3)
-        finally:
-            Engine.sanitizer = old
-        assert observed == expected
-
     @staticmethod
     def check_span_recording_leaves_cycles_unchanged(op):
         expected = plain_cycles(3, op=op)
