@@ -15,8 +15,6 @@ Rule catalog:
 * ``DET001`` determinism: bans ``random``, wall-clock time, ``os.urandom``
   and iteration over bare sets in the model layers (only ``repro.sim.rng``
   may touch ``random``).
-* ``DES001`` dropped generator: a simulation generator called as a bare
-  expression statement silently simulates zero cycles.
 * ``COV001`` cost coverage: every primitive in ``repro.hw.costs`` must be
   read by a composed path; references to undefined costs are errors.
 * ``API001`` raw magic address: page-scale hex literals must come from

@@ -5,9 +5,7 @@ Usage:
     python -m repro.analysis src/repro           # lint a tree
     python -m repro.analysis --format json path  # machine-readable output
     python -m repro.analysis --select CAL001,COV001 src/repro
-    python -m repro.analysis --flow src/repro    # + CFG path-symmetry tier
-    python -m repro.analysis --spec src/repro    # + path-spec golden tier
-    python -m repro.analysis --ignore DES001 --statistics src/repro
+    python -m repro.analysis --ignore API001 --statistics src/repro
     python -m repro.analysis --list-rules
 
 Exit status: 0 clean, 1 findings, 2 bad invocation.
@@ -49,16 +47,8 @@ def build_parser():
     )
     parser.add_argument(
         "--ignore", metavar="RULES",
-        help="comma-separated rule codes or prefixes (e.g. SPEC) to drop "
+        help="comma-separated rule codes or prefixes (e.g. CAL) to drop "
              "from the resolved set; unknown entries are an error",
-    )
-    parser.add_argument(
-        "--flow", action="store_true",
-        help="also run the flow-sensitive tier (SYM001, SYM002)",
-    )
-    parser.add_argument(
-        "--spec", action="store_true",
-        help="also run the path-spec tier (SPEC001, SPEC002)",
     )
     parser.add_argument(
         "--statistics", action="store_true",
@@ -99,14 +89,7 @@ def main(argv=None):
     select = _codes(args.select)
     ignore = _codes(args.ignore)
     try:
-        violations = run_analysis(
-            paths,
-            config=config,
-            select=select,
-            flow=args.flow,
-            ignore=ignore,
-            spec=args.spec,
-        )
+        violations = run_analysis(paths, config=config, select=select, ignore=ignore)
     except KeyError as exc:
         print("repro.analysis: %s" % exc.args[0], file=sys.stderr)
         return 2

@@ -34,17 +34,8 @@ except ImportError:  # Python <= 3.10
 DEFAULT_RULE_PATHS = {
     "CAL001": ("hv", "os", "core"),
     "DET001": ("sim", "hw", "os", "hv", "core"),
-    "DES001": (),
     "COV001": ("hv", "os", "hw"),
     "API001": ("hv",),
-    # flow tier: unscoped by default so fixture trees are fully checked;
-    # the repository's pyproject narrows these to the model layers.
-    "SYM001": (),
-    "SYM002": (),
-    # spec tier: the hypervisor models are what the committed path specs
-    # describe, in fixture trees and the real package alike.
-    "SPEC001": ("hv",),
-    "SPEC002": ("hv",),
 }
 
 
@@ -68,13 +59,6 @@ class LintConfig:
     det001_allow: tuple = ("sim/rng.py",)
     #: COV001: package-relative path of the cost-model module
     cov001_costs_module: str = "hw/costs.py"
-    #: flow rules: acyclic-path budget per function (beyond it, the rest
-    #: of the function's paths go unchecked rather than hanging the lint)
-    flow_max_paths: int = 2000
-    #: SPEC001: directory of the committed golden path specs; None falls
-    #: back to ``<first scan root>/specs``.  Relative values in a
-    #: pyproject resolve against the pyproject's own directory.
-    spec_dir: str = None
 
     def paths_for(self, rule_code):
         return tuple(self.rule_paths.get(rule_code, ()))
@@ -96,11 +80,6 @@ class LintConfig:
             if hasattr(config, attr):
                 current = getattr(config, attr)
                 setattr(config, attr, tuple(value) if isinstance(current, tuple) else value)
-        if config.spec_dir is not None:
-            spec_path = pathlib.Path(config.spec_dir)
-            if not spec_path.is_absolute():
-                spec_path = pathlib.Path(pyproject_path).resolve().parent / spec_path
-            config.spec_dir = str(spec_path)
         return config
 
     @classmethod

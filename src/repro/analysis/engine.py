@@ -98,7 +98,7 @@ class SourceModule:
 
     def is_suppressed(self, line, rule):
         """Suppression entries match exactly or as a prefix, so
-        ``# repro-lint: ignore[SPEC]`` waives the whole spec tier."""
+        ``# repro-lint: ignore[CAL]`` waives every CAL rule."""
         rules = self.suppressions.get(line)
         if rules is None:
             return False
@@ -122,12 +122,9 @@ class SourceModule:
 class Project:
     """Every scanned module, addressable by package-relative path."""
 
-    def __init__(self, modules, roots=()):
+    def __init__(self, modules):
         self.modules = sorted(modules, key=lambda m: m.relpath)
         self._by_relpath = {m.relpath: m for m in self.modules}
-        #: scan roots in input order — the first is where project-level
-        #: artifacts (the ``specs/`` goldens) are looked up by default
-        self.roots = tuple(roots)
 
     def module(self, relpath):
         return self._by_relpath.get(relpath)
@@ -165,7 +162,7 @@ def discover(paths):
     Returns ``(project, errors)`` where errors is a list of
     :class:`Violation` with rule ``E001`` for unparseable files.
     """
-    modules, errors, roots = [], [], []
+    modules, errors = [], []
     for raw in paths:
         path = pathlib.Path(raw)
         if path.is_dir():
@@ -177,7 +174,6 @@ def discover(paths):
         else:
             root = _package_root(path)
             files = [path]
-        roots.append(root)
         for file_path in files:
             relpath = _relativize(file_path.resolve(), root.resolve())
             try:
@@ -188,19 +184,17 @@ def discover(paths):
                 errors.append(
                     Violation(str(file_path), line, 0, "E001", "cannot parse: %s" % exc)
                 )
-    return Project(modules, roots=roots), errors
+    return Project(modules), errors
 
 
-def run_analysis(paths, config=None, select=None, flow=False, ignore=None, spec=False):
+def run_analysis(paths, config=None, select=None, ignore=None):
     """Run the configured rules over ``paths``; returns sorted violations.
 
     ``config`` defaults to the built-in :class:`~repro.analysis.config.LintConfig`
     (no pyproject discovery — explicit is better for tests); ``select``
     optionally narrows to an iterable of rule codes, ``ignore`` drops
     codes *or code prefixes* from whatever was resolved (raising
-    ``KeyError`` for entries matching nothing), ``flow`` enables the
-    CFG-based flow tier (SYM001/SYM002), and ``spec`` the path-spec
-    tier (SPEC001/SPEC002).
+    ``KeyError`` for entries matching nothing).
     """
     from repro.analysis.config import LintConfig
     from repro.analysis.rules import active_rules, expand_codes
@@ -209,7 +203,7 @@ def run_analysis(paths, config=None, select=None, flow=False, ignore=None, spec=
         config = LintConfig()
     project, errors = discover(paths)
     violations = list(errors)
-    rules = active_rules(config, select, flow=flow, spec=spec)
+    rules = active_rules(config, select)
     if ignore:
         dropped = expand_codes(ignore)
         rules = tuple(rule for rule in rules if rule.code not in dropped)

@@ -9,9 +9,6 @@ class Rule:
     code = "XXX000"
     name = "unnamed"
     description = ""
-    #: "line" rules always run; "flow" rules (CFG-based, costlier) only
-    #: run under ``lint --flow`` or when selected explicitly.
-    tier = "line"
 
     def check(self, project, config):
         """Yield :class:`~repro.analysis.engine.Violation` objects."""

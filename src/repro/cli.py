@@ -11,9 +11,6 @@ Usage:
     python -m repro all                # the whole evaluation section
     python -m repro micro --platform xen-arm   # one platform's column
     python -m repro lint               # model-integrity static analysis
-    python -m repro lint --flow        # + CFG path-symmetry rules
-    python -m repro lint --spec        # + path-spec golden-file rules
-    python -m repro spec extract       # (re)write specs/*.json goldens
     python -m repro trace table3 -o trace.json   # Perfetto span trace
     python -m repro bench              # whole grid + BENCH_suite.json
     python -m repro serve              # what-if query server (asyncio)
@@ -55,12 +52,6 @@ def _cmd_lint(args):
     from repro.analysis import cli as analysis_cli
 
     return analysis_cli.main(args.lint_args)
-
-
-def _cmd_spec(args):
-    from repro.analysis.pathspec import cli as spec_cli
-
-    return spec_cli.main(args.spec_args)
 
 
 def _cmd_trace(args):
@@ -287,7 +278,6 @@ COMMANDS = {
     "all": lambda args: print(suite.full_report()),
     "micro": _cmd_micro,
     "lint": _cmd_lint,
-    "spec": _cmd_spec,
     "trace": _cmd_trace,
     "bench": _cmd_bench,
     "serve": _cmd_serve,
@@ -544,17 +534,6 @@ def build_parser():
         nargs=argparse.REMAINDER,
         help="arguments forwarded to repro.analysis (paths, --format, --select, ...)",
     )
-    spec = sub.add_parser(
-        "spec",
-        help="extract, diff or show the golden world-switch path specs "
-        "(see python -m repro spec -h)",
-    )
-    spec.add_argument(
-        "spec_args",
-        nargs=argparse.REMAINDER,
-        help="arguments forwarded to repro.analysis.pathspec "
-        "(extract|diff|show, paths, --spec-dir, --id, ...)",
-    )
     return parser
 
 
@@ -565,10 +544,6 @@ def main(argv=None):
         from repro.analysis import cli as analysis_cli
 
         return analysis_cli.main(argv[1:])
-    if argv[:1] == ["spec"]:
-        from repro.analysis.pathspec import cli as spec_cli
-
-        return spec_cli.main(argv[1:])
     args = build_parser().parse_args(argv)
     # lint returns the linter's exit status; report commands return None
     status = COMMANDS[args.command](args) or 0

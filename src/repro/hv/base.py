@@ -45,9 +45,7 @@ ALL_ARM_CLASSES = [
 ]
 
 #: Op label of every per-class save/restore step, built once rather than
-#: formatted on each world switch.  Callers go through ``switch_label``
-#: because the path-spec extractor reads the ``f("save", reg_class)``
-#: call form as a per-class label.
+#: formatted on each world switch.
 _SWITCH_LABELS = {
     (prefix, reg_class): "%s_%s" % (prefix, reg_class.name.lower())
     for prefix in ("save", "restore")

@@ -81,9 +81,9 @@ class KvmHypervisor(Hypervisor):
 
     # --- benchmark setup helpers (zero-cost state installation) -------------
 
-    # repro-lint: ignore[SYM001] -- zero-cost benchmark setup: installs a
-    # guest image that was never live on this PCPU, so there is nothing
-    # to save (measured windows start after installation).
+    # Zero-cost benchmark setup: installs a guest image that was never
+    # live on this PCPU, so there is nothing to save (measured windows
+    # start after installation).
     def install_guest(self, vcpu):
         """Put ``vcpu`` in GUEST state on its pinned PCPU (no cost)."""
         pcpu = vcpu.pcpu
@@ -105,9 +105,9 @@ class KvmHypervisor(Hypervisor):
         vcpu.state = VcpuState.GUEST
         pcpu.current_context = vcpu
 
-    # repro-lint: ignore[SYM001] -- save half of the idle transition: the
-    # matching restore runs on the wake_enter path (_enter world switch)
-    # when the blocked VCPU thread is next scheduled.
+    # Save half of the idle transition: the matching restore runs on the
+    # wake_enter path (_enter world switch) when the blocked VCPU thread
+    # is next scheduled.
     def park_vcpu(self, vcpu):
         """Model the VM idling: WFI -> the VCPU thread blocks in the host."""
         pcpu = vcpu.pcpu

@@ -28,9 +28,9 @@ def ensure_host_context(pcpu):
     return pcpu.host_context
 
 
-# repro-lint: ignore[SYM001] -- exit half of the split-mode switch: the
-# matching restores live in split_mode_enter (Table III pairs the save
-# and restore columns across the two transitions).
+# Exit half of the split-mode switch: the matching restores live in
+# split_mode_enter (Table III pairs the save and restore columns across
+# the two transitions).
 def split_mode_exit(machine, vcpu, dispatch=True, reason="trap"):
     """VM (EL1) -> EL2 lowvisor -> host (EL1).  The expensive direction:
     saving the VM's state includes reading back the whole VGIC interface,
@@ -55,8 +55,8 @@ def split_mode_exit(machine, vcpu, dispatch=True, reason="trap"):
     machine.obs.spans.end(span)
 
 
-# repro-lint: ignore[SYM001] -- enter half: restores the classes
-# split_mode_exit saved (Table III restore column).
+# Enter half: restores the classes split_mode_exit saved (Table III
+# restore column).
 def split_mode_enter(machine, vcpu, inject_virq=None):
     """Host (EL1) -> EL2 lowvisor -> VM (EL1)."""
     pcpu, costs = vcpu.pcpu, machine.costs
@@ -82,10 +82,10 @@ def split_mode_enter(machine, vcpu, inject_virq=None):
     machine.obs.spans.end(span)
 
 
-# repro-lint: ignore[SYM001] -- VHE trap half: under VHE the host runs in
-# EL2, so EL1 state is the guest's alone and only the GP bank is pushed;
-# vhe_enter pops it (paper Section VI).  The EL1 sysreg/VGIC/timer
-# restore is deliberately absent, not forgotten.
+# VHE trap half: under VHE the host runs in EL2, so EL1 state is the
+# guest's alone and only the GP bank is pushed; vhe_enter pops it (paper
+# Section VI).  The EL1 sysreg/VGIC/timer restore is deliberately
+# absent, not forgotten.
 def vhe_exit(machine, vcpu, dispatch=True, reason="trap"):
     """ARMv8.1 VHE: the trap lands in the host *in EL2*.  EL1 state is the
     guest's alone — nothing to switch beyond the GP bank, and no
@@ -104,8 +104,7 @@ def vhe_exit(machine, vcpu, dispatch=True, reason="trap"):
     machine.obs.spans.end(span)
 
 
-# repro-lint: ignore[SYM001] -- VHE return half: pops the GP bank
-# vhe_exit pushed (Section VI).
+# VHE return half: pops the GP bank vhe_exit pushed (Section VI).
 def vhe_enter(machine, vcpu, inject_virq=None):
     """VHE host (EL2) -> VM (EL1): restore GP bank and eret."""
     pcpu, costs = vcpu.pcpu, machine.costs
@@ -128,9 +127,9 @@ def vhe_enter(machine, vcpu, inject_virq=None):
 VHE_DEFERRED_CLASSES = [c for c in ARM_SWITCH_ORDER if c is not RegClass.GP]
 
 
-# repro-lint: ignore[SYM001] -- lazy-switch save half: the restore is
-# vhe_deferred_restore, run when the VCPU is scheduled back in.  Keeping
-# the halves separate is the point of VHE's deferred switching.
+# Lazy-switch save half: the restore is vhe_deferred_restore, run when
+# the VCPU is scheduled back in.  Keeping the halves separate is the
+# point of VHE's deferred switching.
 def vhe_deferred_save(machine, vcpu):
     """VHE lazy state save when switching away from a VCPU entirely.
 
@@ -144,8 +143,7 @@ def vhe_deferred_save(machine, vcpu):
     vcpu.saved_context = pcpu.arch.save_context(ARM_SWITCH_ORDER)
 
 
-# repro-lint: ignore[SYM001] -- lazy-switch restore half of
-# vhe_deferred_save.
+# Lazy-switch restore half of vhe_deferred_save.
 def vhe_deferred_restore(machine, vcpu):
     """VHE lazy state restore when scheduling a VCPU back in."""
     pcpu, costs = vcpu.pcpu, machine.costs

@@ -90,9 +90,9 @@ class XenHypervisor(Hypervisor):
 
     # --- benchmark setup helpers (zero-cost state installation) -------------
 
-    # repro-lint: ignore[SYM001] -- zero-cost benchmark setup: installs a
-    # guest image that was never live on this PCPU, so there is nothing
-    # to save (measured windows start after installation).
+    # Zero-cost benchmark setup: installs a guest image that was never
+    # live on this PCPU, so there is nothing to save (measured windows
+    # start after installation).
     def install_guest(self, vcpu):
         pcpu = vcpu.pcpu
         arch = pcpu.arch
@@ -133,9 +133,9 @@ class XenHypervisor(Hypervisor):
 
     # --- light trap entry/return (the Type 1 advantage on ARM) ---------------
 
-    # repro-lint: ignore[SYM001] -- trap-entry half: Xen handles traps in
-    # EL2/root with only a GP bank push; _xen_return pops it (Section IV,
-    # the Type 1 hypercall advantage).
+    # Trap-entry half: Xen handles traps in EL2/root with only a GP bank
+    # push; _xen_return pops it (Section IV, the Type 1 hypercall
+    # advantage).
     def _xen_entry(self, vcpu, reason="trap"):
         """Guest -> Xen.  On ARM this is just a GP bank push in EL2."""
         self.traps.inc()
@@ -154,7 +154,7 @@ class XenHypervisor(Hypervisor):
             yield pcpu.op("vmexit_hw", costs.vmexit_hw, "hw-switch")
             yield pcpu.op("xen_dispatch", costs.xen_dispatch, "hv")
 
-    # repro-lint: ignore[SYM001] -- trap-return half of _xen_entry.
+    # Trap-return half of _xen_entry.
     def _xen_return(self, vcpu):
         pcpu, costs = vcpu.pcpu, self.costs
         if self.machine.is_arm:

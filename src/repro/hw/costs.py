@@ -148,14 +148,14 @@ class ArmCosts:
     grant_map: int = 3300
     grant_unmap: int = 3300
     #: memcpy per byte (bulk, cache-warm): ~16 bytes/cycle
-    copy_per_byte_num: int = 1  # repro-lint: ignore[SPEC002] -- consumed via copy_cycles(), not an op step
-    copy_per_byte_den: int = 16  # repro-lint: ignore[SPEC002] -- consumed via copy_cycles(), not an op step
+    copy_per_byte_num: int = 1
+    copy_per_byte_den: int = 16
     #: fixed overhead per copy (function call, ring bookkeeping)
-    copy_setup: int = 260  # repro-lint: ignore[SPEC002] -- consumed via copy_cycles(), not an op step
+    copy_setup: int = 260
     #: one Stage-2 page-table walk (TLB miss) per level
-    stage2_walk_per_level: int = 30  # repro-lint: ignore[SPEC002] -- consumed by the workload fault model, not a switch path
+    stage2_walk_per_level: int = 30
     #: broadcast TLB invalidate (ARM has hardware broadcast: DVM message)
-    tlb_invalidate_broadcast: int = 190  # repro-lint: ignore[SPEC002] -- consumed by the grant-unmap shootdown model
+    tlb_invalidate_broadcast: int = 190
 
     def full_save_cycles(self):
         return sum(self.save.values())
@@ -239,12 +239,12 @@ class X86Costs:
     grant_map: int = 1300  # repro-lint: ignore[CAL001]
     grant_unmap: int = 2400  # includes the IPI TLB-shootdown burden (no
     # broadcast invalidate on x86 — why zero-copy was abandoned there)
-    copy_per_byte_num: int = 1  # repro-lint: ignore[SPEC002] -- consumed via copy_cycles(), not an op step
-    copy_per_byte_den: int = 16  # repro-lint: ignore[SPEC002] -- consumed via copy_cycles(), not an op step
-    copy_setup: int = 240  # repro-lint: ignore[SPEC002] -- consumed via copy_cycles(), not an op step
-    stage2_walk_per_level: int = 28  # repro-lint: ignore[SPEC002] -- consumed by the workload fault model, not a switch path
+    copy_per_byte_num: int = 1
+    copy_per_byte_den: int = 16
+    copy_setup: int = 240
+    stage2_walk_per_level: int = 28
     #: x86 remote TLB invalidate requires an IPI per target CPU
-    tlb_invalidate_ipi: int = 1450  # repro-lint: ignore[SPEC002] -- consumed by the grant-unmap shootdown model
+    tlb_invalidate_ipi: int = 1450
 
     def copy_cycles(self, nbytes):
         return self.copy_setup + (nbytes * self.copy_per_byte_num) // self.copy_per_byte_den
@@ -364,9 +364,12 @@ def _check_value(arch, field, value):
         raise ConfigurationError(
             "cost override %s.%s must be an integer, got %r" % (arch, field, value)
         )
-    if value < 0:
+    # copy_cycles divides by the copy divisor
+    minimum = 1 if field == "copy_per_byte_den" else 0
+    if value < minimum:
         raise ConfigurationError(
-            "cost override %s.%s must be >= 0, got %d" % (arch, field, value)
+            "cost override %s.%s must be >= %d, got %d"
+            % (arch, field, minimum, value)
         )
 
 
@@ -406,7 +409,7 @@ def validate_overrides(document):
     so two equivalent documents serialize identically (the cell cache
     key and the service query key both depend on this).  Raises
     :class:`~repro.errors.ConfigurationError` on any unknown arch,
-    field, register class, or non-integer value.
+    field, register class, or non-integer or out-of-range value.
     """
     if not isinstance(document, dict):
         raise ConfigurationError(

@@ -1,26 +1,17 @@
-"""COV001/SPEC002 fixture cost model (mimics the shape of ``repro.hw.costs``)."""
+"""COV001 fixture cost model (mimics the shape of ``repro.hw.costs``)."""
 
 import dataclasses
 
 
 @dataclasses.dataclass
 class FixtureCosts:
-    #: read by bad_world_switch fixtures — covered
+    #: read by full_save_cycles below — covered
     trap_to_el2: int = 76
     eret_to_el1: int = 64
-    save: dict = None
-    restore: dict = None
-    #: read by the hv/kvm and hv/xen skeleton fixtures — covered
-    virt_feature_toggle: int = 11
-    kvm_exit_dispatch: int = 9
-    virq_inject_lr: int = 14
-    xen_sched_pick: int = 21
-    xen_ctx_extra: int = 40
-    hypercall_body: int = 27
     #: defined but never read anywhere in the fixture tree
-    orphaned_primitive: int = 123  # expect: COV001,SPEC002
+    orphaned_primitive: int = 123  # expect: COV001
     #: also unread, but the calibrator explicitly waived it
-    reviewed_future_primitive: int = 321  # repro-lint: ignore[COV001,SPEC002]
+    reviewed_future_primitive: int = 321  # repro-lint: ignore[COV001]
 
     def full_save_cycles(self):
         return self.trap_to_el2 + self.eret_to_el1

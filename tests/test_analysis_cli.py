@@ -35,8 +35,8 @@ def test_fixtures_exit_one_with_precise_locations(capsys):
         if re.match(r".+\.py:\d+:\d+ [A-Z]{3}\d{3} .+", line)
     ]
     assert located, out
-    assert "bad_world_switch.py" in out
-    assert "DES001" in out
+    assert "bad_calibration.py" in out
+    assert "CAL001" in out
     assert re.search(r"\d+ findings \(", out)
 
 
@@ -49,16 +49,16 @@ def test_json_format_parses_and_counts(capsys):
 
 
 def test_select_restricts_rules(capsys):
-    assert lint_cli.main(["--no-config", "--select", "DES001", FIXTURES]) == 1
+    assert lint_cli.main(["--no-config", "--select", "DET001", FIXTURES]) == 1
     out = capsys.readouterr().out
-    assert "DES001" in out
+    assert "DET001" in out
     assert "CAL001" not in out
 
 
 def test_list_rules(capsys):
     assert lint_cli.main(["--list-rules"]) == 0
     out = capsys.readouterr().out
-    for code in ("CAL001", "DET001", "DES001", "COV001", "API001"):
+    for code in ("CAL001", "DET001", "COV001", "API001"):
         assert code in out
 
 

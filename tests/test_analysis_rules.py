@@ -4,9 +4,11 @@ Every fixture line that must fire carries a trailing ``# expect: RULE``
 marker (comma-separated for multiple rules).  The tests assert the linter
 reports *exactly* the marked ``(file, line, rule)`` set — each rule fires
 where expected, nowhere else, and ``# repro-lint: ignore[...]`` lines stay
-silent.
+silent.  Inline trees cover suppression blocks, ``--ignore`` filtering
+and the statistics renderer.
 """
 
+import json
 import pathlib
 import re
 
@@ -14,7 +16,8 @@ import pytest
 
 from repro.analysis import run_analysis
 from repro.analysis.config import LintConfig
-from repro.analysis.engine import discover
+from repro.analysis.engine import Violation, discover
+from repro.analysis.report import render_json, render_statistics, render_text
 from repro.analysis.rules import ALL_RULES, RULES_BY_CODE, active_rules
 
 FIXTURES = pathlib.Path(__file__).parent / "analysis_fixtures"
@@ -40,8 +43,7 @@ def expected_findings(rule=None):
 
 
 def reported_findings(select=None):
-    # flow/spec=True: the fixture tree seeds those tiers too
-    violations = run_analysis([FIXTURES], select=select, flow=True, spec=True)
+    violations = run_analysis([FIXTURES], select=select)
     reported = set()
     for violation in violations:
         rel = pathlib.Path(violation.path).relative_to(FIXTURES).as_posix()
@@ -80,9 +82,9 @@ class TestEngine:
         project, errors = discover([FIXTURES])
         assert errors == []
         relpaths = {module.relpath for module in project.modules}
-        assert "hv/bad_world_switch.py" in relpaths
+        assert "hv/bad_calibration.py" in relpaths
         assert "hw/costs.py" in relpaths
-        module = project.module("hv/bad_world_switch.py")
+        module = project.module("hv/bad_calibration.py")
         assert module.subsystem == "hv"
 
     def test_package_files_strip_through_repro(self, tmp_path):
@@ -114,10 +116,10 @@ class TestEngine:
         assert run_analysis([tmp_path], select=["CAL001"]) == []
 
     def test_violation_format_is_precise(self):
-        violations = run_analysis([FIXTURES], select=["DES001"])
+        violations = run_analysis([FIXTURES], select=["API001"])
         assert len(violations) == 1
         formatted = violations[0].format()
-        assert re.search(r"bad_world_switch\.py:\d+:\d+ DES001 ", formatted)
+        assert re.search(r"bad_address\.py:\d+:\d+ API001 ", formatted)
 
 
 class TestConfig:
@@ -125,30 +127,14 @@ class TestConfig:
         config = LintConfig()
         assert config.paths_for("CAL001") == ("hv", "os", "core")
         assert config.paths_for("API001") == ("hv",)
-        assert config.paths_for("DES001") == ()  # whole tree
+        assert config.paths_for("COV001") == ("hv", "os", "hw")
 
     def test_select_resolution_order(self):
         config = LintConfig(select=("CAL001",))
         assert [rule.code for rule in active_rules(config)] == ["CAL001"]
         # CLI select overrides config select
-        assert [rule.code for rule in active_rules(config, ["DES001"])] == ["DES001"]
-        assert active_rules(LintConfig(), flow=True, spec=True) is ALL_RULES
-
-    def test_flow_tier_gated_behind_flag(self):
-        # without --flow, the CFG-based rules stay out of the default set
-        default_codes = {rule.code for rule in active_rules(LintConfig())}
-        assert {"SYM001", "SYM002"} & default_codes == set()
-        # an explicit select runs a flow rule even without the flag
-        assert [r.code for r in active_rules(LintConfig(), ["SYM001"])] == ["SYM001"]
-
-    def test_spec_tier_gated_behind_flag(self):
-        # without --spec, the golden-file rules stay out of the default set
-        default_codes = {rule.code for rule in active_rules(LintConfig())}
-        assert {"SPEC001", "SPEC002"} & default_codes == set()
-        flow_codes = {rule.code for rule in active_rules(LintConfig(), flow=True)}
-        assert {"SPEC001", "SPEC002"} & flow_codes == set()
-        # an explicit select runs a spec rule even without the flag
-        assert [r.code for r in active_rules(LintConfig(), ["SPEC002"])] == ["SPEC002"]
+        assert [rule.code for rule in active_rules(config, ["DET001"])] == ["DET001"]
+        assert active_rules(LintConfig()) is ALL_RULES
 
     def test_minimal_toml_fallback_parses_our_block(self):
         from repro.analysis.config import _parse_toml_minimal
@@ -156,31 +142,19 @@ class TestConfig:
         pyproject = pathlib.Path(__file__).parent.parent / "pyproject.toml"
         data = _parse_toml_minimal(pyproject.read_text())
         section = data["tool"]["repro-lint"]
-        assert section["select"] == [
-            "CAL001", "DET001", "DES001", "COV001", "API001",
-            "SYM001", "SYM002", "SPEC001", "SPEC002",
-        ]
+        assert section["select"] == ["CAL001", "DET001", "COV001", "API001"]
         assert section["paths"]["API001"] == ["hv"]
-        assert section["paths"]["SYM001"] == ["hv"]
-        assert section["paths"]["SPEC001"] == ["hv"]
-        assert section["paths"]["DES001"] == []
         assert section["options"]["cal001-min-literal"] == 50
-        assert section["options"]["spec-dir"] == "specs"
+        assert section["options"]["det001-allow"] == ["sim/rng.py"]
 
     def test_load_from_repo_pyproject(self):
         pyproject = pathlib.Path(__file__).parent.parent / "pyproject.toml"
         config = LintConfig.load(pyproject)
-        assert config.select == (
-            "CAL001", "DET001", "DES001", "COV001", "API001",
-            "SYM001", "SYM002", "SPEC001", "SPEC002",
-        )
+        assert config.select == ("CAL001", "DET001", "COV001", "API001")
         assert "workloads" in config.paths_for("COV001")
         assert config.cal001_min_literal == 50
         assert config.det001_allow == ("sim/rng.py",)
-        assert config.paths_for("SYM002") == ("hv",)
-        assert config.flow_max_paths == 2000
-        # relative spec-dir resolves against the pyproject's directory
-        assert config.spec_dir == str(pyproject.parent / "specs")
+        assert config.paths_for("API001") == ("hv",)
 
     def test_scoping_excludes_out_of_scope_subsystem(self, tmp_path):
         workloads = tmp_path / "workloads"
@@ -192,3 +166,117 @@ class TestConfig:
         config = LintConfig()
         config.rule_paths["CAL001"] = ("workloads",)
         assert len(run_analysis([tmp_path], config=config, select=["CAL001"])) == 1
+
+
+#: an anonymous cycle-scale cost in hv/, which CAL001 flags at line 2
+INLINE_COST = (
+    "def charge(pcpu):\n"
+    "    yield pcpu.op('mystery', 6000, 'host')\n"
+)
+
+
+def write_hv_module(tmp_path, source):
+    target = tmp_path / "hv"
+    target.mkdir()
+    (target / "mod.py").write_text(source)
+    return tmp_path
+
+
+class TestSuppressionBlocks:
+    def test_block_comment_above_def_suppresses(self, tmp_path):
+        tree = write_hv_module(
+            tmp_path,
+            "def charge(pcpu):\n"
+            "    # A reviewed inline cost.\n"
+            "    # repro-lint: ignore[CAL001]\n"
+            "    # (justification continues over several lines\n"
+            "    #  before the code starts.)\n"
+            "    yield pcpu.op('mystery', 6000, 'host')\n",
+        )
+        assert run_analysis([tree], select=["CAL001"]) == []
+
+    def test_directive_mid_block_still_attaches_to_code(self, tmp_path):
+        tree = write_hv_module(
+            tmp_path,
+            "def charge(pcpu):\n"
+            "    # preamble line without the directive\n"
+            "    # repro-lint: ignore[CAL001]\n"
+            "    yield pcpu.op('mystery', 6000, 'host')\n",
+        )
+        assert run_analysis([tree], select=["CAL001"]) == []
+
+    def test_unrelated_code_not_suppressed(self, tmp_path):
+        tree = write_hv_module(
+            tmp_path,
+            "def charge(pcpu):\n"
+            "    # repro-lint: ignore[API001]\n"
+            "    yield pcpu.op('mystery', 6000, 'host')\n",
+        )
+        # the block names a different rule — CAL001 still fires
+        assert len(run_analysis([tree], select=["CAL001"])) == 1
+
+    def test_prefix_suppression_waives_matching_rules(self, tmp_path):
+        tree = write_hv_module(
+            tmp_path,
+            "def charge(pcpu):\n"
+            "    # repro-lint: ignore[CAL]\n"
+            "    yield pcpu.op('mystery', 6000, 'host')\n",
+        )
+        # the prefix covers every CAL* rule on the attached line
+        assert run_analysis([tree], select=["CAL001"]) == []
+
+
+class TestIgnoreAndStatistics:
+    def test_ignore_drops_rule(self, tmp_path):
+        tree = write_hv_module(tmp_path, INLINE_COST)
+        assert len(run_analysis([tree])) >= 1
+        remaining = run_analysis([tree], ignore=["CAL001"])
+        assert all(v.rule != "CAL001" for v in remaining)
+
+    def test_ignore_is_case_insensitive(self, tmp_path):
+        tree = write_hv_module(tmp_path, INLINE_COST)
+        remaining = run_analysis([tree], ignore=["cal001"])
+        assert all(v.rule != "CAL001" for v in remaining)
+
+    def test_ignore_accepts_rule_prefix(self, tmp_path):
+        tree = write_hv_module(tmp_path, INLINE_COST)
+        remaining = run_analysis([tree], ignore=["CAL"])
+        assert all(not v.rule.startswith("CAL") for v in remaining)
+
+    def test_unknown_ignore_entry_is_an_error(self, tmp_path):
+        tree = write_hv_module(tmp_path, INLINE_COST)
+        with pytest.raises(KeyError) as excinfo:
+            run_analysis([tree], ignore=["NOPE999"])
+        assert "NOPE999" in excinfo.value.args[0]
+        # near-miss prefixes don't silently no-op either
+        with pytest.raises(KeyError):
+            run_analysis([tree], ignore=["CAL9"])
+
+    def test_statistics_rendering(self, tmp_path):
+        tree = write_hv_module(tmp_path, INLINE_COST)
+        violations = run_analysis([tree])
+        assert "CAL001" in render_statistics(violations)
+        text = render_text(violations, statistics=True)
+        assert "CAL001" in text.splitlines()[-2]
+        payload = json.loads(render_json(violations, statistics=True))
+        assert payload["statistics"]["CAL001"] >= 1
+
+    def test_json_omits_statistics_by_default(self):
+        payload = json.loads(render_json([]))
+        assert "statistics" not in payload
+
+    def test_statistics_on_clean_tree(self):
+        assert "0 findings" in render_statistics([])
+
+    def test_statistics_sorted_by_count_then_code(self):
+        def fire(rule, count):
+            return [
+                Violation("m.py", index + 1, 0, rule, "x") for index in range(count)
+            ]
+
+        violations = fire("DET001", 1) + fire("CAL001", 3) + fire("API001", 3)
+        lines = render_statistics(violations).splitlines()
+        # most frequent first; equal counts tie-break on the code
+        assert [line.split()[1] for line in lines] == [
+            "API001", "CAL001", "DET001", "total",
+        ]

@@ -85,6 +85,27 @@ class TestSplitModeStateMovement:
         assert vcpu.saved_context[RegClass.EL1_SYS]["ttbr1_el1"] == 0x7777
         assert not arch.virt_features_enabled
 
+    def test_exit_snapshots_the_guest_before_disabling_stage2(self, monkeypatch):
+        """The exit reads the guest image back while the VM's Stage-2 and
+        VMID are still installed; disabling them first would snapshot a
+        half-torn-down guest at no cycle cost, so only state shows it."""
+        machine, hv, vm = make_kvm()
+        vcpu = vm.vcpu(0)
+        hv.install_guest(vcpu)
+        arch = vcpu.pcpu.arch
+        snapshots = []
+        save_context = arch.save_context
+
+        def recording_save_context(classes):
+            snapshots.append((arch.virt_features_enabled, arch.current_vmid))
+            return save_context(classes)
+
+        monkeypatch.setattr(arch, "save_context", recording_save_context)
+        run(machine, hv.run_hypercall(vcpu))
+        # the exit's guest snapshot, then the entry's host snapshot
+        assert len(snapshots) == 2
+        assert snapshots[0] == (True, vm.vmid)
+
     def test_hypercall_cost_matches_composed_primitives(self):
         machine, hv, vm = make_kvm()
         vcpu = vm.vcpu(0)

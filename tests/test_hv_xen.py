@@ -8,6 +8,7 @@ from repro.hv.base import VcpuState
 from repro.hv.xen.event_channels import EventChannelTable
 from repro.hv.xen.sched_credit import CreditScheduler
 from repro.hv.xen.xen import IDLE
+from repro.hw.cpu.arm import ExceptionLevel
 from repro.hw.cpu.registers import RegClass
 from repro.hw.dev.nic import Packet
 from repro.hw.platform import Machine, arm_m400, x86_r320
@@ -116,6 +117,19 @@ class TestDomainSwitch:
         labels = machine.obs.spans.leaf_totals()
         assert labels["save_vgic"] == machine.costs.save[RegClass.VGIC]
         assert labels["xen_ctx_extra"] == machine.costs.xen_ctx_extra
+
+    def test_switch_to_the_running_domain_still_returns_to_it(self):
+        """Xen's generic switch has no shortcut for ``out is in_vcpu``: it
+        saves, restores and erets back into the same domain."""
+        machine, hv, domu = make_xen()
+        vcpu = domu.vcpu(0)
+        hv.install_guest(vcpu)
+        pcpu = vcpu.pcpu
+        assert pcpu.current_context is vcpu
+        run(machine, hv._domain_switch(pcpu, vcpu))
+        assert pcpu.arch.current_el == ExceptionLevel.EL1
+        assert vcpu.state == VcpuState.GUEST
+        assert pcpu.current_context is vcpu
 
 
 class TestEventChannels:

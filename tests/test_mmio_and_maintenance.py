@@ -5,8 +5,10 @@ import pytest
 from repro.core.testbed import build_testbed
 from repro.errors import HardwareFault
 from repro.hv.base import GICD_BASE_GPA, GUEST_RAM_BASE_PAGE, VcpuState
+from repro.hw.cpu.arm import ExceptionLevel
 from repro.hw.mem.address import GPA, PAGE_SIZE
 from repro.hw.mem.stage2 import Stage2Fault
+from repro.sim import Timeout
 
 
 class TestMmioTrapMechanism:
@@ -81,6 +83,38 @@ class TestMaintenanceInterrupts:
         assert kvm_cycles > xen_cycles
         # Both still delivered the same interrupts:
         assert kvm_cycles > 7 * 71  # far more than bare completions
+
+    def test_xen_refill_that_moves_nothing_still_returns_to_the_guest(self):
+        """A virq injected while the maintenance trap is in flight takes the
+        LR the completion freed, so the refill moves nothing; Xen must
+        still pop the GP bank and eret back to EL1."""
+        testbed = build_testbed("xen-arm")
+        hv = testbed.hypervisor
+        vcpu = testbed.vm.vcpu(0)
+        hv.install_guest(vcpu)
+        vif = vcpu.vif
+        for virq in range(100, 105):
+            vif.inject(virq)
+        assert len(vif.overflow) == 1
+        virq = vif.guest_acknowledge()
+        refills = []
+        refill_from_overflow = vif.refill_from_overflow
+
+        def recording_refill():
+            refills.append(refill_from_overflow())
+            return refills[-1]
+
+        vif.refill_from_overflow = recording_refill
+
+        def late_inject():
+            yield Timeout(1)
+            vif.inject(200)
+
+        testbed.engine.spawn(hv.complete_virq(vcpu, virq), "complete")
+        testbed.engine.spawn(late_inject(), "late-inject")
+        testbed.engine.run()
+        assert refills == [0]
+        assert vcpu.pcpu.arch.current_el == ExceptionLevel.EL1
 
     def test_no_maintenance_without_overflow(self):
         testbed = build_testbed("kvm-arm")

@@ -9,7 +9,7 @@ caught it when the audit last ran:
   (``TIER_OWNED`` below),
 * ``paper``: the ``benchmarks/`` paper gate,
 * ``sha``: the pinned ``report_sha256`` of ``bench --no-cache``,
-* one code per lint rule that fires under ``lint --flow --spec``.
+* one code per lint rule that fires under ``repro lint``.
 
 DESIGN.md "Mutation audit" holds the full matrix and the verdict rule
 that ``sole_catcher_tier`` encodes.  Tier-1 checks that every anchor
@@ -17,14 +17,9 @@ still applies exactly once and re-runs, in process, each row that only
 lint rules catch, so deleting a rule a row depends on fails here.  The
 full audit (every gate, every row) is run by hand: apply one record to a
 throwaway copy of the repository, then run the gates there.
-
-The seeded spec-tier cases at the bottom pin SPEC001's and SPEC002's
-own messages and anchor lines.
 """
 
 import collections
-import dataclasses
-import json
 import pathlib
 import shutil
 
@@ -42,22 +37,14 @@ TIER_OWNED = (
     "test_analysis_clean.py",
     "test_analysis_cli.py",
     "test_analysis_rules.py",
-    "test_flow_cfg.py",
-    "test_flow_rules.py",
     "test_mutation_audit.py",
-    "test_pathspec.py",
 )
 
 TIER_OF = {
     "CAL001": "line",
     "DET001": "line",
-    "DES001": "line",
     "COV001": "line",
     "API001": "line",
-    "SYM001": "flow",
-    "SYM002": "flow",
-    "SPEC001": "spec",
-    "SPEC002": "spec",
 }
 RUNTIME_GATES = ("tests", "paper", "sha")
 GATES = RUNTIME_GATES + tuple(TIER_OF)
@@ -94,7 +81,7 @@ CATALOGUE = (
         '        yield pcpu.op(switch_label("save", reg_class), costs.restore[reg_class], "save")\n'
         "    vcpu.saved_context = arch.save_context(ARM_SWITCH_ORDER)\n",
         "split-mode exit charges the restore column for its saves",
-        ("tests", "paper", "sha", "SPEC001"),
+        ("tests", "paper", "sha"),
     ),
     Mutation(
         "kvm-double-vgic-save",
@@ -105,7 +92,7 @@ CATALOGUE = (
         "    vcpu.saved_context = arch.save_context(ARM_SWITCH_ORDER)\n"
         "    arch.disable_virt_features()\n",
         "split-mode exit charges the VGIC save twice",
-        ("tests", "paper", "sha", "SPEC001"),
+        ("tests", "paper", "sha"),
     ),
     Mutation(
         "xen-skip-idle-switch",
@@ -171,7 +158,7 @@ CATALOGUE = (
         '        yield from self._xen_entry(vcpu, "hypercall")\n'
         "        self._xen_return(vcpu)\n",
         "the Xen hypercall drops its return half as a bare generator call",
-        ("tests", "paper", "sha", "DES001"),
+        ("tests", "paper", "sha"),
     ),
     Mutation(
         "xen-maint-early-return",
@@ -182,7 +169,7 @@ CATALOGUE = (
         "                    return\n",
         "Xen's maintenance handler returns without the eret when nothing "
         "moved (a branch no cell runs)",
-        ("SPEC001", "SYM001", "SYM002"),
+        ("tests",),
     ),
     Mutation(
         "xen-maint-live-return",
@@ -194,7 +181,7 @@ CATALOGUE = (
         "                return\n",
         "Xen's maintenance handler returns after the refill, skipping the "
         "GP restore and the eret",
-        ("tests", "SPEC001", "SYM001", "SYM002"),
+        ("tests",),
     ),
     Mutation(
         "kvm-x86-kick-uncharged",
@@ -203,7 +190,7 @@ CATALOGUE = (
         '            yield pcpu.op("eventfd_signal", costs.eventfd_signal, "io")\n',
         '            yield from self._exit(vcpu, dispatch=False, reason="virtio-kick")\n',
         "the x86 ioeventfd kick no longer charges the eventfd signal",
-        ("tests", "sha", "SPEC001"),
+        ("tests", "sha"),
     ),
     Mutation(
         "xen-cost-typo",
@@ -211,7 +198,7 @@ CATALOGUE = (
         'yield pcpu.op("eoi_emulate", costs.eoi_emulate_xen, "emul")\n',
         'yield pcpu.op("eoi_emulate", costs.eoi_emulate_xne, "emul")\n',
         "Xen's x86 EOI emulation reads a misspelt cost field",
-        ("tests", "paper", "sha", "COV001", "SPEC001", "SPEC002"),
+        ("tests", "paper", "sha", "COV001"),
     ),
     Mutation(
         "hardcode-vgic-literal",
@@ -223,7 +210,7 @@ CATALOGUE = (
         "    vcpu.saved_context = arch.save_context(ARM_SWITCH_ORDER)\n",
         "split-mode exit hardcodes the Table III VGIC save instead of "
         "reading the cost table",
-        ("tests", "CAL001", "SPEC001"),
+        ("tests", "CAL001"),
     ),
     Mutation(
         "vhe-wrong-primitive",
@@ -232,7 +219,7 @@ CATALOGUE = (
         '    yield pcpu.op("save_gp_light", costs.trap_to_el2, "save")\n',
         "the VHE exit charges the trap primitive for its GP push "
         "(both cost 76 cycles)",
-        ("tests", "SPEC001"),
+        ("tests",),
     ),
     Mutation(
         "xen-no-virt-enable",
@@ -241,7 +228,7 @@ CATALOGUE = (
         "            arch.enable_virt_features(in_vcpu.vm.vmid)\n",
         "            arch.load_context(in_vcpu.saved_context)\n",
         "Xen's ARM domain switch never installs the incoming VMID and Stage-2",
-        ("tests", "SPEC001"),
+        ("tests",),
     ),
     Mutation(
         "kvm-reorder-disable",
@@ -253,7 +240,7 @@ CATALOGUE = (
         '    yield pcpu.op("disable_virt_features", costs.virt_feature_toggle, "config")\n'
         "    vcpu.saved_context = arch.save_context(ARM_SWITCH_ORDER)\n",
         "split-mode exit disables Stage-2 before it snapshots the guest context",
-        ("SPEC001",),
+        ("tests",),
     ),
     Mutation(
         "xen-narrow-restore",
@@ -303,7 +290,7 @@ CATALOGUE = (
         '            yield self.pcpu.op("vhost_wakeup", self.hypervisor.machine.costs.ipi_wire, "io")\n',
         '            yield self.pcpu.op("vhost_wakeup", 0, "io")\n',
         "the vhost worker's wakeup IPI is charged zero cycles",
-        ("tests", "sha", "SPEC001", "SPEC002"),
+        ("tests", "sha"),
     ),
     Mutation(
         "dead-primitive",
@@ -313,7 +300,7 @@ CATALOGUE = (
         "    #: guest exception return from its IRQ handler\n"
         "    guest_irq_return: int = 120\n",
         "a new ARM primitive is calibrated but no path charges it",
-        ("COV001", "SPEC002"),
+        ("COV001",),
     ),
     Mutation(
         "xen-x86-return-uncharged",
@@ -326,7 +313,7 @@ CATALOGUE = (
         "\n"
         "    # --- the generic domain switch",
         "Xen's x86 trap return no longer charges the VM entry",
-        ("tests", "paper", "sha", "SPEC001"),
+        ("tests", "paper", "sha"),
     ),
     Mutation(
         "xen-dom0rx-arm-uncharged",
@@ -337,7 +324,7 @@ CATALOGUE = (
         '                pcpu.arch.trap_to_el2("nic-irq")\n'
         '                yield pcpu.op("trap_to_el2", costs.trap_to_el2, "trap")\n',
         "Dom0's ARM receive path no longer charges the physical IRQ ack",
-        ("tests", "sha", "SPEC001"),
+        ("tests", "sha"),
     ),
     Mutation(
         "xen-domswitch-early-return",
@@ -348,7 +335,7 @@ CATALOGUE = (
         "                return\n",
         "Xen's ARM switch to the domain already running returns after the "
         "save sweep, without restore or eret (a branch no cell runs)",
-        ("SPEC001", "SYM001", "SYM002"),
+        ("tests",),
     ),
     Mutation(
         "vhe-extra-save-class",
@@ -429,38 +416,21 @@ LINT_ONLY = [mutation for mutation in CATALOGUE if lint_only(mutation)]
 
 
 def sole_catcher_tier(mutation):
-    """The lint tier that alone catches ``mutation``, or None.
-
-    SPEC001 fires on every change to a world-switch path, intended or
-    not, and ``spec extract`` clears it, so it counts only for rows no
-    other gate catches: there its drift diff is the one place the bug
-    shows.
-    """
+    """The lint tier that alone catches ``mutation``, or None."""
     if not lint_only(mutation):
         return None
-    rules = set(mutation.caught_by)
-    if rules - {"SPEC001"}:
-        rules.discard("SPEC001")
-    tiers = {TIER_OF[rule] for rule in rules}
+    tiers = {TIER_OF[rule] for rule in mutation.caught_by}
     return tiers.pop() if len(tiers) == 1 else None
 
 
 def make_tree(tmp_path):
-    """A self-contained copy of the model layers and the committed goldens."""
+    """A self-contained copy of the model layers."""
     tree = tmp_path / "tree"
     for name in MODEL_DIRS:
         shutil.copytree(
             SRC / name, tree / name, ignore=shutil.ignore_patterns("__pycache__")
         )
-    shutil.copytree(REPO / "specs", tree / "specs")
     return tree
-
-
-def repo_config(tree):
-    """The repository's lint configuration, reading the tree's goldens."""
-    return dataclasses.replace(
-        LintConfig.load(REPO / "pyproject.toml"), spec_dir=str(tree / "specs")
-    )
 
 
 def apply(tree, mutation):
@@ -493,7 +463,8 @@ def test_anchor_applies_exactly_once(mutation):
 def test_each_lint_tier_is_the_only_catcher_of_some_row():
     """The verdict rule: a tier that alone catches no row goes."""
     tiers = {sole_catcher_tier(mutation) for mutation in CATALOGUE}
-    assert {"line", "flow", "spec"} <= tiers
+    assert set(TIER_OF.values()) == {"line"}
+    assert "line" in tiers
 
 
 @pytest.fixture(scope="module")
@@ -510,7 +481,7 @@ def test_lint_only_row_still_fires(lint_tree, mutation):
         apply(lint_tree, mutation)
         findings = run_analysis(
             [lint_tree],
-            config=repo_config(lint_tree),
+            config=LintConfig.load(REPO / "pyproject.toml"),
             select=list(mutation.caught_by),
         )
     finally:
@@ -519,87 +490,3 @@ def test_lint_only_row_still_fires(lint_tree, mutation):
         v.format() for v in findings
     )
 
-
-# --- seeded spec-tier cases -------------------------------------------------
-
-SPEC_RULES = ["SPEC001", "SPEC002"]
-
-
-def spec_findings(tree):
-    return run_analysis([tree], config=repo_config(tree), select=SPEC_RULES)
-
-
-def def_line(path, name):
-    for lineno, line in enumerate(path.read_text().splitlines(), start=1):
-        if line.lstrip().startswith("def %s(" % name):
-            return lineno
-    raise AssertionError("no def %s in %s" % (name, path))
-
-
-def test_baseline_copy_is_clean(tmp_path):
-    tree = make_tree(tmp_path)
-    findings = spec_findings(tree)
-    assert findings == [], "\n".join(v.format() for v in findings)
-
-
-def test_reordered_step_fires_spec001_alone(tmp_path):
-    tree = make_tree(tmp_path)
-    target = apply(tree, BY_ID["kvm-reorder-disable"])
-
-    findings = spec_findings(tree)
-    assert [v.rule for v in findings] == ["SPEC001"]
-    violation = findings[0]
-    assert violation.path == str(target)
-    assert violation.line == def_line(target, "split_mode_exit")
-    assert "drifted" in violation.message
-    assert "spec extract" in violation.message
-
-
-def test_renamed_cost_field_fires_spec002_alone(tmp_path):
-    tree = make_tree(tmp_path)
-    target = tree / "hw" / "costs.py"
-    text = target.read_text()
-    assert "    virt_feature_toggle: int = " in text
-    target.write_text(
-        text.replace("    virt_feature_toggle: int = ", "    virt_feature_flip: int = ")
-    )
-
-    findings = spec_findings(tree)
-    assert findings and {v.rule for v in findings} == {"SPEC002"}
-    messages = "\n".join(v.message for v in findings)
-    # forward: the switch paths now charge a field that no longer exists
-    assert "'virt_feature_toggle' which is not a field" in messages
-    # backward: the renamed field is charged by nothing
-    assert "'virt_feature_flip' is unreachable" in messages
-
-
-def test_stale_committed_entry_fires_spec001_at_the_spec_file(tmp_path):
-    tree = make_tree(tmp_path)
-    golden = tree / "specs" / "hv.json"
-    document = json.loads(golden.read_text())
-    document["specs"].append(
-        {
-            "id": "hv/ghost.py::gone",
-            "module": "hv/ghost.py",
-            "function": "gone",
-            "truncated": False,
-            "paths": [{"terminator": "fall", "steps": []}],
-        }
-    )
-    golden.write_text(json.dumps(document, indent=1, sort_keys=True) + "\n")
-
-    findings = spec_findings(tree)
-    assert [v.rule for v in findings] == ["SPEC001"]
-    violation = findings[0]
-    assert violation.path == str(golden)
-    assert violation.line == 1
-    assert "hv/ghost.py::gone" in violation.message
-    assert "matches no extracted function" in violation.message
-
-
-def test_missing_spec_dir_points_at_extract(tmp_path):
-    tree = make_tree(tmp_path)
-    shutil.rmtree(tree / "specs")
-    findings = spec_findings(tree)
-    assert [v.rule for v in findings] == ["SPEC001"]
-    assert "spec extract" in findings[0].message

@@ -83,6 +83,8 @@ class TestCanonicalization:
             {"target": "micro", "costs": {"riscv": {}}},
             {"target": "micro", "costs": {"arm": {"trap_to_el2": -1}}},
             {"target": "micro", "costs": {"arm": {"no_such_cost": 5}}},
+            {"target": "table5", "costs": {"arm": {"copy_per_byte_den": 0}}},
+            {"target": "table5", "costs": {"x86": {"copy_per_byte_den": 0}}},
             {"target": "micro", "deadline_ms": 0},
             {"target": "micro", "budget_cells": 0},
         ],

@@ -3,19 +3,12 @@
 The interpreter is the only execution path: every op walks its
 ``_*_path`` generator step by step.  These tests pin the properties the
 hot path must keep — guest state survives repeated world switches, cost
-fields are resolved live on every op, observers never change simulated
-cycles — and that the committed ``specs/`` goldens load and cover the
-world-switch chains.
+fields are resolved live on every op, and observers never change
+simulated cycles.
 """
 
-import json
-import pathlib
-
-from repro.analysis.pathspec.extract import load_committed
 from repro.hv import KvmHypervisor
 from repro.hw.platform import Machine, arm_m400
-
-SPEC_DIR = pathlib.Path(__file__).resolve().parents[1] / "specs"
 
 
 def make_kvm_arm(vhe=False):
@@ -101,35 +94,3 @@ class TestObserverPassthrough:
     def test_span_recording_leaves_intc_trap_cycles_unchanged(self):
         self.check_span_recording_leaves_cycles_unchanged("intc-trap")
 
-
-class TestSpecLoading:
-    def test_load_missing_dir_returns_empty(self, tmp_path):
-        assert load_committed(tmp_path / "absent") == ({}, {}, [])
-
-    def test_load_skips_unparseable_files(self, tmp_path):
-        (tmp_path / "bad.json").write_text("{not json")
-        (tmp_path / "good.json").write_text(
-            json.dumps({"specs": [{"id": "a.py::f", "paths": []}]})
-        )
-        committed, sources, problems = load_committed(tmp_path)
-        assert list(committed) == ["a.py::f"]
-        assert sources["a.py::f"] == tmp_path / "good.json"
-        assert "bad.json" in [path.name for path, _message in problems]
-
-    def test_committed_goldens_cover_wrapped_chains(self):
-        committed, _sources, _problems = load_committed(SPEC_DIR)
-        chains = [
-            "hv/kvm/world_switch.py::split_mode_exit",
-            "hv/kvm/world_switch.py::split_mode_enter",
-            "hv/kvm/world_switch.py::vhe_exit",
-            "hv/kvm/world_switch.py::vhe_enter",
-            "hv/kvm/world_switch.py::x86_exit",
-            "hv/kvm/world_switch.py::x86_enter",
-            "hv/kvm/kvm.py::KvmHypervisor._hypercall_path",
-            "hv/kvm/kvm.py::KvmHypervisor._intc_path",
-            "hv/xen/xen.py::XenHypervisor._xen_entry",
-            "hv/xen/xen.py::XenHypervisor._xen_return",
-            "hv/xen/xen.py::XenHypervisor._intc_path",
-        ]
-        for spec_id in chains:
-            assert spec_id in committed, spec_id
