@@ -1,9 +1,13 @@
 """Derived per-operation costs: what the application models consume.
 
-Every number here is *measured by running the simulated hypervisor paths*
-(fresh testbed per probe), so the application benchmark results inherit
-their platform differences from the same mechanism the microbenchmarks
-measure — the paper's core argument made executable.
+Every number here is *measured by running the simulated hypervisor paths*,
+so the application benchmark results inherit their platform differences
+from the same mechanism the microbenchmarks measure — the paper's core
+argument made executable.  The probes (the microbenchmark suite, the
+loaded-server notification, one paravirtual block read) share one
+testbed: each leaves it idle, so none depends on what ran before it
+(``tests/test_testbed_builds.py`` checks this against a fresh testbed per
+probe).
 """
 
 import dataclasses
@@ -56,7 +60,8 @@ def measure_derived_costs(key, seed=2016):
     testbed = build_testbed(key, seed=seed)
     suite = MicrobenchmarkSuite(testbed)
     micro = suite.run_all()
-    notify_running, occupancy = _measure_notify_running(build_testbed(key, seed=seed))
+    notify_running, occupancy = _measure_notify_running(testbed)
+    block_io_overhead = _measure_block_io(testbed)
     costs = testbed.machine.costs
     if testbed.hypervisor.design == "type1":
         shootdown = testbed.hypervisor.shootdown
@@ -84,7 +89,7 @@ def measure_derived_costs(key, seed=2016):
         grant_copy_page=grant_page,
         grant_copy_mtu_batched=grant_mtu_batched,
         grant_copy_page_batched=grant_page_batched,
-        block_io_overhead=_measure_block_io(build_testbed(key, seed=seed)),
+        block_io_overhead=block_io_overhead,
     )
 
 

@@ -74,14 +74,18 @@ def parse_key(key):
     return parts[0], parts[1], False
 
 
+def build_platform(key, vapic=False, costs=None):
+    """The static platform description of one platform key."""
+    _hv_kind, arch, vhe = parse_key(key)
+    if arch == "arm":
+        return arm_m400(vhe_capable=vhe, costs=costs)
+    return x86_r320(vapic_enabled=vapic, costs=costs)
+
+
 def build_testbed(key, seed=2016, vapic=False, costs=None):
     """Build the full testbed for one platform column of Table II."""
     hv_kind, arch, vhe = parse_key(key)
-    if arch == "arm":
-        platform = arm_m400(vhe_capable=vhe, costs=costs)
-    else:
-        platform = x86_r320(vapic_enabled=vapic, costs=costs)
-    machine = Machine(platform, seed=seed)
+    machine = Machine(build_platform(key, vapic, costs), seed=seed)
     hypervisor = build_hypervisor(hv_kind, machine, vhe=vhe)
 
     if hv_kind == "xen":

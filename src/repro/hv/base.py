@@ -116,8 +116,8 @@ class Vm:
         self.memory_mb = memory_mb
         # vmids are scoped to the owning hypervisor (as on real hardware,
         # where VTTBR VMIDs are per-host): a module-level counter would be
-        # process-global mutable state leaking across cells whenever the
-        # runner degrades to in-process serial execution.
+        # process-global mutable state leaking across the cells the
+        # runner executes one after another in one process.
         self.vmid = hypervisor._allocate_vmid()
         self.stage2 = Stage2Tables(self.vmid)
         # Premap a token chunk of guest RAM; real faults fill the rest

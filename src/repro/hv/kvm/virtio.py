@@ -21,19 +21,25 @@ class VirtioQueue:
         self.name = name
         self.size = size
         self._avail = deque()
+        #: empty buffers ``guest_fill`` posted behind ``_avail``; each is
+        #: made when the backend pops it, not when the ring is filled
+        self._fresh = 0
         self._used = deque()
         self.kicks = 0
         self.notifies = 0
 
     def guest_post(self, buffer):
         """Guest driver: add a buffer (descriptor chain) to the avail ring."""
-        if len(self._avail) >= self.size:
+        if self.avail_count >= self.size:
             raise ProtocolError("virtqueue %s avail ring full" % self.name)
+        # a buffer posted now queues behind the pending empty ones
+        self._avail.extend({"empty": True} for _ in range(self._fresh))
+        self._fresh = 0
         self._avail.append(buffer)
 
     def guest_fill(self):
         """Guest driver: post fresh empty buffers until the avail ring is full."""
-        self._avail.extend({"empty": True} for _ in range(self.size - len(self._avail)))
+        self._fresh = self.size - len(self._avail)
 
     def guest_kick(self):
         """Guest driver: doorbell write (MMIO -> ioeventfd in the host)."""
@@ -41,9 +47,12 @@ class VirtioQueue:
 
     def backend_pop(self):
         """Backend (vhost): take the next posted buffer."""
-        if not self._avail:
+        if self._avail:
+            return self._avail.popleft()
+        if not self._fresh:
             raise ProtocolError("virtqueue %s has no available buffers" % self.name)
-        return self._avail.popleft()
+        self._fresh -= 1
+        return {"empty": True}
 
     def backend_push_used(self, buffer):
         """Backend: return a completed buffer to the used ring."""
@@ -59,7 +68,7 @@ class VirtioQueue:
 
     @property
     def avail_count(self):
-        return len(self._avail)
+        return len(self._avail) + self._fresh
 
     @property
     def used_count(self):

@@ -67,6 +67,13 @@ REGISTER_NAMES = {
 }
 
 
+#: the all-zero image of each class; banks and saved images start as
+#: copies of these (a dict copy is cheaper than rebuilding it by name)
+_ZERO_IMAGES = {
+    reg_class: dict.fromkeys(names, 0) for reg_class, names in REGISTER_NAMES.items()
+}
+
+
 class RegisterBank:
     """Named registers of one class with default-zero values."""
 
@@ -74,7 +81,7 @@ class RegisterBank:
 
     def __init__(self, reg_class):
         self.reg_class = reg_class
-        self._values = dict.fromkeys(REGISTER_NAMES[reg_class], 0)
+        self._values = _ZERO_IMAGES[reg_class].copy()
 
     def read(self, name):
         if name not in self._values:
@@ -146,6 +153,4 @@ class RegisterFile:
 
 def fresh_context_image(classes=ALL_CLASSES):
     """A zeroed saved-context image (what a new VCPU starts from)."""
-    return {
-        reg_class: dict.fromkeys(REGISTER_NAMES[reg_class], 0) for reg_class in classes
-    }
+    return {reg_class: _ZERO_IMAGES[reg_class].copy() for reg_class in classes}

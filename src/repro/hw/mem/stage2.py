@@ -42,9 +42,10 @@ class Stage2Tables:
             page & _INDEX_MASK,
         )
 
-    def map_page(self, gpa_page, hpa_page, writable=True):
-        """Install a 4K mapping gpa_page -> hpa_page."""
-        top, middle, leaf = self._indices(gpa_page)
+    def leaf_table(self, gpa_page):
+        """The last-level table covering ``gpa_page``, created if absent
+        (512 consecutive pages share one)."""
+        top, middle, _leaf = self._indices(gpa_page)
         root = self._root
         table = root.get(top)
         if table is None:
@@ -52,7 +53,11 @@ class Stage2Tables:
         node = table.get(middle)
         if node is None:
             node = table[middle] = {}
-        node[leaf] = (hpa_page, writable)
+        return node
+
+    def map_page(self, gpa_page, hpa_page, writable=True):
+        """Install a 4K mapping gpa_page -> hpa_page."""
+        self.leaf_table(gpa_page)[gpa_page & _INDEX_MASK] = (hpa_page, writable)
 
     def unmap_page(self, gpa_page):
         node = self._root
@@ -102,7 +107,15 @@ class Stage2Tables:
 
 
 def identity_map(tables, base_page, num_pages, writable=True):
-    """Convenience: map a contiguous IPA range 1:1 onto machine pages."""
-    for page in range(base_page, base_page + num_pages):
-        tables.map_page(page, page, writable)
+    """Convenience: map a contiguous IPA range 1:1 onto machine pages,
+    filling one leaf table at a time."""
+    page = base_page
+    end = base_page + num_pages
+    while page < end:
+        stop = min(end, (page | _INDEX_MASK) + 1)
+        tables.leaf_table(page).update(
+            (gpa_page & _INDEX_MASK, (gpa_page, writable))
+            for gpa_page in range(page, stop)
+        )
+        page = stop
     return tables

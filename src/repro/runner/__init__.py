@@ -7,7 +7,7 @@ serves it straight out of the content-addressed on-disk cache
 deterministically merges the payloads back into the exact shapes and
 bytes the serial suite always produced (:mod:`repro.runner.merge`).
 
-There is no worker pool: the whole report is 34 cells of at most
+There is no worker pool: the whole bench grid is 32 cells of at most
 ~20 ms each, and DESIGN.md "Runner" records the measurement showing a
 spawn pool costs more than it saves.  A cell that raises fails once —
 the run aborts with a structured :class:`CellFailure`, or records a

@@ -1,8 +1,9 @@
 """The cell graph: the full report sharded into independent units.
 
 A *cell* is the smallest independently simulable unit of the suite —
-one (platform, hypervisor, benchmark/table) combination, or one sweep
-point of the ablation/VHE/oversubscription grids.  Every cell is:
+one (platform, hypervisor, benchmark/table) combination — the Section V
+ablation is one cell per platform — or one sweep point of the
+oversubscription grid.  Every cell is:
 
 * **self-contained** — it builds its own testbeds from the platform key
   and parameters, so it can run in any process in any order;
@@ -43,7 +44,8 @@ DEFAULT_RR_TRANSACTIONS = 40
 #: Table V columns, in report order.
 TCPRR_CONFIGS = ("native", "kvm", "xen")
 #: the Section V ablation grid (keys outer, workloads inner — the
-#: serial ``run_irq_distribution_ablation`` iteration order).
+#: serial ``run_irq_distribution_ablation`` iteration order); one cell
+#: per key runs every workload on that key's derived costs.
 ABLATION_KEYS = ("kvm-arm", "xen-arm")
 ABLATION_WORKLOADS = ("Apache", "Memcached")
 #: the Section VI comparison pair: split-mode KVM vs the VHE what-if.
@@ -181,9 +183,12 @@ def appcol(key, irq_vcpus=1):
     return _spec("appcol", key=key, irq_vcpus=irq_vcpus)
 
 
-def ablation(key, workload):
-    """Section V sweep point: one (platform, workload) IRQ-distribution run."""
-    return _spec("ablation", key=key, workload=workload)
+def ablation(key, workloads=ABLATION_WORKLOADS):
+    """Section V column: every workload's IRQ-distribution run on one
+    platform (the workloads share one derived-cost measurement).  The
+    workloads are named in sorted order, so any order of the same set
+    is the same cell."""
+    return _spec("ablation", key=key, workloads="+".join(sorted(workloads)))
 
 
 def oversub(key, timeslice_us):
@@ -229,15 +234,17 @@ def _run_appcol(params):
 
 
 def _run_ablation(params):
-    name = params["workload"]
-    if name not in _WORKLOADS_BY_NAME:
-        raise ConfigurationError("unknown workload %r" % (name,))
-    workload_cls = _WORKLOADS_BY_NAME[name]
+    names = params["workloads"].split("+")
+    for name in names:
+        if name not in _WORKLOADS_BY_NAME:
+            raise ConfigurationError("unknown workload %r" % (name,))
     results = run_irq_distribution_ablation(
-        keys=(params["key"],), workloads=[workload_cls()]
+        keys=(params["key"],),
+        workloads=[_WORKLOADS_BY_NAME[name]() for name in names],
     )
-    (point,) = results.values()
-    return dataclasses.asdict(point)
+    return {
+        point.workload: dataclasses.asdict(point) for point in results.values()
+    }
 
 
 def _run_oversub(params):
@@ -312,7 +319,7 @@ def figure4_cells(keys=None, irq_vcpus=1):
 
 
 def ablation_cells(keys=ABLATION_KEYS, workloads=ABLATION_WORKLOADS):
-    return [ablation(key, workload) for key in keys for workload in workloads]
+    return [ablation(key, workloads) for key in keys]
 
 
 def vhe_cells():

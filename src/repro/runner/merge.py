@@ -74,10 +74,11 @@ def ablation_grid(
     results, keys=cells.ABLATION_KEYS, workloads=cells.ABLATION_WORKLOADS
 ):
     """{(key, workload): AblationPoint} in the serial iteration order."""
+    columns = {
+        key: _payload(results, cells.ablation(key, workloads)) for key in keys
+    }
     return {
-        (key, workload): AblationPoint(
-            **_payload(results, cells.ablation(key, workload))
-        )
+        (key, workload): AblationPoint(**columns[key][workload])
         for key in keys
         for workload in workloads
     }

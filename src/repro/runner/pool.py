@@ -7,8 +7,9 @@ and ordered by the *request* order — the deterministic-merge guarantee
 the differential tests hold the runner to.
 
 Everything runs in this process, one cell after another.  The whole
-paper report is 34 cells of at most ~20 ms each, far below what a
-spawn pool costs to start (DESIGN.md "Runner" has the measurement).
+bench grid (the paper report plus the oversubscription sweep) is 32
+cells of at most ~20 ms each, far below what a spawn pool costs to
+start (DESIGN.md "Runner" has the measurement).
 
 **Failure model** (DESIGN.md "Runner"): a cell that raises fails once.
 It is never retried — the model is deterministic, so a second attempt
@@ -39,7 +40,7 @@ from collections import OrderedDict
 
 from repro.obs import MetricsRegistry
 from repro.runner import cells, resilience
-from repro.runner.resilience import AttemptFailure, CellExecutionError, FailedCell
+from repro.runner.resilience import CellExecutionError, FailedCell
 from repro.sim.engine import Engine
 
 #: every run-wide counter the runner maintains (pre-registered so a
@@ -69,11 +70,8 @@ class CellResult:
     engines: int
     source: str  # "run" | "cache"
     payload_sha256: str = ""
-    #: constant fields, kept because callers outside the runner read
-    #: them: one attempt and never degraded (there is no retry ladder),
-    #: no fast-lane counters (the interpreter is the only path)
-    attempts: int = 1
-    degraded: bool = False
+    #: always empty (there is no fast lane: the interpreter is the only
+    #: path); kept because callers outside the runner read it
     fastpath: dict = dataclasses.field(default_factory=dict)
 
 
@@ -179,12 +177,7 @@ def run_cells_outcome(specs, cache=None, keep_going=False, metrics=None):
         try:
             result = execute_cell(spec)
         except CellExecutionError as exc:
-            failed = FailedCell(
-                cell_id=spec.id,
-                kind=spec.kind,
-                params=spec.params_dict(),
-                attempts=[AttemptFailure.from_execution_error(0, exc)],
-            )
+            failed = FailedCell.from_execution_error(spec, exc)
             metrics.counter("runner.cell.failed").inc()
             if not keep_going:
                 raise resilience.CellFailure([failed])

@@ -58,24 +58,35 @@ class CellExecutionError(ReproError):
 
 
 @dataclasses.dataclass
-class AttemptFailure:
-    """The one failed attempt of one cell."""
+class FailedCell:
+    """A cell that raised: its one run's error, traceback and partial
+    accounting (nothing is retried, so there is exactly one)."""
 
-    attempt: int
-    kind: str  # "exception"
+    cell_id: str
+    kind: str
+    params: dict
     error: str
     traceback: str = ""
     engines: int = 0
     simulated_cycles: int = 0
 
     def as_dict(self):
-        return dataclasses.asdict(self)
+        return {
+            "id": self.cell_id,
+            "kind": self.kind,
+            "params": self.params,
+            "error": self.error,
+            "traceback": self.traceback,
+            "engines": self.engines,
+            "simulated_cycles": self.simulated_cycles,
+        }
 
     @classmethod
-    def from_execution_error(cls, attempt, exc):
+    def from_execution_error(cls, spec, exc):
         return cls(
-            attempt=attempt,
-            kind="exception",
+            cell_id=spec.id,
+            kind=spec.kind,
+            params=spec.params_dict(),
             error="%s: %s" % (exc.error_type, exc.error),
             traceback=exc.traceback_text,
             engines=exc.engines,
@@ -83,26 +94,8 @@ class AttemptFailure:
         )
 
 
-@dataclasses.dataclass
-class FailedCell:
-    """A cell that raised, with its (single) attempt record."""
-
-    cell_id: str
-    kind: str
-    params: dict
-    attempts: list
-
-    def as_dict(self):
-        return {
-            "id": self.cell_id,
-            "kind": self.kind,
-            "params": self.params,
-            "attempts": [failure.as_dict() for failure in self.attempts],
-        }
-
-
 class CellFailure(ReproError):
-    """The structured abort: every failed cell, attempt by attempt."""
+    """The structured abort: every failed cell with its error."""
 
     def __init__(self, failed_cells):
         self.failed_cells = list(failed_cells)
@@ -111,18 +104,15 @@ class CellFailure(ReproError):
     def report_text(self):
         lines = ["%d cell(s) failed:" % len(self.failed_cells)]
         for failed in self.failed_cells:
-            lines.append("  %s: %d attempt(s)" % (failed.cell_id, len(failed.attempts)))
-            for failure in failed.attempts:
-                lines.append(
-                    "    attempt %d [%s]: %s (engines=%d, simulated_cycles=%d)"
-                    % (
-                        failure.attempt,
-                        failure.kind,
-                        failure.error,
-                        failure.engines,
-                        failure.simulated_cycles,
-                    )
+            lines.append(
+                "  %s: %s (engines=%d, simulated_cycles=%d)"
+                % (
+                    failed.cell_id,
+                    failed.error,
+                    failed.engines,
+                    failed.simulated_cycles,
                 )
-                for tb_line in failure.traceback.rstrip().splitlines():
-                    lines.append("      " + tb_line)
+            )
+            for tb_line in failed.traceback.rstrip().splitlines():
+                lines.append("    " + tb_line)
         return "\n".join(lines)

@@ -1,6 +1,7 @@
 """Generator-based simulation processes."""
 
 from repro.errors import SimulationError
+from repro.sim.events import Timeout
 
 
 class Process:
@@ -32,18 +33,30 @@ class Process:
         return self._result
 
     def resume(self, value):
-        """Advance the generator with ``value``; dispatch the next command."""
+        """Advance the generator with ``value``; dispatch the next command.
+
+        A :class:`Timeout` the engine lets this process run ahead through
+        (:meth:`Engine.run_ahead`) resumes the generator here at once,
+        without a heap round-trip.
+        """
         if self._done:
             return
-        observer = self.engine.observer
-        if observer is not None:
-            observer.process_resumed(self)
-        try:
-            command = self._generator.send(value)
-        except StopIteration as stop:
-            self._finish(stop.value)
+        engine = self.engine
+        observer = engine.observer
+        send = self._generator.send
+        while True:
+            if observer is not None:
+                observer.process_resumed(self)
+            try:
+                command = send(value)
+            except StopIteration as stop:
+                self._finish(stop.value)
+                return
+            if type(command) is Timeout and engine.run_ahead(command.delay):
+                value = None
+                continue
+            engine.dispatch(self, command)
             return
-        self.engine.dispatch(self, command)
 
     def add_join_waiter(self, process):
         if self._done:

@@ -158,8 +158,7 @@ class TestResilienceExecution:
         assert main(["bench", "--no-cache"]) == 1
         err = capsys.readouterr().err
         assert "1 cell(s) failed" in err
-        assert "breakdown: 1 attempt(s)" in err
-        assert "RuntimeError: injected breakdown failure" in err
+        assert "breakdown: RuntimeError: injected breakdown failure" in err
         assert calls.count("breakdown") == 1  # no retry
         assert not (workdir / "BENCH_suite.json").exists()
 
@@ -176,8 +175,8 @@ class TestResilienceExecution:
         assert document["partial"] is True
         (failed,) = document["failed_cells"]
         assert failed["id"] == "breakdown"
-        (attempt,) = failed["attempts"]
-        assert attempt["kind"] == "exception"
+        assert failed["error"] == "RuntimeError: injected breakdown failure"
+        assert "attempts" not in failed
         assert all(cell["id"] != "breakdown" for cell in document["cells"])
 
         validator = _load_validate_bench()

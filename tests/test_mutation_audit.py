@@ -402,6 +402,26 @@ CATALOGUE = (
         "Xen's x86 EOI emulation step is built but never yielded",
         ("tests", "sha"),
     ),
+    Mutation(
+        "runahead-tie",
+        "sim/engine.py",
+        "        if queue and queue[0][0] <= time:\n",
+        "        if queue and queue[0][0] < time:\n",
+        "a Timeout that ties the queue head runs ahead of it, breaking "
+        "same-time FIFO order",
+        ("tests",),
+    ),
+    Mutation(
+        "runahead-past-stop",
+        "sim/engine.py",
+        "        stop = self._stop\n"
+        "        if stop is not None and stop.fired:\n"
+        "            return False\n",
+        "",
+        "a process that fired run_until_fired's event runs ahead past it, "
+        "so the call returns late",
+        ("tests",),
+    ),
 )
 
 BY_ID = {mutation.id: mutation for mutation in CATALOGUE}

@@ -41,7 +41,7 @@ class TestKeyDerivation:
                 cells.tcprr("kvm", transactions=41),
                 cells.appcol("kvm-arm"),
                 cells.appcol("kvm-arm", irq_vcpus=4),
-                cells.ablation("kvm-arm", "Apache"),
+                cells.ablation("kvm-arm", ["Apache"]),
                 cells.oversub("kvm-arm", 100.0),
             ]
         }

@@ -20,7 +20,7 @@ import pytest
 
 from repro.errors import ConfigurationError
 from repro.hw import costs as hw_costs
-from repro.runner import cache, cells, pool, readsets
+from repro.runner import cache, cells, merge, pool, readsets
 from repro.runner.readsets_golden import READ_SETS
 from repro.runner.resilience import CellFailure
 from repro.service import queries
@@ -67,7 +67,7 @@ class TestDeclaredArchitecture:
             (cells.micro("kvm-x86"), "x86"),
             (cells.micro("kvm-vhe-arm"), "arm"),
             (cells.appcol("xen-x86"), "x86"),
-            (cells.ablation("xen-arm", "Apache"), "arm"),
+            (cells.ablation("xen-arm", ["Apache"]), "arm"),
             (cells.oversub("kvm-x86", 100.0), "x86"),
             (cells.breakdown(), "arm"),
             (cells.tcprr("native"), "arm"),
@@ -277,6 +277,7 @@ class TestCellsOutsideTheGolden:
             cells.tcprr("kvm", 41),
             cells.appcol("kvm-arm", 2),
             cells.oversub("kvm-x86", 250.0),
+            cells.ablation("xen-arm", ["Apache"]),
         ],
         ids=lambda spec: spec.id,
     )
@@ -294,3 +295,29 @@ class TestCellsOutsideTheGolden:
         monkeypatch.setitem(cells.CELL_KINDS, spec.kind, reads_everything)
         assert cells.run_cell(spec) is True
         assert cells.run_cell(what_if) is True
+
+
+class TestAblationColumn:
+    """One ablation cell per platform runs every workload on one
+    derived-cost measurement; the payload is keyed by workload."""
+
+    def test_one_cell_per_key_whatever_the_workload_order(self):
+        assert [spec.id for spec in cells.ablation_cells()] == [
+            "ablation[key=kvm-arm,workloads=Apache+Memcached]",
+            "ablation[key=xen-arm,workloads=Apache+Memcached]",
+        ]
+        assert cells.ablation("kvm-arm", ["Memcached", "Apache"]) == cells.ablation(
+            "kvm-arm"
+        )
+
+    def test_grid_follows_the_requested_workload_order(self):
+        results = pool.run_cells(cells.ablation_cells(("kvm-arm",)))
+        (result,) = results.values()
+        assert list(result.payload) == ["Apache", "Memcached"]
+        grid = merge.ablation_grid(results, ("kvm-arm",), ("Memcached", "Apache"))
+        assert list(grid) == [("kvm-arm", "Memcached"), ("kvm-arm", "Apache")]
+        assert grid["kvm-arm", "Apache"].workload == "Apache"
+
+    def test_unknown_workload_fails_the_cell(self):
+        with pytest.raises(ConfigurationError, match="NoSuchWorkload"):
+            cells.run_cell(cells.ablation("kvm-arm", ["Apache", "NoSuchWorkload"]))

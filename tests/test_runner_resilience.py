@@ -116,14 +116,12 @@ class TestDegradationLadder:
         (failed,) = excinfo.value.failed_cells
         assert failed.cell_id == TARGET
         assert failed.kind == "micro"
-        # exactly one attempt: nothing is retried
+        # exactly one run: nothing is retried
         assert doomed.count(TARGET) == 1
-        (attempt,) = failed.attempts
-        assert attempt.kind == "exception"
-        assert "RuntimeError: injected failure" in attempt.error
-        assert "injected failure" in attempt.traceback
+        assert "RuntimeError: injected failure" in failed.error
+        assert "injected failure" in failed.traceback
         report = excinfo.value.report_text()
-        assert TARGET in report and "attempt 0" in report
+        assert "%s: RuntimeError: injected failure" % TARGET in report
 
     def test_keep_going_completes_without_the_failed_cell(self, golden, doomed):
         outcome = run_cells_outcome(CHEAP, keep_going=True)
@@ -134,15 +132,13 @@ class TestDegradationLadder:
             assert outcome.results[cell_id].payload == golden[cell_id]
         assert len(outcome.failures) == 1
         assert outcome.failures[0].cell_id == TARGET
-        assert len(outcome.failures[0].attempts) == 1
         assert _count(outcome, "failed") == 1
         assert doomed.count(TARGET) == 1
 
     def test_nonretryable_error_fails_fast(self):
-        # a bad cell kind fails on its one and only attempt
+        # a bad cell kind fails on its one and only run
         bad = cells.CellSpec("no-such-kind")
         with pytest.raises(CellFailure) as excinfo:
             run_cells_outcome([bad])
         (failed,) = excinfo.value.failed_cells
-        assert len(failed.attempts) == 1
-        assert "ConfigurationError" in failed.attempts[0].error
+        assert "ConfigurationError" in failed.error

@@ -1,9 +1,10 @@
 """Unit tests for the discrete-event engine."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.errors import SimulationError
-from repro.sim import AllOf, AnyOf, Engine, Timeout
+from repro.sim import AllOf, AnyOf, Engine, Process, Timeout
 
 
 def test_time_starts_at_zero():
@@ -537,3 +538,203 @@ def test_run_until_fired_rejects_deadline_and_limit_together():
     engine.schedule(1, lambda: event.fire())
     with pytest.raises(TypeError):
         engine.run_until_fired(event, deadline=10, limit=10)
+
+
+# --- run(until) never rewinds the clock ----------------------------------
+
+
+def test_run_until_before_now_is_rejected():
+    engine = Engine()
+    engine.schedule(100, lambda: None)
+    engine.run(until=60)
+    engine.schedule(100, lambda: None)
+    with pytest.raises(SimulationError):
+        engine.run(until=30)
+    assert engine.now == 60
+    engine.run(until=60)  # equal to now is not the past
+    assert engine.now == 60
+
+
+# --- run-ahead: a Timeout that ends before the queue head skips the heap --
+
+
+class HeapOnlyEngine(Engine):
+    """The reference engine: every Timeout takes the heap round-trip."""
+
+    def run_ahead(self, delay):
+        return False
+
+
+class CountingEngine(Engine):
+    """Counts heap schedules."""
+
+    def __init__(self):
+        super().__init__()
+        self.schedules = 0
+
+    def schedule(self, delay, callback):
+        self.schedules += 1
+        super().schedule(delay, callback)
+
+
+def test_lone_process_never_touches_the_heap_after_its_start():
+    engine = CountingEngine()
+    seen = []
+
+    def proc():
+        for delay in (3, 0, 5, 7):
+            yield Timeout(delay)
+            seen.append(engine.now)
+
+    engine.spawn(proc())
+    engine.run()
+    assert seen == [3, 3, 8, 15]
+    assert engine.schedules == 1  # the spawn
+
+
+def test_run_ahead_keeps_an_equal_time_tie_fifo():
+    engine = Engine()
+    order = []
+
+    def proc():
+        yield Timeout(0)
+        engine.schedule(5, lambda: order.append(("callback", engine.now)))
+        yield Timeout(5)  # ties the callback scheduled first: it runs first
+        order.append(("process", engine.now))
+
+    engine.spawn(proc())
+    engine.run()
+    assert order == [("callback", 5), ("process", 5)]
+
+
+def test_run_ahead_stops_at_the_run_until_bound():
+    engine = Engine()
+    seen = []
+
+    def proc():
+        while True:
+            yield Timeout(10)
+            seen.append(engine.now)
+
+    engine.spawn(proc())
+    engine.run(until=35)
+    assert seen == [10, 20, 30]
+    assert engine.now == 35
+    engine.run(until=50)
+    assert seen == [10, 20, 30, 40, 50]
+    assert engine.now == 50
+
+
+def test_run_until_fired_returns_at_the_fire_time_of_a_process_that_goes_on():
+    engine = Engine()
+    done = engine.event("done")
+    seen = []
+
+    def proc():
+        yield Timeout(4)
+        done.fire("v")
+        yield Timeout(6)  # must not run ahead past the stop event
+        seen.append(engine.now)
+
+    engine.spawn(proc())
+    assert engine.run_until_fired(done) == "v"
+    assert engine.now == 4
+    assert seen == []
+    engine.run()
+    assert seen == [10]
+
+
+def test_run_ahead_honours_the_run_until_fired_deadline():
+    engine = Engine()
+    done = engine.event("done")
+
+    def proc():
+        yield Timeout(5)
+        yield Timeout(50)
+        done.fire()
+
+    engine.spawn(proc())
+    with pytest.raises(SimulationError):
+        engine.run_until_fired(done, deadline=20)
+    assert engine.now == 5
+    engine.run_until_fired(done)
+    assert engine.now == 55
+
+
+def test_no_run_ahead_outside_a_run_loop():
+    engine = CountingEngine()
+
+    def proc():
+        yield Timeout(3)
+
+    process = Process(engine, proc())
+    process.resume(None)  # resumed by hand, not by a run loop
+    assert engine.now == 0
+    assert engine.schedules == 1
+
+
+_steps = st.lists(
+    st.one_of(
+        st.tuples(st.just("timeout"), st.integers(0, 6)),
+        st.tuples(st.just("fire"), st.integers(0, 2)),
+        st.tuples(st.just("wait"), st.integers(0, 2)),
+        st.tuples(st.just("schedule"), st.integers(0, 6)),
+        st.tuples(st.just("spawn"), st.integers(0, 6)),
+    ),
+    max_size=8,
+)
+_drivers = st.lists(
+    st.tuples(
+        st.sampled_from(("run", "fired")),
+        st.integers(0, 2),
+        st.one_of(st.none(), st.integers(0, 20)),
+    ),
+    max_size=4,
+)
+
+
+def _trace(engine_class, programs, driver):
+    """Run random process programs; every step logs ``(now, label)``."""
+    engine = engine_class()
+    events = [engine.event("e%d" % index) for index in range(3)]
+    trace = []
+
+    def proc(name, steps):
+        for index, (op, arg) in enumerate(steps):
+            label = "%s.%d" % (name, index)
+            trace.append((engine.now, label))
+            if op == "timeout":
+                yield Timeout(arg)
+            elif op == "fire":
+                if not events[arg].fired:
+                    events[arg].fire(label)
+            elif op == "wait":
+                value = yield events[arg]
+                trace.append((engine.now, label, value))
+            elif op == "schedule":
+                engine.schedule(arg, lambda label=label: trace.append((engine.now, label)))
+            else:
+                engine.spawn(proc(label, [("timeout", arg), ("timeout", 1)]))
+        trace.append((engine.now, name + ".end"))
+
+    for index, steps in enumerate(programs):
+        engine.spawn(proc("p%d" % index, steps))
+    outcomes = []
+    for kind, index, bound in driver:
+        limit = None if bound is None else engine.now + bound
+        try:
+            if kind == "run":
+                engine.run(until=limit)
+            else:
+                outcomes.append(engine.run_until_fired(events[index], deadline=limit))
+        except SimulationError as exc:
+            outcomes.append(str(exc))
+        outcomes.append(engine.now)
+    engine.run()
+    return trace, outcomes, engine.now
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_steps, min_size=1, max_size=4), _drivers)
+def test_run_ahead_matches_the_heap_only_engine(programs, driver):
+    assert _trace(Engine, programs, driver) == _trace(HeapOnlyEngine, programs, driver)

@@ -11,7 +11,8 @@ engine counts, totals that agree with the per-cell rows, and a 64-hex
 
 Optional sections are validated when present: under ``--keep-going``,
 a ``partial`` flag and a ``failed_cells`` list whose entries carry
-id/kind/params and per-attempt failure records.  Keys written by older
+id/kind/params, the error, its traceback and the partial engine and
+cycle counts.  Keys written by older
 runners (``jobs``, ``resilience``, ``journal``, ``perf``) are ignored.
 
 Usage:
@@ -26,7 +27,6 @@ import sys
 SCHEMA = "repro-bench/1"
 CELL_SOURCES = {"run", "cache"}
 SHA256_HEX_LEN = 64
-ATTEMPT_KINDS = {"exception"}
 
 
 def _is_nonneg_number(value):
@@ -136,25 +136,16 @@ def _validate_failed_cells(path, document):
                 )
         if not isinstance(failed.get("params"), dict):
             problems.append("%s: failed_cells[%d] params is not an object" % (path, index))
-        attempts = failed.get("attempts")
-        if not isinstance(attempts, list) or not attempts:
-            problems.append("%s: failed_cells[%d] attempts missing or empty" % (path, index))
-            continue
-        for a_index, attempt in enumerate(attempts):
-            where = "failed_cells[%d].attempts[%d]" % (index, a_index)
-            if not isinstance(attempt, dict):
-                problems.append("%s: %s is not an object" % (path, where))
-                continue
-            if not _is_nonneg_int(attempt.get("attempt")):
+        if not isinstance(failed.get("error"), str) or not failed.get("error"):
+            problems.append("%s: failed_cells[%d] error missing" % (path, index))
+        if not isinstance(failed.get("traceback"), str):
+            problems.append("%s: failed_cells[%d] traceback is not a string" % (path, index))
+        for key in ("engines", "simulated_cycles"):
+            if not _is_nonneg_int(failed.get(key)):
                 problems.append(
-                    "%s: %s attempt=%r is not a non-negative int" % (path, where, attempt.get("attempt"))
+                    "%s: failed_cells[%d] %s=%r is not a non-negative int"
+                    % (path, index, key, failed.get(key))
                 )
-            if attempt.get("kind") not in ATTEMPT_KINDS:
-                problems.append(
-                    "%s: %s kind=%r not in %s" % (path, where, attempt.get("kind"), sorted(ATTEMPT_KINDS))
-                )
-            if not isinstance(attempt.get("error"), str) or not attempt.get("error"):
-                problems.append("%s: %s error missing" % (path, where))
     return problems
 
 
