@@ -84,14 +84,11 @@ def _cmd_bench(args):
     from repro.runner import bench as runner_bench
     from repro.runner.resilience import CellFailure
 
-    if args.cache_verify:
-        return _cmd_cache_verify(args, runner_bench)
     try:
         outcome = runner_bench.run_bench(
             cache_dir=args.cache_dir,
             use_cache=not args.no_cache,
             transactions=args.transactions,
-            keep_going=args.keep_going,
         )
     except CellFailure as failure:
         # the structured abort: cell, error, traceback — on stderr
@@ -103,33 +100,6 @@ def _cmd_bench(args):
     runner_bench.write_document(args.output, outcome.document)
     print(outcome.summary, file=sys.stderr)
     print("wrote %s" % args.output, file=sys.stderr)
-    if outcome.document.get("failed_cells"):
-        print(
-            "%d cell(s) failed; report is partial (--keep-going)"
-            % len(outcome.document["failed_cells"]),
-            file=sys.stderr,
-        )
-        return 1
-
-
-def _cmd_cache_verify(args, runner_bench):
-    """``bench --cache-verify``: re-hash every entry, quarantine bad ones."""
-    report = runner_bench.verify_cache(args.cache_dir)
-    quarantined = [row for row in report if row["status"] == "quarantined"]
-    bad = [row for row in report if row["status"] != "ok"]
-    for row in report:
-        line = "%-11s %s" % (row["status"], row["key"])
-        if row["cell"]:
-            line += "  (%s)" % row["cell"]
-        if row["reason"]:
-            line += "  -- %s" % row["reason"]
-        print(line)
-    print(
-        "cache-verify: %d entr%s checked, %d quarantined"
-        % (len(report), "y" if len(report) == 1 else "ies", len(quarantined)),
-        file=sys.stderr,
-    )
-    return 1 if bad else 0
 
 
 def _cmd_serve(args):
@@ -368,18 +338,6 @@ def build_parser():
         metavar="PATH",
         help="where to write the bench document (default %s)"
         % runner_bench.DEFAULT_DOCUMENT_PATH,
-    )
-    bench.add_argument(
-        "--keep-going",
-        action="store_true",
-        help="do not abort when a cell raises: emit a partial report and "
-        "a failed_cells section instead",
-    )
-    bench.add_argument(
-        "--cache-verify",
-        action="store_true",
-        help="instead of running the bench, re-hash every cache entry and "
-        "quarantine mismatches (exit 1 if any were quarantined)",
     )
     from repro.service import protocol as service_protocol
 

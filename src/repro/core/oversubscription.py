@@ -14,6 +14,9 @@ from repro.core.testbed import build_testbed
 from repro.errors import ConfigurationError
 from repro.sim import Timeout
 
+#: simulated interval each sweep point ping-pongs the two VMs for
+INTERVAL_MS = 5.0
+
 
 @dataclasses.dataclass
 class OversubscriptionPoint:
@@ -32,7 +35,7 @@ class OversubscriptionPoint:
 class OversubscriptionExperiment:
     """Ping-pong two VMs on one core for a simulated interval."""
 
-    def __init__(self, key, timeslice_us, interval_ms=5.0):
+    def __init__(self, key, timeslice_us, interval_ms=INTERVAL_MS):
         if timeslice_us <= 0:
             raise ConfigurationError("timeslice must be positive")
         self.testbed = build_testbed(key)

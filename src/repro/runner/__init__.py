@@ -9,12 +9,13 @@ bytes the serial suite always produced (:mod:`repro.runner.merge`).
 
 There is no worker pool: the whole bench grid is 32 cells of at most
 ~20 ms each, and DESIGN.md "Runner" records the measurement showing a
-spawn pool costs more than it saves.  A cell that raises fails once —
-the run aborts with a structured :class:`CellFailure`, or records a
-:class:`FailedCell` under ``keep_going``.  Cache entries carry a
-payload sha256 that is verified on every read; a corrupt entry is
-quarantined and re-simulated (:mod:`repro.runner.resilience` holds the
-failure records and the digest).
+spawn pool costs more than it saves.  A cell that raises fails once:
+``run_cells_outcome`` records a :class:`FailedCell` and runs the rest,
+and ``run_cells`` raises a structured :class:`CellFailure`.  Cache
+entries carry a payload sha256 that is verified on every read; a bad
+entry is a miss, and the cell's re-store overwrites it
+(:mod:`repro.runner.resilience` holds the failure records and the
+digest).
 
 ``repro.core.suite`` routes every ``*_report``/``*_data`` entry point
 through here, so callers get deduplication (Table II and the VHE

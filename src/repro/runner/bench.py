@@ -3,13 +3,16 @@
 Runs the full bench cell grid (every report cell plus the
 oversubscription sweep) through the in-process runner and emits a
 ``BENCH_suite.json`` artifact: wall time and simulated cycles per cell,
-cache hit/miss/quarantine counts, and the sha256 of the rendered report
-so CI can assert a warm-cache rerun reproduced the suite byte-for-byte
-without re-simulating anything.
+cache hit/miss counts, and the sha256 of the rendered report so CI can
+assert a warm-cache rerun reproduced the suite byte-for-byte without
+re-simulating anything.
 
-There is no separate resume: every executed cell is stored in the
-cache the moment it finishes, so rerunning ``bench`` on the same cache
-after an interrupted run simulates only the cells that are missing.
+A cell that raises fails the run: ``run_bench`` raises
+:class:`~repro.runner.resilience.CellFailure` and no document is
+written.  There is no separate resume: every executed cell is stored in
+the cache the moment it finishes, so rerunning ``bench`` on the same
+cache after a failed or interrupted run simulates only the cells that
+are missing.
 
 Document schema (``tools/validate_bench.py`` is the CI check):
 
@@ -18,20 +21,16 @@ Document schema (``tools/validate_bench.py`` is the CI check):
     {
       "schema": "repro-bench/1",
       "model_fingerprint": "...",
-      "cache": {"enabled": true, "directory": "...", "hits": 0, "misses": 34,
-                "quarantined": 0, "write_errors": 0},
+      "cache": {"enabled": true, "directory": "...", "hits": 0, "misses": 32,
+                "write_errors": 0},
       "cells": [
         {"id": "micro[key=kvm-arm]", "kind": "micro", "params": {"key": "kvm-arm"},
          "source": "run", "wall_ms": 12.3, "simulated_cycles": 123456,
          "engines": 2}
       ],
-      "totals": {"cells": 34, "wall_ms": 900.1, "simulated_cycles": 1234567890},
+      "totals": {"cells": 32, "wall_ms": 900.1, "simulated_cycles": 1234567890},
       "report_sha256": "..."
     }
-
-``failed_cells`` is present only when ``--keep-going`` swallowed
-failures; the report then carries explicit section-omission markers and
-``partial`` is true.
 """
 
 import dataclasses
@@ -41,7 +40,7 @@ import time
 
 from repro.runner import cells, merge
 from repro.runner.cache import ResultCache, model_fingerprint
-from repro.runner.pool import run_cells_outcome
+from repro.runner.pool import run_cells
 
 BENCH_SCHEMA = "repro-bench/1"
 DEFAULT_CACHE_DIR = ".repro-cache"
@@ -59,7 +58,7 @@ class BenchOutcome:
     def summary(self):
         totals = self.document["totals"]
         cache = self.document["cache"]
-        text = (
+        return (
             "bench: %d cells in %.0f ms wall (%d simulated cycles), "
             "cache %s: %d hits / %d misses"
             % (
@@ -71,39 +70,31 @@ class BenchOutcome:
                 cache["misses"],
             )
         )
-        if cache.get("quarantined"):
-            text += ", %d quarantined" % cache["quarantined"]
-        return text
 
 
 def run_bench(
     cache_dir=DEFAULT_CACHE_DIR,
     use_cache=True,
     transactions=cells.DEFAULT_RR_TRANSACTIONS,
-    keep_going=False,
 ):
     """Run the bench grid; returns a :class:`BenchOutcome`.
 
     The rendered report is byte-identical to ``suite.full_report()`` —
     the bench grid is a superset of the report cells, and the merge is
-    the same code path.  A cell that raises aborts the run with
-    :class:`~repro.runner.resilience.CellFailure`; under ``keep_going``
-    the run still yields a (partial) report and a document with a
-    ``failed_cells`` section.
+    the same code path.  A cell that raises fails the run with
+    :class:`~repro.runner.resilience.CellFailure`.
     """
     cache = ResultCache(cache_dir) if use_cache else None
     specs = cells.bench_cells(transactions)
     start = time.perf_counter()
-    outcome = run_cells_outcome(specs, cache=cache, keep_going=keep_going)
+    results = run_cells(specs, cache=cache)
     wall_ms = (time.perf_counter() - start) * 1000.0
-    report = merge.full_report_text(
-        outcome.results, transactions, partial=bool(outcome.failures)
-    )
-    document = _build_document(outcome, cache, cache_dir, wall_ms, report)
+    report = merge.full_report_text(results, transactions)
+    document = _build_document(results, cache, cache_dir, wall_ms, report)
     return BenchOutcome(report=report, document=document)
 
 
-def _build_document(outcome, cache, cache_dir, wall_ms, report):
+def _build_document(results, cache, cache_dir, wall_ms, report):
     cell_rows = [
         {
             "id": result.spec.id,
@@ -114,7 +105,7 @@ def _build_document(outcome, cache, cache_dir, wall_ms, report):
             "simulated_cycles": result.simulated_cycles,
             "engines": result.engines,
         }
-        for result in outcome.results.values()
+        for result in results.values()
     ]
     cache_block = {"enabled": False, "directory": None, "hits": 0, "misses": 0}
     if cache is not None:
@@ -123,10 +114,9 @@ def _build_document(outcome, cache, cache_dir, wall_ms, report):
             directory=str(cache_dir),
             hits=cache.hits,
             misses=cache.misses,
-            quarantined=cache.quarantined,
             write_errors=cache.write_errors,
         )
-    document = {
+    return {
         "schema": BENCH_SCHEMA,
         "model_fingerprint": model_fingerprint(),
         "cache": cache_block,
@@ -138,19 +128,6 @@ def _build_document(outcome, cache, cache_dir, wall_ms, report):
         },
         "report_sha256": hashlib.sha256(report.encode("utf-8")).hexdigest(),
     }
-    if outcome.failures:
-        document["partial"] = True
-        document["failed_cells"] = [failed.as_dict() for failed in outcome.failures]
-    return document
-
-
-def verify_cache(cache_dir=DEFAULT_CACHE_DIR):
-    """``--cache-verify``: re-hash every entry, quarantining mismatches.
-
-    Returns the per-entry report rows from
-    :meth:`~repro.runner.cache.ResultCache.verify_entries`.
-    """
-    return ResultCache(cache_dir).verify_entries()
 
 
 def write_document(path, document):

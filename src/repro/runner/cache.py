@@ -16,18 +16,16 @@ together everything that can change its payload:
 
 Entries are one JSON file per key under ``<dir>/<key[:2]>/<key>.json``,
 written atomically (tempfile + rename) so concurrent runs (a server,
-a bench, a direct query) can share a directory; stale ``*.tmp.<pid>``
-scratch files left by a killed run are swept on open.
+a bench, a direct query) can share a directory.  A lookup opens only
+``<key>.json``, so a ``*.tmp.<pid>`` scratch file a killed run left
+behind is never read.
 
 Integrity: every entry carries a ``payload_sha256`` over the canonical
-payload JSON, verified on read.  A corrupt, truncated, or
-hash-mismatched entry is **quarantined** — moved to
-``<dir>/quarantine/<key>.json`` next to a ``<key>.reason`` file — and
-treated as a miss, never an error: poisoning the cache can cost time,
-not correctness, and the evidence survives for inspection.  An entry
-with a foreign schema tag is simply a miss (a version skew, not
-corruption; the next store overwrites it).  ``verify_entries`` re-hashes
-the whole store on demand (``python -m repro bench --cache-verify``).
+payload JSON, verified on every read.  An entry that does not parse,
+fails that check, or carries a foreign schema tag is a **miss**, never
+an error: the file is left where it is, the cell is re-simulated, and
+its store overwrites the bad entry with the same atomic rename.  A bad
+entry can cost time, not correctness.
 """
 
 import dataclasses
@@ -43,9 +41,6 @@ from repro.runner import resilience
 
 #: bump when the entry layout changes; old entries become misses.
 CACHE_SCHEMA = "repro-runner-cache/2"
-
-#: subdirectory (inside the cache) holding quarantined entries
-QUARANTINE_DIR = "quarantine"
 
 _MODEL_FINGERPRINT = None
 
@@ -94,16 +89,6 @@ def _digest(document):
     ).hexdigest()
 
 
-def _pid_alive(pid):
-    try:
-        os.kill(pid, 0)
-    except ProcessLookupError:
-        return False
-    except (PermissionError, OSError):
-        return True
-    return True
-
-
 class ResultCache:
     """On-disk content-addressed store of cell payloads."""
 
@@ -111,62 +96,8 @@ class ResultCache:
         self.directory = pathlib.Path(directory)
         self.hits = 0
         self.misses = 0
-        self.quarantined = 0
         self.write_errors = 0
         self._warned_write_error = False
-        self.swept_tmp = self._sweep_stale_tmp()
-
-    # -- hygiene -----------------------------------------------------------
-
-    def _sweep_stale_tmp(self):
-        """Remove ``*.tmp.<pid>`` scratch left by a killed previous run.
-
-        A scratch file whose writer pid is still alive is left alone (a
-        concurrent run mid-store); anything else — dead pid, mangled
-        name — is debris from a run that never reached its atomic
-        rename, and can only accumulate.
-        """
-        if not self.directory.is_dir():
-            return 0
-        swept = 0
-        for scratch in self.directory.glob("*/*.json.tmp.*"):
-            suffix = scratch.name.rsplit(".", 1)[-1]
-            alive = suffix.isdigit() and _pid_alive(int(suffix))
-            if not alive:
-                try:
-                    scratch.unlink()
-                    swept += 1
-                except OSError:
-                    pass  # a concurrent sweeper got there first
-        return swept
-
-    def quarantine_path(self):
-        return self.directory / QUARANTINE_DIR
-
-    def _quarantine(self, path, key, reason):
-        """Move a bad entry aside (with a reason file) instead of deleting.
-
-        Quarantined evidence is what lets a human distinguish "the cache
-        was poisoned" from "the cache was cold".  A quarantine that
-        cannot happen (entry already gone, quarantine directory blocked,
-        disk full) is not an error: the caller still treats the entry
-        as a miss, exactly as :meth:`store` treats a failed write.
-        Returns whether the entry was moved aside.
-        """
-        destination = self.quarantine_path()
-        try:
-            destination.mkdir(parents=True, exist_ok=True)
-            os.replace(path, destination / (key + ".json"))
-        except OSError:
-            return False
-        self.quarantined += 1
-        try:
-            (destination / (key + ".reason")).write_text(
-                "key: %s\nreason: %s\n" % (key, reason), encoding="utf-8"
-            )
-        except OSError:
-            pass  # the entry is aside; only the note is missing
-        return True
 
     # -- keys --------------------------------------------------------------
 
@@ -198,45 +129,27 @@ class ResultCache:
     # -- entries -----------------------------------------------------------
 
     @staticmethod
-    def _entry_problem(entry, key):
-        """Why a parsed entry is untrustworthy, or None if it is sound."""
-        if not isinstance(entry, dict):
-            return "entry is not a JSON object"
-        if entry.get("key") != key:
-            return "embedded key %r does not match filename" % (entry.get("key"),)
-        if "payload" not in entry:
-            return "payload missing"
-        if not isinstance(entry.get("stats"), dict):
-            return "stats block missing"
-        recorded = entry.get("payload_sha256")
-        actual = resilience.payload_digest(entry["payload"])
-        if recorded != actual:
-            return "payload hash mismatch (recorded %r, actual %s)" % (
-                recorded,
-                actual,
-            )
-        return None
+    def _entry_sound(entry, key):
+        """Whether a parsed entry is this key's, current and intact."""
+        return (
+            isinstance(entry, dict)
+            and entry.get("schema") == CACHE_SCHEMA
+            and entry.get("key") == key
+            and "payload" in entry
+            and isinstance(entry.get("stats"), dict)
+            and entry.get("payload_sha256")
+            == resilience.payload_digest(entry["payload"])
+        )
 
     def load(self, key):
-        """The stored entry dict, or None (corruption quarantines + misses)."""
-        path = self._path(key)
+        """The stored entry dict, or None: a cold, unparseable,
+        foreign-schema or failing entry is a miss, left in place for the
+        cell's store to overwrite."""
         try:
-            raw = path.read_bytes()
-        except OSError:
-            self.misses += 1
-            return None  # a cold miss, nothing to quarantine
-        try:
-            entry = json.loads(raw.decode("utf-8"))
-        except (UnicodeDecodeError, ValueError):
-            self._quarantine(path, key, "unparseable JSON (torn write or poison)")
-            self.misses += 1
-            return None
-        if isinstance(entry, dict) and entry.get("schema") != CACHE_SCHEMA:
-            self.misses += 1  # foreign version: stale, not corrupt
-            return None
-        problem = self._entry_problem(entry, key)
-        if problem is not None:
-            self._quarantine(path, key, problem)
+            entry = json.loads(self._path(key).read_bytes().decode("utf-8"))
+        except (OSError, UnicodeDecodeError, ValueError):
+            entry = None
+        if not self._entry_sound(entry, key):
             self.misses += 1
             return None
         self.hits += 1
@@ -282,42 +195,3 @@ class ResultCache:
                 )
             return False
         return True
-
-    def verify_entries(self):
-        """Re-hash every entry; quarantine mismatches.  Returns a report.
-
-        Each report row is ``{"key", "cell", "status", "reason"}`` with
-        status ``ok``, ``quarantined``, or ``corrupt`` when the bad entry
-        could not be moved aside (``python -m repro bench
-        --cache-verify``).
-        """
-        report = []
-        if not self.directory.is_dir():
-            return report
-        for path in sorted(self.directory.glob("??/*.json")):
-            key = path.stem
-            row = {"key": key, "cell": None, "status": "ok", "reason": None}
-            try:
-                entry = json.loads(path.read_bytes().decode("utf-8"))
-            except (OSError, UnicodeDecodeError, ValueError):
-                moved = self._quarantine(
-                    path, key, "unparseable JSON (torn write or poison)"
-                )
-                row.update(
-                    status="quarantined" if moved else "corrupt",
-                    reason="unparseable JSON",
-                )
-                report.append(row)
-                continue
-            if isinstance(entry, dict):
-                row["cell"] = entry.get("cell")
-            if isinstance(entry, dict) and entry.get("schema") != CACHE_SCHEMA:
-                row.update(status="ok", reason="foreign schema (ignored)")
-                report.append(row)
-                continue
-            problem = self._entry_problem(entry, key)
-            if problem is not None:
-                moved = self._quarantine(path, key, problem)
-                row.update(status="quarantined" if moved else "corrupt", reason=problem)
-            report.append(row)
-        return report

@@ -118,36 +118,15 @@ def oversubscription_grid(
     }
 
 
-#: (section label, renderer) in paper order — the labels name sections
-#: omitted from a partial (``keep_going``) report
-_SECTIONS = (
-    ("Table II", lambda results, transactions: reporting.render_table2(table2_results(results))),
-    ("Table III", lambda results, transactions: reporting.render_table3(breakdown_result(results))),
-    ("Table V", lambda results, transactions: reporting.render_table5(table5_results(results, transactions))),
-    ("Figure 4", lambda results, transactions: reporting.render_figure4(figure4_grid(results), PLATFORM_ORDER)),
-    ("Section V ablation", lambda results, transactions: reporting.render_ablation(ablation_grid(results))),
-    ("Section VI VHE", lambda results, transactions: reporting.render_vhe(vhe_comparison(results))),
-)
-
-
-def full_report_text(results, transactions=cells.DEFAULT_RR_TRANSACTIONS, partial=False):
-    """The whole evaluation section, in paper order, from merged cells.
-
-    With ``partial=True`` (a ``keep_going`` run with failures) a section
-    whose cells are missing from ``results`` is replaced by an explicit
-    omission marker instead of raising — the surviving sections keep
-    their exact serial bytes.
-    """
-    sections = []
-    for label, render in _SECTIONS:
-        try:
-            sections.append(render(results, transactions))
-        except KeyError as exc:
-            if not partial:
-                raise
-            missing = exc.args[0] if exc.args else "?"
-            sections.append(
-                "[%s omitted: cell %s failed and --keep-going was set]"
-                % (label, missing)
-            )
-    return "\n\n".join(sections)
+def full_report_text(results, transactions=cells.DEFAULT_RR_TRANSACTIONS):
+    """The whole evaluation section, in paper order, from merged cells."""
+    return "\n\n".join(
+        [
+            reporting.render_table2(table2_results(results)),
+            reporting.render_table3(breakdown_result(results)),
+            reporting.render_table5(table5_results(results, transactions)),
+            reporting.render_figure4(figure4_grid(results), PLATFORM_ORDER),
+            reporting.render_ablation(ablation_grid(results)),
+            reporting.render_vhe(vhe_comparison(results)),
+        ]
+    )

@@ -13,12 +13,13 @@ start (DESIGN.md "Runner" has the measurement).
 
 **Failure model** (DESIGN.md "Runner"): a cell that raises fails once.
 It is never retried — the model is deterministic, so a second attempt
-would raise again.  The run then aborts with a structured
-:class:`~repro.runner.resilience.CellFailure`, or, under ``keep_going``,
-records a :class:`~repro.runner.resilience.FailedCell` and continues
-without the cell.  Every result executed is stored in the cache as soon
-as it exists, so rerunning an interrupted run on the same cache only
-simulates what is missing.
+would raise again.  ``run_cells_outcome`` records it as a
+:class:`~repro.runner.resilience.FailedCell` and runs the rest of the
+cells; ``run_cells`` then raises a structured
+:class:`~repro.runner.resilience.CellFailure` naming every failed cell.
+Every result executed is stored in the cache as soon as it exists, so
+rerunning a failed or interrupted run on the same cache only simulates
+what is missing.
 
 Per-cell accounting goes through a :class:`repro.obs.MetricsRegistry`:
 ``runner.cell.engines`` and ``runner.cell.simulated_cycles`` count the
@@ -27,8 +28,8 @@ discrete-event engines a cell built and the cycles they simulated (via
 failure report still says how far the cell got — and
 ``runner.cell.wall_ms`` is host wall time, the one place in the tree
 where a wall clock is legitimate, because it measures the *runner*,
-never the model.  Run-wide counters: ``runner.cell.failed``,
-``runner.cache.quarantined`` and ``runner.cache.write_error``.
+never the model.  Run-wide counters: ``runner.cell.failed`` and
+``runner.cache.write_error``.
 """
 
 import dataclasses
@@ -47,7 +48,6 @@ from repro.sim.engine import Engine
 #: clean run still reports explicit zeros)
 RUNNER_COUNTERS = (
     "runner.cell.failed",
-    "runner.cache.quarantined",
     "runner.cache.write_error",
 )
 
@@ -79,9 +79,9 @@ class CellResult:
 class RunOutcome:
     """Everything one ``run_cells_outcome`` call produced.
 
-    ``results`` holds the successful cells in request order (all of
-    them, unless ``keep_going`` swallowed failures); ``failures`` the
-    cells that raised; ``metrics`` the run-wide counters.
+    ``results`` holds the successful cells in request order;
+    ``failures`` the cells that raised; ``metrics`` the run-wide
+    counters.
     """
 
     results: "OrderedDict"
@@ -147,15 +147,15 @@ def _from_cache(spec, entry):
     )
 
 
-def run_cells_outcome(specs, cache=None, keep_going=False, metrics=None):
+def run_cells_outcome(specs, cache=None, metrics=None):
     """Plan, load or run, store: one pass over the deduplicated cells.
 
     Each cell is served from ``cache`` when a verified entry exists,
     otherwise executed in process and stored immediately — never after
     the run, so a later failure cannot lose it.  The result dict is in
-    (deduplicated) request order.  A cell that raises aborts the run
-    with :class:`~repro.runner.resilience.CellFailure`, unless
-    ``keep_going`` records it in ``failures`` instead.
+    (deduplicated) request order.  A cell that raises is recorded in
+    ``failures`` and the pass goes on, so one failing cell never costs
+    the others (the broker's batches mix unrelated queries' cells).
     """
     metrics = metrics if metrics is not None else MetricsRegistry()
     for name in RUNNER_COUNTERS:
@@ -164,7 +164,6 @@ def run_cells_outcome(specs, cache=None, keep_going=False, metrics=None):
     results = OrderedDict()
     failures = []
     base = cache.base_fingerprint() if cache is not None else None
-    quarantined_before = cache.quarantined if cache is not None else 0
     write_errors_before = cache.write_errors if cache is not None else 0
     for spec in ordered:
         key = None
@@ -177,19 +176,13 @@ def run_cells_outcome(specs, cache=None, keep_going=False, metrics=None):
         try:
             result = execute_cell(spec)
         except CellExecutionError as exc:
-            failed = FailedCell.from_execution_error(spec, exc)
+            failures.append(FailedCell.from_execution_error(spec, exc))
             metrics.counter("runner.cell.failed").inc()
-            if not keep_going:
-                raise resilience.CellFailure([failed])
-            failures.append(failed)
             continue
         results[spec.id] = result
         if cache is not None:
             cache.store(key, result)
     if cache is not None:
-        metrics.counter("runner.cache.quarantined").inc(
-            cache.quarantined - quarantined_before
-        )
         metrics.counter("runner.cache.write_error").inc(
             cache.write_errors - write_errors_before
         )
@@ -197,5 +190,9 @@ def run_cells_outcome(specs, cache=None, keep_going=False, metrics=None):
 
 
 def run_cells(specs, cache=None):
-    """Just the request-ordered result map (aborts on any failed cell)."""
-    return run_cells_outcome(specs, cache=cache).results
+    """The request-ordered result map; raises
+    :class:`~repro.runner.resilience.CellFailure` if any cell failed."""
+    outcome = run_cells_outcome(specs, cache=cache)
+    if outcome.failures:
+        raise resilience.CellFailure(outcome.failures)
+    return outcome.results

@@ -1,10 +1,10 @@
 """Failure records and payload integrity for the suite runner.
 
 The runner's failure model (DESIGN.md, "Runner") is deliberately
-simple: a cell runs once, in process.  If it raises, the run aborts
-with a structured :class:`CellFailure` naming the cell, its error and
-its traceback — or, under ``keep_going``, the failure is recorded as a
-:class:`FailedCell` and the run continues without the cell.
+simple: a cell runs once, in process.  If it raises, the failure is
+recorded as a :class:`FailedCell` and the other cells still run; a
+caller that needs every cell gets a structured :class:`CellFailure`
+naming each failed cell, its error and its traceback.
 
 Payload integrity is a sha256 over the canonical payload JSON
 (:func:`payload_digest`): the cache verifies it on every read, and the

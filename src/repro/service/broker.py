@@ -18,24 +18,19 @@ Futures always resolve to a verdict **tuple**, never an exception:
 Resolving with values keeps multi-waiter semantics trivial (no
 "exception was never retrieved" warnings, no first-waiter-consumes-it
 races) and lets the server translate failures into its stable error
-document.  The broker always runs the batch with ``keep_going=True`` so
-one failing cell cannot abort a batch that carries other queries'
-cells.
+document.  ``run_cells_outcome`` runs every cell of a batch and returns
+the failed ones next to the results, so one failing cell cannot cost a
+batch that carries other queries' cells.
 
 ``hold()`` / ``release()`` are the deterministic test seam: a held
 broker queues submissions without executing, so a test can pile up a
 coalescing burst, assert the registry state, and then let one batch
 run — no sleeps, no timing assumptions.
 
-The worker thread is **supervised**: each spawn gets a generation
-number, and an unexpected death (any escaping exception — ``_execute``
-already converts cell failures to verdicts, so only genuine worker bugs
-or injected chaos reach here) fails every pending future of the dead
-generation with a ``worker-death`` verdict — a waiter is *never*
-wedged — and respawns a fresh worker, so the broker keeps serving
-(``service.worker.deaths`` / ``.respawns`` count the churn).  The
-``_boom`` attribute is the chaos seam: the worker raises it after
-passing the hold gate, making death deterministic in tests.
+There is one worker thread, started by the first submission, and its
+target is :meth:`_run` itself.  Nothing in the loop is expected to
+raise: ``_execute`` turns any exception from the runner into a
+``failed`` verdict for every cell of the batch.
 """
 
 import threading
@@ -55,8 +50,6 @@ BROKER_COUNTERS = (
     "service.cells.cached",
     "service.cells.failed",
     "service.batches",
-    "service.worker.deaths",
-    "service.worker.respawns",
 )
 
 
@@ -81,8 +74,6 @@ class SimulationBroker:
         self._gate.set()
         self._closed = False
         self._thread = None
-        self._generation = 0  # bumps on every worker (re)spawn
-        self._boom = None  # chaos seam: raised by the worker post-gate
 
     # --- submission ------------------------------------------------------
 
@@ -144,69 +135,16 @@ class SimulationBroker:
 
     def _ensure_thread(self):
         # caller holds self._lock
-        if self._thread is None or not self._thread.is_alive():
-            self._generation += 1
+        if self._thread is None:
             self._thread = threading.Thread(
-                target=self._supervise,
-                args=(self._generation,),
-                name="repro-service-broker",
-                daemon=True,
+                target=self._run, name="repro-service-broker", daemon=True
             )
             self._thread.start()
-
-    def _supervise(self, generation):
-        """The thread target: run the loop; on escape, fail-and-respawn."""
-        try:
-            self._run()
-        except BaseException as exc:  # worker bug or injected chaos
-            self._on_worker_death(generation, exc)
-
-    def _on_worker_death(self, generation, exc):
-        """Fail every future of the dead generation, then respawn.
-
-        The futures registry and pending queue are snapshotted and
-        cleared under the lock, so a concurrent submit lands cleanly in
-        the *next* generation; the verdicts are resolved outside the
-        lock (waiters may run callbacks inline).
-        """
-        with self._lock:
-            if generation != self._generation:
-                return  # a stale corpse; a newer worker owns the state
-            dead = list(self._inflight.items())
-            self._inflight.clear()
-            self._pending.clear()
-            self._thread = None
-            closed = self._closed
-        self.metrics.counter("service.worker.deaths").inc()
-        self.metrics.gauge("service.queue.cells").set(0)
-        for cell_id, (_spec, future) in dead:
-            if future.set_running_or_notify_cancel():
-                future.set_result(
-                    (
-                        "failed",
-                        {
-                            "id": cell_id,
-                            "kind": "worker-death",
-                            "error": "broker worker died: %s: %s"
-                            % (type(exc).__name__, exc),
-                        },
-                    )
-                )
-            self.metrics.counter("service.cells.failed").inc()
-        if not closed:
-            with self._lock:
-                if not self._closed:
-                    self._ensure_thread()
-                    self.metrics.counter("service.worker.respawns").inc()
 
     def _run(self):
         while True:
             self._wake.wait()
             self._gate.wait()
-            boom = self._boom
-            if boom is not None:
-                self._boom = None
-                raise boom
             with self._lock:
                 batch = list(self._pending)
                 self._pending.clear()
@@ -222,12 +160,10 @@ class SimulationBroker:
         self.metrics.counter("service.batches").inc()
         verdicts = {}
         try:
-            # keep_going is non-negotiable: a batch mixes unrelated
-            # queries' cells, and one failing cell must not abort the rest
             outcome = pool.run_cells_outcome(
-                batch, cache=self.cache, keep_going=True, metrics=self.metrics
+                batch, cache=self.cache, metrics=self.metrics
             )
-        except Exception as exc:  # defensive: keep_going should prevent this
+        except Exception as exc:  # a runner bug: fail the batch, not the worker
             failure = {
                 "id": None,
                 "error": "%s: %s" % (type(exc).__name__, exc),
@@ -246,13 +182,7 @@ class SimulationBroker:
                     else:
                         self.metrics.counter("service.cells.simulated").inc()
                     continue
-                failed = failed_by_id.get(spec.id)
-                document = (
-                    failed.as_dict()
-                    if failed is not None
-                    else {"id": spec.id, "error": "result missing from outcome"}
-                )
-                verdicts[spec.id] = ("failed", document)
+                verdicts[spec.id] = ("failed", failed_by_id[spec.id].as_dict())
                 self.metrics.counter("service.cells.failed").inc()
         with self._lock:
             entries = [

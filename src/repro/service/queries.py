@@ -26,8 +26,10 @@ touches is the base cell itself, and is shared with default queries.
 
 import dataclasses
 import hashlib
+import math
 from collections import OrderedDict
 
+from repro.core.oversubscription import INTERVAL_MS
 from repro.core.testbed import ALL_KEYS
 from repro.errors import ConfigurationError
 from repro.hw import costs as hw_costs
@@ -38,6 +40,9 @@ from repro.workloads import FIGURE4_WORKLOADS
 
 #: workload names a mix parameter may select from (Figure 4 vocabulary)
 WORKLOAD_NAMES = tuple(workload.name for workload in FIGURE4_WORKLOADS)
+#: the longest oversubscription timeslice: one slice fills the sweep's
+#: whole simulated interval (the paper grid tops out at 4000 us)
+MAX_TIMESLICE_US = INTERVAL_MS * 1000.0
 
 
 class Query:
@@ -137,6 +142,15 @@ def _positive_int(value, target, name, default):
     return value
 
 
+def _finite(number):
+    """Whether a JSON number is a finite float: not NaN, not infinite,
+    and not an integer past the float range."""
+    try:
+        return math.isfinite(number)
+    except OverflowError:
+        return False
+
+
 def _timeslices(value, target):
     if value is None:
         return list(cells.OVERSUB_TIMESLICES_US)
@@ -152,10 +166,10 @@ def _timeslices(value, target):
                 "'timeslices_us' entries for target %r must be numbers, got %r"
                 % (target, item)
             )
-        if item <= 0:
+        if not (_finite(item) and 0 < item <= MAX_TIMESLICE_US):
             raise ConfigurationError(
-                "'timeslices_us' entries for target %r must be > 0, got %r"
-                % (target, item)
+                "'timeslices_us' entries for target %r must be in (0, %g], "
+                "got %r" % (target, MAX_TIMESLICE_US, item)
             )
         out.append(float(item))
     return out
@@ -488,8 +502,15 @@ def _option_number(payload, name):
     value = payload.get(name)
     if value is None:
         return None
-    if isinstance(value, bool) or not isinstance(value, (int, float)) or value <= 0:
-        raise ConfigurationError("%r must be a number > 0, got %r" % (name, value))
+    if (
+        isinstance(value, bool)
+        or not isinstance(value, (int, float))
+        or not _finite(value)
+        or value <= 0
+    ):
+        raise ConfigurationError(
+            "%r must be a finite number > 0, got %r" % (name, value)
+        )
     return float(value)
 
 
@@ -546,9 +567,9 @@ def run_direct(query, cache=None):
     :class:`~repro.runner.resilience.CellFailure` like any direct run.
     """
     base, execs = plan(query)
-    outcome = pool.run_cells_outcome(execs, cache=cache)
-    result = assemble(query, rekey(outcome.results, base, execs))
-    sources = [outcome.results[spec.id].source for spec in execs]
+    results = pool.run_cells(execs, cache=cache)
+    result = assemble(query, rekey(results, base, execs))
+    sources = [results[spec.id].source for spec in execs]
     stats = {
         "cells": len(execs),
         "coalesced": 0,

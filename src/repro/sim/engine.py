@@ -35,7 +35,6 @@ class Engine:
         self._now = 0
         self._queue = []  # heap of (time, seq, callable)
         self._seq = 0
-        self._processes = []
         #: run-ahead bound: the latest time the current run loop may
         #: reach (``run``'s ``until``, ``run_until_fired``'s deadline);
         #: -1 outside a run loop, which disables run-ahead
@@ -73,7 +72,6 @@ class Engine:
     def spawn(self, generator, name=""):
         """Start a new process from a generator; returns the Process."""
         process = Process(self, generator, name)
-        self._processes.append(process)
         self.schedule(0, partial(process.resume, None))
         return process
 

@@ -15,7 +15,7 @@ import pytest
 
 from repro.hw import costs as hw_costs
 from repro.runner import ResultCache, cells, run_cells
-from repro.runner.cache import CACHE_SCHEMA, QUARANTINE_DIR, live_costs
+from repro.runner.cache import CACHE_SCHEMA, live_costs
 
 
 MICRO = cells.micro("kvm-arm")
@@ -145,9 +145,32 @@ class TestPoisonedEntries:
 
     def test_garbage_bytes_are_a_miss(self, cache):
         run_cells([MICRO], cache=cache)
-        _key, path = self._entry_path(cache)
+        key, path = self._entry_path(cache)
         path.write_bytes(b"\x00\xffnot json at all")
-        assert run_cells([MICRO], cache=cache)[MICRO.id].source == "run"
+        fresh = ResultCache(cache.directory)
+        assert fresh.load(key) is None
+        assert fresh.misses == 1
+        assert path.read_bytes() == b"\x00\xffnot json at all"  # left in place
+        # the run re-simulates, and its store overwrites the bad bytes
+        assert run_cells([MICRO], cache=fresh)[MICRO.id].source == "run"
+        assert json.loads(path.read_text())["schema"] == CACHE_SCHEMA
+        assert [p for p in cache.directory.rglob("*") if p.is_file()] == [path]
+        assert run_cells([MICRO], cache=cache)[MICRO.id].source == "cache"
+
+    def test_hash_mismatch_is_resimulated_then_healed(self, cache):
+        baseline = run_cells([MICRO], cache=cache)[MICRO.id]
+        key, path = self._entry_path(cache)
+        entry = json.loads(path.read_text())
+        entry["payload_sha256"] = "0" * 64
+        path.write_text(json.dumps(entry))
+        fresh = ResultCache(cache.directory)
+        rerun = run_cells([MICRO], cache=fresh)[MICRO.id]
+        assert rerun.source == "run"
+        assert rerun.payload == baseline.payload
+        assert fresh.misses == 1
+        # healed in place: the entry verifies and nothing else was left
+        assert ResultCache(cache.directory).load(key) is not None
+        assert [p for p in cache.directory.rglob("*") if p.is_file()] == [path]
 
     def test_key_mismatch_inside_entry_is_a_miss(self, cache):
         run_cells([MICRO], cache=cache)
@@ -164,6 +187,8 @@ class TestPoisonedEntries:
         entry["schema"] = "repro-runner-cache/0"
         path.write_text(json.dumps(entry))
         assert run_cells([MICRO], cache=cache)[MICRO.id].source == "run"
+        # version skew: the re-store overwrites the stale entry in place
+        assert json.loads(path.read_text())["schema"] == CACHE_SCHEMA
 
     def test_missing_payload_is_a_miss(self, cache):
         run_cells([MICRO], cache=cache)
@@ -174,140 +199,20 @@ class TestPoisonedEntries:
         assert run_cells([MICRO], cache=cache)[MICRO.id].source == "run"
 
 
-class TestQuarantine:
-    """Corrupt entries are moved aside with a reason, not deleted."""
-
-    def _poison(self, cache, payload_bytes):
-        run_cells([MICRO], cache=cache)
-        key = cache.key_for(MICRO)
-        path = cache.directory / key[:2] / (key + ".json")
-        path.write_bytes(payload_bytes)
-        return key, path
-
-    def test_garbage_entry_is_quarantined_with_reason_file(self, cache):
-        key, path = self._poison(cache, b"\x00\xffnot json at all")
-        fresh = ResultCache(cache.directory)
-        assert run_cells([MICRO], cache=fresh)[MICRO.id].source == "run"
-        assert fresh.quarantined == 1
-        # the bad bytes were moved aside and the re-run healed the slot
-        assert json.loads(path.read_text())["schema"] == CACHE_SCHEMA
-        quarantine = cache.directory / QUARANTINE_DIR
-        assert (quarantine / (key + ".json")).read_bytes() == b"\x00\xffnot json at all"
-        reason = (quarantine / (key + ".reason")).read_text()
-        assert key in reason and "unparseable JSON" in reason
-
-    def test_hash_mismatch_is_quarantined(self, cache):
-        run_cells([MICRO], cache=cache)
-        key = cache.key_for(MICRO)
-        path = cache.directory / key[:2] / (key + ".json")
-        entry = json.loads(path.read_text())
-        entry["payload_sha256"] = "0" * 64
-        path.write_text(json.dumps(entry))
-        fresh = ResultCache(cache.directory)
-        assert run_cells([MICRO], cache=fresh)[MICRO.id].source == "run"
-        assert fresh.quarantined == 1
-        reason = next((cache.directory / QUARANTINE_DIR).glob("*.reason")).read_text()
-        assert "payload hash mismatch" in reason
-
-    def test_foreign_schema_is_not_quarantined(self, cache):
-        # version skew is expected across upgrades — a plain miss, and
-        # the re-store overwrites the stale entry in place
-        run_cells([MICRO], cache=cache)
-        key = cache.key_for(MICRO)
-        path = cache.directory / key[:2] / (key + ".json")
-        entry = json.loads(path.read_text())
-        entry["schema"] = "repro-runner-cache/0"
-        path.write_text(json.dumps(entry))
-        fresh = ResultCache(cache.directory)
-        run_cells([MICRO], cache=fresh)
-        assert fresh.quarantined == 0
-        assert not (cache.directory / QUARANTINE_DIR).exists()
-        assert json.loads(path.read_text())["schema"] == CACHE_SCHEMA
-
-    def test_blocked_quarantine_is_a_miss_not_an_error(self, cache):
-        # regression: a regular file squatting on the quarantine
-        # directory made load() raise FileExistsError out of mkdir
-        # (and, through the broker, fail a whole batch)
-        key, path = self._poison(cache, b"\x00poisoned")
-        (cache.directory / QUARANTINE_DIR).write_text("not a directory")
-        fresh = ResultCache(cache.directory)
-        assert fresh.load(key) is None
-        assert fresh.misses == 1
-        assert fresh.quarantined == 0
-        assert path.read_bytes() == b"\x00poisoned"  # left in place
-        assert [row["status"] for row in fresh.verify_entries()] == ["corrupt"]
-        # the run treats it as a miss, re-simulates, and the store heals it
-        assert run_cells([MICRO], cache=fresh)[MICRO.id].source == "run"
-        assert ResultCache(cache.directory).load(key) is not None
-        assert fresh.verify_entries()[0]["status"] == "ok"
-
-    def test_rerun_after_quarantine_heals_the_cache(self, cache):
-        self._poison(cache, b"garbage")
-        healing = ResultCache(cache.directory)
-        run_cells([MICRO], cache=healing)
-        healed = ResultCache(cache.directory)
-        assert run_cells([MICRO], cache=healed)[MICRO.id].source == "cache"
-        assert healed.quarantined == 0
-
-
-class TestVerifyEntries:
-    def test_clean_store_reports_all_ok(self, cache):
-        run_cells([MICRO, cells.breakdown()], cache=cache)
-        report = ResultCache(cache.directory).verify_entries()
-        assert len(report) == 2
-        assert all(row["status"] == "ok" for row in report)
-        assert {row["cell"] for row in report} == {MICRO.id, "breakdown"}
-
-    def test_bad_entry_reported_and_quarantined(self, cache):
-        run_cells([MICRO, cells.breakdown()], cache=cache)
-        key = cache.key_for(MICRO)
-        path = cache.directory / key[:2] / (key + ".json")
-        entry = json.loads(path.read_text())
-        entry["payload"] = {"tampered": True}
-        path.write_text(json.dumps(entry))
-
-        verifier = ResultCache(cache.directory)
-        report = verifier.verify_entries()
-        by_status = {row["status"] for row in report}
-        assert by_status == {"ok", "quarantined"}
-        bad = next(row for row in report if row["status"] == "quarantined")
-        assert bad["key"] == key
-        assert "payload hash mismatch" in bad["reason"]
-        assert verifier.quarantined == 1
-        assert not path.exists()
-
-    def test_empty_or_missing_directory_is_fine(self, tmp_path):
-        assert ResultCache(tmp_path / "nonexistent").verify_entries() == []
-
-
 class TestStaleScratchSweep:
-    def _scratch(self, cache, pid_suffix):
-        bucket = cache.directory / "ab"
-        bucket.mkdir(parents=True, exist_ok=True)
-        scratch = bucket / ("abcd.json.tmp.%s" % pid_suffix)
-        scratch.write_text("partial write")
-        return scratch
-
-    def test_dead_pid_scratch_swept_on_open(self, cache):
-        # pid 2**22+1 is beyond the default pid_max, so it cannot be alive
-        dead = self._scratch(cache, str(2**22 + 1))
-        mangled = self._scratch(cache, "notapid")
-        swept = ResultCache(cache.directory)
-        assert not dead.exists()
-        assert not mangled.exists()
-        assert swept.swept_tmp == 2
-
-    def test_live_pid_scratch_left_alone(self, cache):
-        # our own pid is definitionally alive: a concurrent run mid-store
-        live = self._scratch(cache, str(os.getpid()))
-        swept = ResultCache(cache.directory)
-        assert live.exists()
-        assert swept.swept_tmp == 0
+    """A ``*.tmp.<pid>`` file a killed writer left behind is never read:
+    a lookup opens only ``<key>.json``."""
 
     def test_scratch_files_do_not_satisfy_lookups(self, cache):
-        self._scratch(cache, str(os.getpid()))
+        # a complete, valid entry stranded under its scratch name (the
+        # writer died between the write and the rename)
+        run_cells([MICRO], cache=cache)
+        key = cache.key_for(MICRO)
+        path = cache.directory / key[:2] / (key + ".json")
+        path.rename(path.with_name("%s.tmp.%d" % (path.name, os.getpid())))
         fresh = ResultCache(cache.directory)
         assert run_cells([MICRO], cache=fresh)[MICRO.id].source == "run"
+        assert fresh.misses == 1
 
 
 class TestEntryRoundTrip:

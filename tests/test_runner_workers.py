@@ -110,13 +110,13 @@ class TestEngineAccounting:
         # cycle/engine counts in the failure — not silently drop them.
         from repro.runner.resilience import CellExecutionError
 
-        def _boom(_params):
+        def _fails_mid_run(_params):
             engine = Engine()
             engine.schedule(7, lambda: None)
             engine.run()
             raise RuntimeError("mid-run boom")
 
-        monkeypatch.setitem(cells.CELL_KINDS, "boom", _boom)
+        monkeypatch.setitem(cells.CELL_KINDS, "boom", _fails_mid_run)
         assert Engine.created_hook is None
         with pytest.raises(CellExecutionError) as excinfo:
             execute_cell(cells.CellSpec("boom"))

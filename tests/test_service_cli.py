@@ -84,6 +84,16 @@ class TestQueryDirect:
         assert status == 1
         assert "bogus" in capsys.readouterr().err
 
+    def test_huge_timeslice_exits_nonzero(self, capsys):
+        status = cli.main(
+            [
+                "query", "--direct", "--target", "oversub",
+                "--params", '{"timeslices_us": [1e300]}',
+            ]
+        )
+        assert status == 1
+        assert "timeslices_us" in capsys.readouterr().err
+
     def test_malformed_params_json_aborts(self):
         with pytest.raises(SystemExit):
             cli.main(
@@ -118,6 +128,19 @@ class TestQueryServed:
         assert status == 1
         document = json.loads(capsys.readouterr().err)
         assert document["error"]["code"] == "budget-exceeded"
+        assert _load_validator().validate_document(document) == []
+
+    def test_huge_timeslice_exits_one_with_bad_request(self, capsys):
+        with running_server() as (handle, _client):
+            status = cli.main(
+                [
+                    "query", "--port", str(handle.port), "--target", "oversub",
+                    "--params", '{"timeslices_us": [1e300]}',
+                ]
+            )
+        assert status == 1
+        document = json.loads(capsys.readouterr().err)
+        assert document["error"]["code"] == "bad-request"
         assert _load_validator().validate_document(document) == []
 
     def test_unreachable_server_exits_one(self, capsys):

@@ -1,13 +1,12 @@
-"""Graceful service lifecycle: drain, worker supervision, SIGTERM.
+"""Graceful service lifecycle: drain, failing batches, SIGTERM.
 
 The contract: flipping into *draining* sheds every **new** query with a
 stable 503 ``shutting-down`` (plus a ``Retry-After`` header) while
 every already-admitted query — and any coalesced sibling riding the
 same broker batch — runs to completion; the drain condition is "zero
-queries would be dropped by stopping now".  Underneath, the broker's
-worker thread is supervised: an unexpected death fails its generation's
-futures with a ``worker-death`` verdict (nobody wedges) and a fresh
-worker respawns, so the server keeps serving.
+queries would be dropped by stopping now".  Underneath, the broker has
+one worker thread: a failing cell or batch resolves its futures with a
+``failed`` verdict (nobody wedges) and the same worker goes on serving.
 """
 
 import http.client
@@ -138,64 +137,41 @@ class TestDrain:
             assert handle.drain(timeout=1.0) is True
 
 
-class TestWorkerSupervision:
-    def test_worker_death_fails_futures_and_respawns(self):
+class TestBatchFailure:
+    def test_runner_exception_fails_the_batch_not_the_worker(self, monkeypatch):
+        from repro.runner import pool
+
+        real_run_cells_outcome = pool.run_cells_outcome
+
+        def broken(*_args, **_kwargs):
+            raise RuntimeError("injected runner bug")
+
         broker = SimulationBroker()
         try:
             broker.hold()
             futures, _stats = broker.submit(_micro_specs())
-            broker._boom = RuntimeError("injected chaos")
+            worker = broker._thread
+            monkeypatch.setattr(pool, "run_cells_outcome", broken)
             broker.release()
 
             (future,) = futures.values()
             kind, failure = future.result(WAIT_S)
             assert kind == "failed"
-            assert failure["kind"] == "worker-death"
-            assert "injected chaos" in failure["error"]
-            assert broker.metrics.counter("service.worker.deaths").value == 1
-            # the respawn lands right after the futures resolve
-            wait_until(
-                lambda: broker.metrics.counter("service.worker.respawns").value == 1,
-                "worker respawn",
-            )
+            assert failure["id"] == _micro_specs()[0].id
+            assert "RuntimeError: injected runner bug" in failure["error"]
+            assert broker.metrics.counter("service.cells.failed").value == 1
             assert broker.inflight_count() == 0
 
-            # the respawned worker serves the next submission normally
+            # the same worker serves the next submission normally
+            monkeypatch.setattr(pool, "run_cells_outcome", real_run_cells_outcome)
             futures, _stats = broker.submit(_micro_specs())
             (future,) = futures.values()
             kind, result = future.result(WAIT_S)
             assert kind == "ok"
             assert result.payload
+            assert broker._thread is worker and worker.is_alive()
         finally:
             broker.close()
-
-    def test_worker_death_through_the_server_then_recovery(self):
-        with running_server() as (handle, client):
-            handle.broker.hold()
-            doomed = QueryThread(
-                _no_retry_client(handle.port), "micro", {"key": "kvm-arm"}
-            )
-            doomed.start()
-            wait_until(
-                lambda: handle.broker.inflight_count() > 0,
-                "query to reach the broker",
-            )
-            handle.broker._boom = RuntimeError("injected chaos")
-            handle.broker.release()
-
-            with pytest.raises(Exception) as excinfo:
-                doomed.result()
-            document = excinfo.value.document
-            assert document["error"]["code"] == protocol.CELL_FAILED
-            (failed,) = document["error"]["failed_cells"]
-            assert failed["kind"] == "worker-death"
-
-            # nobody is wedged: the same query now succeeds end to end
-            healed = client.query("micro", {"key": "kvm-arm"})
-            assert healed["ok"] is True
-            assert counter_value(handle, "service.worker.respawns") == 1
-            _status, health = client.request("GET", "/healthz")
-            assert health["active"] == 0
 
 
 class TestFailingCell:

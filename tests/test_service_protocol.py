@@ -87,11 +87,29 @@ class TestCanonicalization:
             {"target": "table5", "costs": {"x86": {"copy_per_byte_den": 0}}},
             {"target": "micro", "deadline_ms": 0},
             {"target": "micro", "budget_cells": 0},
+            # json.loads accepts NaN and Infinity; 1e300 is standard JSON
+            {"target": "oversub", "params": {"timeslices_us": [float("inf")]}},
+            {"target": "oversub", "params": {"timeslices_us": [float("nan")]}},
+            {"target": "oversub", "params": {"timeslices_us": [1e300]}},
+            {
+                "target": "oversub",
+                "params": {"timeslices_us": [queries.MAX_TIMESLICE_US + 1]},
+            },
+            {"target": "micro", "deadline_ms": float("nan")},
+            {"target": "micro", "deadline_ms": float("inf")},
+            {"target": "micro", "deadline_ms": 10**400},  # past float range
         ],
     )
     def test_bad_requests_raise(self, payload):
         with pytest.raises(ConfigurationError):
             queries.canonicalize(payload)
+
+    def test_timeslice_bound_keeps_the_paper_grid(self):
+        grid = list(cells.OVERSUB_TIMESLICES_US) + [queries.MAX_TIMESLICE_US]
+        query, _ = queries.canonicalize(
+            {"target": "oversub", "params": {"timeslices_us": grid}}
+        )
+        assert query.params["timeslices_us"] == grid
 
     def test_plan_pairs_base_and_exec_specs(self):
         query, _ = queries.canonicalize(
@@ -174,6 +192,40 @@ class TestHttpSurface:
                 )
                 response = connection.getresponse()
                 document = json.loads(response.read().decode("utf-8"))
+                assert response.status == 400
+            finally:
+                connection.close()
+            assert document["error"]["code"] == "bad-request"
+
+    @pytest.mark.parametrize(
+        "body",
+        [
+            b'{"target": "oversub", "params": {"timeslices_us": [Infinity]}}',
+            b'{"target": "oversub", "params": {"timeslices_us": [1e300]}}',
+            b'{"target": "micro", "deadline_ms": NaN}',
+        ],
+        ids=["inf-timeslice", "huge-timeslice", "nan-deadline"],
+    )
+    def test_non_finite_and_huge_numbers_are_bad_requests(self, body):
+        def reject_constant(name):
+            raise AssertionError("response carries a non-JSON %s" % name)
+
+        with running_server() as (_handle, client):
+            import http.client
+
+            connection = http.client.HTTPConnection(
+                "127.0.0.1", client.port, timeout=30
+            )
+            try:
+                connection.request(
+                    "POST", "/v1/query", body=body,
+                    headers={"Content-Type": "application/json"},
+                )
+                response = connection.getresponse()
+                document = json.loads(
+                    response.read().decode("utf-8"),
+                    parse_constant=reject_constant,
+                )
                 assert response.status == 400
             finally:
                 connection.close()

@@ -3,17 +3,14 @@
 
 Checks the contract :mod:`repro.runner.bench` promises: a JSON object
 with the ``repro-bench/1`` schema tag, a ``cache`` block with
-non-negative hit/miss (and, when present, quarantine/write-error)
-counters, a non-empty ``cells`` list where every cell carries
-id/kind/params/source and non-negative wall time, simulated cycles and
-engine counts, totals that agree with the per-cell rows, and a 64-hex
-``report_sha256``.
-
-Optional sections are validated when present: under ``--keep-going``,
-a ``partial`` flag and a ``failed_cells`` list whose entries carry
-id/kind/params, the error, its traceback and the partial engine and
-cycle counts.  Keys written by older
-runners (``jobs``, ``resilience``, ``journal``, ``perf``) are ignored.
+non-negative hit/miss (and, when present, write-error) counters, a
+non-empty ``cells`` list where every cell carries id/kind/params/source
+and non-negative wall time, simulated cycles and engine counts, totals
+that agree with the per-cell rows, and a 64-hex ``report_sha256``.
+A run with a failed cell writes no document, so every valid document
+covers the whole grid.  Keys written by older runners (``jobs``,
+``resilience``, ``journal``, ``perf``, ``partial``, ``failed_cells``)
+are ignored.
 
 Usage:
     python tools/validate_bench.py BENCH_suite.json [more.json ...]
@@ -59,9 +56,8 @@ def validate(path):
         for key in ("hits", "misses"):
             if not _is_nonneg_int(cache.get(key)):
                 problems.append("%s: cache.%s=%r is not a non-negative int" % (path, key, cache.get(key)))
-        for key in ("quarantined", "write_errors"):
-            if key in cache and not _is_nonneg_int(cache[key]):
-                problems.append("%s: cache.%s=%r is not a non-negative int" % (path, key, cache[key]))
+        if "write_errors" in cache and not _is_nonneg_int(cache["write_errors"]):
+            problems.append("%s: cache.write_errors=%r is not a non-negative int" % (path, cache["write_errors"]))
 
     cells = document.get("cells")
     if not isinstance(cells, list) or not cells:
@@ -100,8 +96,6 @@ def validate(path):
                 "%s: totals.simulated_cycles=%r but cells sum to %d" % (path, totals.get("simulated_cycles"), cycles_total)
             )
 
-    problems.extend(_validate_failed_cells(path, document))
-
     digest = document.get("report_sha256")
     if (
         not isinstance(digest, str)
@@ -109,43 +103,6 @@ def validate(path):
         or any(ch not in "0123456789abcdef" for ch in digest)
     ):
         problems.append("%s: report_sha256=%r is not 64 lowercase hex chars" % (path, digest))
-    return problems
-
-
-def _validate_failed_cells(path, document):
-    """Problems in the optional ``partial``/``failed_cells`` sections."""
-    problems = []
-    if "partial" in document and not isinstance(document["partial"], bool):
-        problems.append("%s: partial=%r is not a bool" % (path, document["partial"]))
-    if "failed_cells" not in document:
-        return problems
-    failed_cells = document["failed_cells"]
-    if not isinstance(failed_cells, list):
-        return problems + ["%s: failed_cells is not a list" % path]
-    if failed_cells and document.get("partial") is not True:
-        problems.append("%s: failed_cells present but partial is not true" % path)
-    for index, failed in enumerate(failed_cells):
-        if not isinstance(failed, dict):
-            problems.append("%s: failed_cells[%d] is not an object" % (path, index))
-            continue
-        for key in ("id", "kind"):
-            if not isinstance(failed.get(key), str) or not failed.get(key):
-                problems.append(
-                    "%s: failed_cells[%d] %s=%r is not a non-empty string"
-                    % (path, index, key, failed.get(key))
-                )
-        if not isinstance(failed.get("params"), dict):
-            problems.append("%s: failed_cells[%d] params is not an object" % (path, index))
-        if not isinstance(failed.get("error"), str) or not failed.get("error"):
-            problems.append("%s: failed_cells[%d] error missing" % (path, index))
-        if not isinstance(failed.get("traceback"), str):
-            problems.append("%s: failed_cells[%d] traceback is not a string" % (path, index))
-        for key in ("engines", "simulated_cycles"):
-            if not _is_nonneg_int(failed.get(key)):
-                problems.append(
-                    "%s: failed_cells[%d] %s=%r is not a non-negative int"
-                    % (path, index, key, failed.get(key))
-                )
     return problems
 
 
