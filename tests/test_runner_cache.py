@@ -151,11 +151,7 @@ class TestPoisonedEntries:
         assert fresh.load(key) is None
         assert fresh.misses == 1
         assert path.read_bytes() == b"\x00\xffnot json at all"  # left in place
-        # the run re-simulates, and its store overwrites the bad bytes
         assert run_cells([MICRO], cache=fresh)[MICRO.id].source == "run"
-        assert json.loads(path.read_text())["schema"] == CACHE_SCHEMA
-        assert [p for p in cache.directory.rglob("*") if p.is_file()] == [path]
-        assert run_cells([MICRO], cache=cache)[MICRO.id].source == "cache"
 
     def test_hash_mismatch_is_resimulated_then_healed(self, cache):
         baseline = run_cells([MICRO], cache=cache)[MICRO.id]
@@ -187,8 +183,6 @@ class TestPoisonedEntries:
         entry["schema"] = "repro-runner-cache/0"
         path.write_text(json.dumps(entry))
         assert run_cells([MICRO], cache=cache)[MICRO.id].source == "run"
-        # version skew: the re-store overwrites the stale entry in place
-        assert json.loads(path.read_text())["schema"] == CACHE_SCHEMA
 
     def test_missing_payload_is_a_miss(self, cache):
         run_cells([MICRO], cache=cache)
@@ -197,6 +191,54 @@ class TestPoisonedEntries:
         del entry["payload"]
         path.write_text(json.dumps(entry))
         assert run_cells([MICRO], cache=cache)[MICRO.id].source == "run"
+
+
+class TestQuarantine:
+    """Nothing is moved aside any more: a bad entry stays in place as a
+    miss, and the cell's next store overwrites it with a good one."""
+
+    def _poison(self, cache, payload_bytes):
+        run_cells([MICRO], cache=cache)
+        key = cache.key_for(MICRO)
+        path = cache.directory / key[:2] / (key + ".json")
+        path.write_bytes(payload_bytes)
+        return key, path
+
+    def _files(self, cache):
+        return [p for p in cache.directory.rglob("*") if p.is_file()]
+
+    def test_garbage_entry_is_quarantined_with_reason_file(self, cache):
+        # the bad bytes are overwritten in place: no side directory and
+        # no reason file are left behind
+        _key, path = self._poison(cache, b"\x00\xffnot json at all")
+        fresh = ResultCache(cache.directory)
+        assert run_cells([MICRO], cache=fresh)[MICRO.id].source == "run"
+        assert fresh.misses == 1
+        assert json.loads(path.read_text())["schema"] == CACHE_SCHEMA
+        assert self._files(cache) == [path]
+
+    def test_foreign_schema_is_not_quarantined(self, cache):
+        # version skew is expected across upgrades: a plain miss, and
+        # the re-store overwrites the stale entry in place
+        run_cells([MICRO], cache=cache)
+        key = cache.key_for(MICRO)
+        path = cache.directory / key[:2] / (key + ".json")
+        entry = json.loads(path.read_text())
+        entry["schema"] = "repro-runner-cache/0"
+        path.write_text(json.dumps(entry))
+        fresh = ResultCache(cache.directory)
+        assert run_cells([MICRO], cache=fresh)[MICRO.id].source == "run"
+        assert fresh.misses == 1
+        assert json.loads(path.read_text())["schema"] == CACHE_SCHEMA
+        assert self._files(cache) == [path]
+
+    def test_rerun_after_quarantine_heals_the_cache(self, cache):
+        self._poison(cache, b"garbage")
+        healing = ResultCache(cache.directory)
+        assert run_cells([MICRO], cache=healing)[MICRO.id].source == "run"
+        healed = ResultCache(cache.directory)
+        assert run_cells([MICRO], cache=healed)[MICRO.id].source == "cache"
+        assert healed.misses == 0
 
 
 class TestStaleScratchSweep:
