@@ -203,6 +203,18 @@ def _positive_int(text):
     return value
 
 
+def _transactions(text):
+    from repro.runner.cells import MAX_RR_TRANSACTIONS
+
+    value = _positive_int(text)
+    if value > MAX_RR_TRANSACTIONS:
+        raise argparse.ArgumentTypeError(
+            "must be <= %d (one virtio-net rx queue of TCP_RR "
+            "transactions), got %d" % (MAX_RR_TRANSACTIONS, value)
+        )
+    return value
+
+
 def _nonnegative_int(text):
     value = int(text)
     if value < 0:
@@ -275,7 +287,10 @@ def build_parser():
         )
     table5 = sub.add_parser("table5", help="regenerate table5")
     table5.add_argument(
-        "--transactions", type=int, default=40, help="TCP_RR transactions to simulate"
+        "--transactions",
+        type=_transactions,
+        default=40,
+        help="TCP_RR transactions to simulate (at most 256)",
     )
     table5.add_argument(
         "--emit-json", metavar="PATH", help="also write the results as JSON to PATH"
@@ -304,7 +319,7 @@ def build_parser():
         help="also mark every simulation-process resume on the engine track",
     )
     from repro.runner import bench as runner_bench
-    from repro.runner.cells import DEFAULT_RR_TRANSACTIONS
+    from repro.runner.cells import DEFAULT_RR_TRANSACTIONS, MAX_RR_TRANSACTIONS
 
     bench = sub.add_parser(
         "bench",
@@ -326,10 +341,10 @@ def build_parser():
     )
     bench.add_argument(
         "--transactions",
-        type=_positive_int,
+        type=_transactions,
         default=DEFAULT_RR_TRANSACTIONS,
-        help="TCP_RR transactions per Table V cell (default %d)"
-        % DEFAULT_RR_TRANSACTIONS,
+        help="TCP_RR transactions per Table V cell (default %d, at most %d)"
+        % (DEFAULT_RR_TRANSACTIONS, MAX_RR_TRANSACTIONS),
     )
     bench.add_argument(
         "-o",

@@ -10,7 +10,9 @@ together everything that can change its payload:
 * the **live cost tables** — ``repro.hw.costs.arm_costs()`` /
   ``x86_costs()`` serialized at key-derivation time, so a runtime
   mutation (a calibration experiment monkeypatching a primitive cost)
-  also invalidates, even though no source file changed;
+  also invalidates, even though no source file changed.  The digest is
+  re-derived only when the cost factories or the active override
+  document are replaced, the only ways the tables change at run time;
 * the **cell id and parameters** — kind plus the frozen parameter
   pairs.
 
@@ -94,6 +96,12 @@ class ResultCache:
 
     def __init__(self, directory):
         self.directory = pathlib.Path(directory)
+        self._root = os.fspath(self.directory)
+        #: ``(arm_costs, x86_costs, override document, digest)`` of the
+        #: last base fingerprint: the live tables change at run time only
+        #: when one of the three objects is replaced (a monkeypatched cost
+        #: factory, a new ``hw_costs.overriding`` block)
+        self._base_memo = None
         self.hits = 0
         self.misses = 0
         self.write_errors = 0
@@ -102,14 +110,19 @@ class ResultCache:
     # -- keys --------------------------------------------------------------
 
     def base_fingerprint(self):
-        """The model+costs half of every key (compute once per run)."""
-        return _digest(
-            {
-                "schema": CACHE_SCHEMA,
-                "model": model_fingerprint(),
-                "costs": live_costs(),
-            }
-        )
+        """The model+costs half of every key (derived once per cost state)."""
+        state = (hw_costs.arm_costs, hw_costs.x86_costs, hw_costs._ACTIVE_OVERRIDES)
+        memo = self._base_memo
+        if memo is None or any(now is not then for now, then in zip(state, memo)):
+            digest = _digest(
+                {
+                    "schema": CACHE_SCHEMA,
+                    "model": model_fingerprint(),
+                    "costs": live_costs(),
+                }
+            )
+            memo = self._base_memo = state + (digest,)
+        return memo[3]
 
     def key_for(self, spec, base=None):
         """The full content address of one cell."""
@@ -124,7 +137,7 @@ class ResultCache:
         )
 
     def _path(self, key):
-        return self.directory / key[:2] / (key + ".json")
+        return os.path.join(self._root, key[:2], key + ".json")
 
     # -- entries -----------------------------------------------------------
 
@@ -146,7 +159,8 @@ class ResultCache:
         foreign-schema or failing entry is a miss, left in place for the
         cell's store to overwrite."""
         try:
-            entry = json.loads(self._path(key).read_bytes().decode("utf-8"))
+            with open(self._path(key), "rb") as handle:
+                entry = json.loads(handle.read().decode("utf-8"))
         except (OSError, UnicodeDecodeError, ValueError):
             entry = None
         if not self._entry_sound(entry, key):
@@ -164,7 +178,8 @@ class ResultCache:
             "kind": result.spec.kind,
             "params": result.spec.params_dict(),
             "payload": result.payload,
-            "payload_sha256": resilience.payload_digest(result.payload),
+            "payload_sha256": result.payload_sha256
+            or resilience.payload_digest(result.payload),
             "stats": {
                 "wall_ms": result.wall_ms,
                 "simulated_cycles": result.simulated_cycles,
@@ -172,19 +187,22 @@ class ResultCache:
             },
         }
         path = self._path(key)
-        scratch = path.with_name("%s.tmp.%d" % (path.name, os.getpid()))
+        scratch = "%s.tmp.%d" % (path, os.getpid())
         try:
-            path.parent.mkdir(parents=True, exist_ok=True)
+            os.makedirs(os.path.dirname(path), exist_ok=True)
             # No sort_keys: payload dict order is meaningful (microbenchmark
             # and workload row order) and must survive the round trip.
-            scratch.write_text(json.dumps(entry, indent=1) + "\n", encoding="utf-8")
+            # Compact, so json's C encoder writes it (indent forces the
+            # pure-Python one).
+            with open(scratch, "w", encoding="utf-8") as handle:
+                handle.write(json.dumps(entry, separators=(",", ":")) + "\n")
             os.replace(scratch, path)
         except OSError as exc:
             # A full or read-only disk must cost cache coverage, not the
             # cell: record the miss-to-be and carry on.
             self.write_errors += 1
             try:
-                scratch.unlink()
+                os.unlink(scratch)
             except OSError:
                 pass
             if not self._warned_write_error:

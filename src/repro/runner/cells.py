@@ -31,6 +31,7 @@ from repro.core.netanalysis import TcpRrBenchmark
 from repro.core.oversubscription import OversubscriptionExperiment
 from repro.core.testbed import build_testbed, native_testbed, parse_key
 from repro.errors import ConfigurationError
+from repro.hv.kvm.virtio import DEFAULT_QUEUE_SIZE
 from repro.hw import costs as hw_costs
 from repro.paperdata import PLATFORM_ORDER
 from repro.runner.readsets_golden import READ_SETS
@@ -40,6 +41,10 @@ from repro.workloads import FIGURE4_WORKLOADS
 #: ``run_table5`` default; ``python -m repro table5 --transactions`` and
 #: the cache key both carry the actual value).
 DEFAULT_RR_TRANSACTIONS = 40
+#: the most TCP_RR transactions one cell can simulate: each transaction
+#: takes one virtio-net rx buffer that the KVM guest never re-posts, so
+#: the KVM cell fails once a queue's worth is used (``used ring full``)
+MAX_RR_TRANSACTIONS = DEFAULT_QUEUE_SIZE
 
 #: Table V columns, in report order.
 TCPRR_CONFIGS = ("native", "kvm", "xen")

@@ -1,8 +1,11 @@
 """Service clients: sync (``http.client``) and async (asyncio streams).
 
 The sync client backs ``python -m repro query`` and thread-based tests;
-the async client lets one thread hold many concurrent queries open —
-the shape perfbench's served harness needs.  Both raise
+it opens one connection per request.  The async client lets one thread
+hold many concurrent queries open — the shape perfbench's served
+harness needs — and keeps its connections alive between requests
+(``Connection: keep-alive``; see :class:`AsyncServiceClient`), so a
+closed loop of cheap queries pays no TCP set-up per query.  Both raise
 :class:`ServiceError` for any non-ok response, carrying the server's
 stable error document verbatim.
 
@@ -227,8 +230,23 @@ class ServiceClient:
         return _checked(*self.request("GET", "/v1/targets"))
 
 
+async def _close(writer):
+    writer.close()
+    try:
+        await writer.wait_closed()
+    except (ConnectionError, OSError):
+        pass
+
+
 class AsyncServiceClient:
-    """Non-blocking client for concurrent queries from one event loop."""
+    """Non-blocking client for concurrent queries from one event loop.
+
+    Connections persist: each request asks for ``Connection:
+    keep-alive`` and a connection the server kept open goes back to a
+    plain list of idle ones for the next request to reuse.  A request
+    takes an idle connection or opens a new one, so the list never
+    holds more connections than there have been concurrent requests.
+    """
 
     #: test seam: retry waits route through here
     _sleep = staticmethod(asyncio.sleep)
@@ -237,24 +255,68 @@ class AsyncServiceClient:
         self.host = host
         self.port = port if port is not None else _default_port()
         self.retry = retry if retry is not None else RetryConfig.from_env()
+        self._idle = []  # (reader, writer) pairs the server kept open
+        self._idle_loop = None  # the event loop those connections live on
+
+    def _take_idle(self):
+        loop = asyncio.get_running_loop()
+        if loop is not self._idle_loop:
+            # connections made on an earlier event loop cannot serve this one
+            self._idle = []
+            self._idle_loop = loop
+        return self._idle.pop() if self._idle else None
 
     async def request(self, method, path, payload=None):
-        reader, writer = await asyncio.open_connection(self.host, self.port)
+        """Raw round trip; returns ``(status, document)`` unchecked.
+
+        If an idle connection fails before any response byte arrives
+        (the server closed it while idle, so no handler saw the
+        request), the request is sent once more on a fresh connection.
+        Any other failure raises.
+        """
+        data = protocol.format_request(
+            method, path, "%s:%d" % (self.host, self.port), payload
+        )
+        connection = self._take_idle()
+        if connection is not None:
+            answer = await self._round_trip(connection, data, pooled=True)
+            if answer is not None:
+                return answer
+        connection = await asyncio.open_connection(self.host, self.port)
+        return await self._round_trip(connection, data)
+
+    async def _round_trip(self, connection, data, pooled=False):
+        """``(status, document)`` of one request on ``connection``, or
+        None when a pooled connection gets no response byte."""
+        reader, writer = connection
+        keep_alive = False
         try:
-            writer.write(
-                protocol.format_request(
-                    method, path, "%s:%d" % (self.host, self.port), payload
-                )
-            )
-            await writer.drain()
-            status, document = await protocol.read_response(reader)
-        finally:
-            writer.close()
             try:
-                await writer.wait_closed()
+                writer.write(data)
+                await writer.drain()
+                line = await reader.readline()
             except (ConnectionError, OSError):
-                pass
+                if not pooled:
+                    raise
+                line = b""
+            if pooled and not line:
+                return None
+            status, document, keep_alive = await protocol.read_response(
+                reader, line
+            )
+        finally:
+            if keep_alive:
+                self._idle.append(connection)
+            else:
+                await _close(writer)
         return status, document
+
+    async def close(self):
+        """Close the idle connections (the client stays usable)."""
+        idle, self._idle = self._idle, []
+        if self._idle_loop is asyncio.get_running_loop():
+            for _reader, writer in idle:
+                await _close(writer)
 
     async def query(
         self,

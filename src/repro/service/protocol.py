@@ -2,9 +2,14 @@
 
 Everything on the wire is JSON over a minimal hand-rolled HTTP/1.1
 subset (stdlib only — ``asyncio`` streams on the server, ``http.client``
-or ``asyncio`` streams on the clients).  Responses always carry
-``Connection: close`` and an exact ``Content-Length``, so a client can
-read to the header's byte count and never needs chunked decoding.
+or ``asyncio`` streams on the clients).  Responses always carry an
+exact ``Content-Length``, so a client can read to the header's byte
+count and never needs chunked decoding.  Persistent connections are
+opt-in: a response carries ``Connection: keep-alive`` only when its
+request sent that header and the server is not draining, and
+``Connection: close`` otherwise.  The async client sends it; the sync
+client, the CLI and plain ``http.client`` callers do not, and get one
+connection per request.  A malformed request always closes.
 
 The error document is *stable by contract* (the overload and chaos
 tests assert its exact shape): every non-2xx response is
@@ -92,17 +97,21 @@ class ProtocolError(ReproError):
     """A malformed or over-budget HTTP request (always a 400)."""
 
 
-async def read_request(reader):
+def keeps_alive(headers):
+    """Whether a (lower-cased) header dict asks to keep the connection."""
+    return headers.get("connection", "").lower() == "keep-alive"
+
+
+async def read_request(reader, line):
     """Parse one HTTP request from an asyncio stream reader.
 
-    Returns ``(method, path, headers, body)`` with lower-cased header
-    names; raises :class:`ProtocolError` on anything malformed,
-    truncated, or over budget.  ``None`` is returned for a connection
-    that closed without sending anything (a health prober's TCP ping).
+    ``line`` is the request line, already read by the caller (the
+    server's connection loop waits for it between requests, so the
+    idle time is not spent in here).  Returns ``(method, path,
+    headers, body)`` with lower-cased header names; raises
+    :class:`ProtocolError` on anything malformed, truncated, or over
+    budget.
     """
-    line = await reader.readline()
-    if not line.strip():
-        return None
     if len(line) > MAX_LINE:
         raise ProtocolError("request line exceeds %d bytes" % MAX_LINE)
     parts = line.decode("latin-1").split()
@@ -138,7 +147,7 @@ async def read_request(reader):
     return method, path, headers, body
 
 
-def format_response(status, document, headers=None):
+def format_response(status, document, headers=None, keep_alive=False):
     """One complete HTTP response (headers + JSON body) as bytes.
 
     The body is **not** key-sorted: a success document's ``result``
@@ -148,6 +157,7 @@ def format_response(status, document, headers=None):
 
     ``headers`` adds extra response headers (e.g. ``Retry-After`` on the
     shed/drain 503s) — names and values must be latin-1 safe.
+    ``keep_alive`` leaves the connection open for the next request.
     """
     body = (json.dumps(document) + "\n").encode("utf-8")
     extra = ""
@@ -158,14 +168,22 @@ def format_response(status, document, headers=None):
         "Content-Type: application/json\r\n"
         "Content-Length: %d\r\n"
         "%s"
-        "Connection: close\r\n"
-        "\r\n" % (status, _REASONS.get(status, "OK"), len(body), extra)
+        "Connection: %s\r\n"
+        "\r\n"
+        % (
+            status,
+            _REASONS.get(status, "OK"),
+            len(body),
+            extra,
+            "keep-alive" if keep_alive else "close",
+        )
     )
     return head.encode("latin-1") + body
 
 
 def format_request(method, path, host, payload=None):
-    """One complete HTTP request as bytes (the async client's framing)."""
+    """One complete HTTP request as bytes (the async client's framing:
+    it asks to keep the connection for its next request)."""
     body = b""
     if payload is not None:
         body = json.dumps(payload).encode("utf-8")
@@ -174,16 +192,17 @@ def format_request(method, path, host, payload=None):
         "Host: %s\r\n"
         "Content-Type: application/json\r\n"
         "Content-Length: %d\r\n"
-        "Connection: close\r\n"
+        "Connection: keep-alive\r\n"
         "\r\n" % (method, path, host, len(body))
     )
     return head.encode("latin-1") + body
 
 
-async def read_response(reader):
-    """Parse one HTTP response from an asyncio stream; returns
-    ``(status, document)``."""
-    line = await reader.readline()
+async def read_response(reader, line):
+    """Parse one HTTP response from an asyncio stream, its status line
+    already read; returns ``(status, document, keep_alive)``, where
+    ``keep_alive`` says the server left the connection open for another
+    request."""
     parts = line.decode("latin-1").split(None, 2)
     if len(parts) < 2 or not parts[0].startswith("HTTP/"):
         raise ProtocolError("malformed status line %r" % line)
@@ -205,4 +224,4 @@ async def read_response(reader):
     else:
         body = await reader.read()
     document = json.loads(body.decode("utf-8")) if body.strip() else {}
-    return status, document
+    return status, document, length_text is not None and keeps_alive(headers)

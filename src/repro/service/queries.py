@@ -128,7 +128,7 @@ def _platform_keys(value, target, default, allowed):
     return list(value)
 
 
-def _positive_int(value, target, name, default):
+def _positive_int(value, target, name, default, maximum=None):
     if value is None:
         return default
     if isinstance(value, bool) or not isinstance(value, int):
@@ -139,7 +139,26 @@ def _positive_int(value, target, name, default):
         raise ConfigurationError(
             "%r for target %r must be >= 1, got %d" % (name, target, value)
         )
+    if maximum is not None and value > maximum:
+        raise ConfigurationError(
+            "%r for target %r must be <= %d, got %d"
+            % (name, target, maximum, value)
+        )
     return value
+
+
+def _transactions(raw, target):
+    params = _require_mapping(raw, target)
+    _reject_unknown(params, target, ("transactions",))
+    return {
+        "transactions": _positive_int(
+            params.get("transactions"),
+            target,
+            "transactions",
+            cells.DEFAULT_RR_TRANSACTIONS,
+            cells.MAX_RR_TRANSACTIONS,
+        )
+    }
 
 
 def _finite(number):
@@ -228,27 +247,20 @@ def _assemble_table2(results, params):
     }
 
 
+def _fields(record, **extra):
+    """A dataclass of scalars as a dict in field order (then ``extra``):
+    what ``dataclasses.asdict`` returns, without its per-field deep copy."""
+    return dict(vars(record), **extra)
+
+
 def _assemble_table3(results, _params):
     breakdown = merge.breakdown_result(results)
     return {
-        "rows": [dataclasses.asdict(row) for row in breakdown.rows],
+        "rows": [_fields(row) for row in breakdown.rows],
         "save_total": breakdown.save_total,
         "restore_total": breakdown.restore_total,
         "other_cycles": breakdown.other_cycles,
         "total_cycles": breakdown.total_cycles,
-    }
-
-
-def _validate_table5(raw):
-    params = _require_mapping(raw, "table5")
-    _reject_unknown(params, "table5", ("transactions",))
-    return {
-        "transactions": _positive_int(
-            params.get("transactions"),
-            "table5",
-            "transactions",
-            cells.DEFAULT_RR_TRANSACTIONS,
-        )
     }
 
 
@@ -273,7 +285,7 @@ def _validate_figure4(raw):
 def _assemble_figure4(results, params):
     grid = merge.figure4_grid(results, params["keys"], params["irq_vcpus"])
     return {
-        workload: {key: dataclasses.asdict(result) for key, result in row.items()}
+        workload: {key: _fields(result) for key, result in row.items()}
         for workload, row in grid.items()
     }
 
@@ -292,8 +304,8 @@ def _validate_ablation(raw):
 def _assemble_ablation(results, params):
     grid = merge.ablation_grid(results, params["keys"], params["workloads"])
     return {
-        "%s/%s" % (key, workload): dict(
-            dataclasses.asdict(point), improvement_pct=point.improvement_pct
+        "%s/%s" % (key, workload): _fields(
+            point, improvement_pct=point.improvement_pct
         )
         for (key, workload), point in grid.items()
     }
@@ -332,19 +344,6 @@ def _assemble_oversub(results, params):
     )
 
 
-def _validate_report(raw):
-    params = _require_mapping(raw, "report")
-    _reject_unknown(params, "report", ("transactions",))
-    return {
-        "transactions": _positive_int(
-            params.get("transactions"),
-            "report",
-            "transactions",
-            cells.DEFAULT_RR_TRANSACTIONS,
-        )
-    }
-
-
 def _assemble_report(results, params):
     return {"text": merge.full_report_text(results, params["transactions"])}
 
@@ -378,10 +377,15 @@ TARGETS = OrderedDict(
         Target(
             "table5",
             "TCP_RR latency decomposition (Table V)",
-            _validate_table5,
+            lambda raw: _transactions(raw, "table5"),
             lambda params: cells.table5_cells(params["transactions"]),
             _assemble_table5,
-            (("transactions", "TCP_RR transactions per cell (default 40)"),),
+            (
+                (
+                    "transactions",
+                    "TCP_RR transactions per cell (default 40, at most 256)",
+                ),
+            ),
         ),
         Target(
             "figure4",
@@ -430,10 +434,15 @@ TARGETS = OrderedDict(
         Target(
             "report",
             "the whole rendered evaluation section",
-            _validate_report,
+            lambda raw: _transactions(raw, "report"),
             lambda params: cells.full_report_cells(params["transactions"]),
             _assemble_report,
-            (("transactions", "TCP_RR transactions per Table V cell (default 40)"),),
+            (
+                (
+                    "transactions",
+                    "TCP_RR transactions per Table V cell (default 40, at most 256)",
+                ),
+            ),
         ),
     )
 )

@@ -20,6 +20,16 @@ Deadlines bound only the requester's wait: the underlying batch keeps
 running under ``asyncio.shield`` so coalesced siblings of a timed-out
 query still get their results (a deadline is the client giving up, not
 the work being wrong).
+
+Connections: each one runs :meth:`ServiceServer._connection`, a loop
+that waits for the next request line and hands it to
+:meth:`ServiceServer._handle`, which answers exactly that one request.
+The connection stays open only when the request asked for
+``Connection: keep-alive`` and the server is not draining.  Draining and
+``stop`` close the idle ones (waiting for their next request); a
+request that raced such a close is dropped unanswered, before any
+handler sees it, and the async client resends it once on a fresh
+connection.
 """
 
 import asyncio
@@ -137,6 +147,9 @@ class ServiceServer:
         self._active = 0  # queries admitted and not yet answered
         self._draining = False  # set once; new queries 503 shutting-down
         self._server = None
+        self._loop = None
+        #: {writer: task} of the connections waiting for their next request
+        self._idle = {}
         self.port = None
 
     @property
@@ -150,14 +163,27 @@ class ServiceServer:
     # --- lifecycle --------------------------------------------------------
 
     async def start(self):
+        self._loop = asyncio.get_running_loop()
         self._server = await asyncio.start_server(
-            self._handle, self.config.host, self.config.port
+            self._connection, self.config.host, self.config.port
         )
         self.port = self._server.sockets[0].getsockname()[1]
         return self.port
 
     async def stop(self):
+        """Close the listener and every connection.
+
+        Idle kept-alive connections are closed first: from Python 3.12,
+        ``Server.wait_closed`` waits for every open connection, so one
+        idle client would otherwise hold the stop open indefinitely.  A
+        busy connection closes after its response (draining answers
+        ``Connection: close``).
+        """
         if self._server is not None:
+            self._draining = True
+            closing = self._close_idle()
+            if closing:
+                await asyncio.wait(closing)
             self._server.close()
             await self._server.wait_closed()
             self._server = None
@@ -167,8 +193,19 @@ class ServiceServer:
 
         Already-admitted queries (and the broker batch carrying them)
         keep running to completion — draining sheds *future* work only.
+        Every response from now on closes its connection, and the idle
+        kept-alive connections are closed (on the server loop, so this
+        is safe to call from any thread).
         """
         self._draining = True
+        if self._server is not None:
+            self._loop.call_soon_threadsafe(self._close_idle)
+
+    def _close_idle(self):
+        """Close every idle connection; returns their tasks."""
+        for writer in self._idle:
+            writer.close()
+        return list(self._idle.values())
 
     async def drain(self, timeout=None):
         """Wait for residence to empty; True if fully drained in time.
@@ -190,37 +227,67 @@ class ServiceServer:
 
     # --- connection handling ----------------------------------------------
 
-    async def _handle(self, reader, writer):
+    async def _connection(self, reader, writer):
+        """Serve one connection, a request at a time, until it closes.
+
+        Between requests the connection is *idle*: it waits here for the
+        next request line, outside :meth:`_handle`, so a handler's time
+        is one request's.  It closes when the client hangs up (or sent a
+        bare TCP ping), after a response that did not keep it alive, or
+        when draining or ``stop`` closes it while idle.  A request line
+        that arrives on a connection already closed that way is dropped
+        unanswered: no handler saw it, so the client may resend it.
+        """
         try:
-            try:
-                request = await protocol.read_request(reader)
-            except protocol.ProtocolError as exc:
-                status = protocol.error_status(protocol.BAD_REQUEST)
-                document = protocol.error_document(protocol.BAD_REQUEST, str(exc))
-            else:
-                if request is None:  # bare TCP ping (health probes)
-                    return
+            keep_alive = True
+            while keep_alive:
+                self._idle[writer] = asyncio.current_task()
                 try:
-                    status, document = await self._route(*request)
-                except Exception as exc:  # never leak a traceback as a hang
-                    status = protocol.error_status(protocol.INTERNAL)
-                    document = protocol.error_document(
-                        protocol.INTERNAL,
-                        "%s: %s" % (type(exc).__name__, exc),
-                    )
-            headers = None
-            if isinstance(document, dict):
-                retry_after = (document.get("error") or {}).get("retry_after")
-                if retry_after is not None:
-                    headers = {"Retry-After": str(retry_after)}
-            writer.write(protocol.format_response(status, document, headers))
-            await writer.drain()
+                    line = await reader.readline()
+                except ValueError:  # a line past the stream's buffer limit
+                    line = b""
+                finally:
+                    del self._idle[writer]
+                if not line.strip() or writer.is_closing():
+                    break
+                keep_alive = await self._handle(reader, writer, line)
+        except (ConnectionError, OSError):
+            pass  # the client went away mid-request
         finally:
             writer.close()
             try:
                 await writer.wait_closed()
             except (ConnectionError, OSError):
                 pass
+
+    async def _handle(self, reader, writer, line):
+        """Answer the one request whose request line is ``line``;
+        returns whether the connection stays open for another."""
+        keep_alive = False
+        try:
+            request = await protocol.read_request(reader, line)
+        except protocol.ProtocolError as exc:
+            status = protocol.error_status(protocol.BAD_REQUEST)
+            document = protocol.error_document(protocol.BAD_REQUEST, str(exc))
+        else:
+            try:
+                status, document = await self._route(*request)
+            except Exception as exc:  # never leak a traceback as a hang
+                status = protocol.error_status(protocol.INTERNAL)
+                document = protocol.error_document(
+                    protocol.INTERNAL,
+                    "%s: %s" % (type(exc).__name__, exc),
+                )
+            _method, _path, headers, _body = request
+            keep_alive = protocol.keeps_alive(headers) and not self._draining
+        extra = None
+        if isinstance(document, dict):
+            retry_after = (document.get("error") or {}).get("retry_after")
+            if retry_after is not None:
+                extra = {"Retry-After": str(retry_after)}
+        writer.write(protocol.format_response(status, document, extra, keep_alive))
+        await writer.drain()
+        return keep_alive
 
     async def _route(self, method, path, _headers, body):
         if path == "/healthz" and method == "GET":
@@ -474,7 +541,8 @@ class ServerHandle:
         return self.server.metrics
 
     def begin_drain(self):
-        """Flip the server into draining (thread-safe: it's one flag)."""
+        """Flip the server into draining (thread-safe: one flag, and the
+        idle connections are closed on the server loop)."""
         self.server.begin_drain()
 
     def _assert_off_loop(self, what):

@@ -24,6 +24,14 @@ class TestParser:
         args = build_parser().parse_args(["table5", "--transactions", "7"])
         assert args.transactions == 7
 
+    @pytest.mark.parametrize("command", ["table5", "bench"])
+    def test_transactions_flags_stop_at_one_rx_queue(self, command, capsys):
+        args = build_parser().parse_args([command, "--transactions", "256"])
+        assert args.transactions == 256
+        with pytest.raises(SystemExit):
+            build_parser().parse_args([command, "--transactions", "257"])
+        assert "must be <= 256" in capsys.readouterr().err
+
 
 class TestExecution:
     def test_micro_command(self, capsys):

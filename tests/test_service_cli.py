@@ -94,6 +94,18 @@ class TestQueryDirect:
         assert status == 1
         assert "timeslices_us" in capsys.readouterr().err
 
+    def test_too_many_transactions_exits_nonzero(self, capsys):
+        status = cli.main(
+            [
+                "query", "--direct", "--target", "table5",
+                "--params", '{"transactions": 257}',
+            ]
+        )
+        assert status == 1
+        assert "'transactions' for target 'table5' must be <= 256" in (
+            capsys.readouterr().err
+        )
+
     def test_malformed_params_json_aborts(self):
         with pytest.raises(SystemExit):
             cli.main(

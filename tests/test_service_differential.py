@@ -8,6 +8,7 @@ the server is allowed to add latency, never to move a byte.
 """
 
 import asyncio
+import sys
 
 import pytest
 
@@ -49,7 +50,14 @@ class TestServedEqualsDirect:
         with running_server() as (handle, client):
             document = client.query(target, params)
             async_client = AsyncServiceClient(port=handle.port)
-            async_document = asyncio.run(async_client.query(target, params))
+
+            async def served():
+                try:
+                    return await async_client.query(target, params)
+                finally:
+                    await async_client.close()
+
+            async_document = asyncio.run(served())
         # the asyncio-streams client parses the very same result bytes
         assert payload_digest(async_document["result"]) == document["result_sha256"]
         assert document["query_key"] == query.key
@@ -132,3 +140,83 @@ class TestAcrossJobsAndCache:
         assert what_if_warm == what_if_cold
         assert default_stats["cached"] == 1
         assert what_if_stats["cached"] == 1
+
+
+def _by_sum(before_312, from_312):
+    """Python 3.12's ``sum()`` adds floats with compensated summation,
+    which moves the last bits of some Table V, Figure 4 and VHE floats
+    (the rendered report rounds them away, so its bytes do not move)."""
+    return from_312 if sys.version_info >= (3, 12) else before_312
+
+
+#: (target, params, costs) -> the 16-hex prefix of its ``result_sha256``:
+#: every target's default document, then one what-if document per target
+PINNED_DIGESTS = [
+    ("micro", {}, {}, "4e46da43dbee4d87"),
+    ("table2", {}, {}, "4eefb68ed39393d1"),
+    ("table3", {}, {}, "411fc6ca1e2dbaa5"),
+    ("table5", {}, {}, _by_sum("770b5b077b107201", "ff09fdf930838683")),
+    ("figure4", {}, {}, _by_sum("6f964788fada445e", "db8735d4d7ba4241")),
+    ("ablation", {}, {}, "1a193e8b19dccd4b"),
+    ("vhe", {}, {}, _by_sum("3a793e5092a7bb4c", "14cc384ad3124894")),
+    ("oversub", {}, {}, "8d0f882dabfcc871"),
+    ("report", {}, {}, "153c74286324aab8"),
+    ("micro", {"key": "xen-arm"}, {"arm": {"trap_to_el2": 152}}, "2e7b881ba42bff74"),
+    ("table2", {}, {"x86": {"vmexit_hw": 1040}}, "4a6f893c8c6851e1"),
+    ("table3", {}, {"arm": {"save.GP": 300}}, "4748023b5d6771a4"),
+    (
+        "table5",
+        {"transactions": 10},
+        {"arm": {"trap_to_el2": 152}},
+        _by_sum("148a16f24e1e2362", "a113ad2de116047a"),
+    ),
+    (
+        "figure4",
+        {"keys": ["kvm-arm", "xen-arm"]},
+        {"arm": {"trap_to_el2": 152}},
+        _by_sum("6c35dda9970c9fcc", "684056d0c16c77b7"),
+    ),
+    ("ablation", {}, {"arm": {"trap_to_el2": 152}}, "8345a3bea434bd02"),
+    (
+        "vhe",
+        {},
+        {"arm": {"trap_to_el2": 152}},
+        _by_sum("55b1b76acb8156ec", "0b2b3171e0facac3"),
+    ),
+    (
+        "oversub",
+        {"keys": ["kvm-arm"]},
+        {"arm": {"trap_to_el2": 152}},
+        "2353aa6dc943ffce",
+    ),
+    ("report", {"transactions": 10}, {"x86": {"vmexit_hw": 1040}}, "606a7a6c73d19386"),
+]
+
+
+class TestPinnedDigests:
+    def test_every_target_matches_its_pinned_digest(self, tmp_path):
+        """Direct, served cold and served warm (cache reads and assembly)
+        all give the pinned bytes; the served path's own check compares
+        against the direct path, which would move with it."""
+        pinned = [prefix for _target, _params, _costs, prefix in PINNED_DIGESTS]
+        direct = [
+            queries.direct_document(target, params, costs)["result_sha256"][:16]
+            for target, params, costs, _prefix in PINNED_DIGESTS
+        ]
+        with running_server(cache_dir=str(tmp_path / "cache")) as (handle, _client):
+            client = AsyncServiceClient(port=handle.port)
+
+            async def served():
+                documents = []
+                for _pass in ("cold", "warm"):
+                    for target, params, costs, _prefix in PINNED_DIGESTS:
+                        documents.append(await client.query(target, params, costs))
+                await client.close()
+                return documents
+
+            documents = asyncio.run(served())
+        cold, warm = documents[: len(pinned)], documents[len(pinned):]
+        assert direct == pinned
+        assert [document["result_sha256"][:16] for document in cold] == pinned
+        assert [document["result_sha256"][:16] for document in warm] == pinned
+        assert all(document["stats"]["simulated"] == 0 for document in warm)

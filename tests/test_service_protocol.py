@@ -76,6 +76,11 @@ class TestCanonicalization:
             {"target": "micro", "params": {"bogus": 1}},
             {"target": "micro", "unexpected": True},
             {"target": "table5", "params": {"transactions": 0}},
+            # one virtio-net rx queue of transactions (see MAX_RR_TRANSACTIONS)
+            {"target": "table5", "params": {"transactions": 257}},
+            {"target": "table5", "params": {"transactions": 10**30}},
+            {"target": "report", "params": {"transactions": 257}},
+            {"target": "report", "params": {"transactions": 10**30}},
             {"target": "table2", "params": {"keys": []}},
             {"target": "table2", "params": {"keys": ["kvm-arm", "kvm-arm"]}},
             {"target": "oversub", "params": {"timeslices_us": [0]}},
@@ -110,6 +115,14 @@ class TestCanonicalization:
             {"target": "oversub", "params": {"timeslices_us": grid}}
         )
         assert query.params["timeslices_us"] == grid
+
+    def test_transactions_bound_still_runs(self):
+        assert cells.MAX_RR_TRANSACTIONS == 256
+        document = queries.direct_document(
+            "table5", {"transactions": cells.MAX_RR_TRANSACTIONS}
+        )
+        assert document["params"] == {"transactions": 256}
+        assert sorted(document["result"]) == sorted(cells.TCPRR_CONFIGS)
 
     def test_plan_pairs_base_and_exec_specs(self):
         query, _ = queries.canonicalize(
@@ -230,6 +243,17 @@ class TestHttpSurface:
             finally:
                 connection.close()
             assert document["error"]["code"] == "bad-request"
+
+    @pytest.mark.parametrize("target", ["table5", "report"])
+    def test_too_many_transactions_is_a_bad_request(self, target):
+        with running_server() as (handle, client):
+            status, document = client.query_raw(
+                {"target": target, "params": {"transactions": 257}}
+            )
+            assert status == 400
+            assert document["error"]["code"] == "bad-request"
+            assert "transactions" in document["error"]["message"]
+            assert handle.broker.inflight_count() == 0
 
     def test_targets_route_lists_the_registry(self):
         with running_server() as (_handle, client):
