@@ -10,7 +10,6 @@ Usage:
     python -m repro figures            # Figures 1-3/5 as ASCII
     python -m repro all                # the whole evaluation section
     python -m repro micro --platform xen-arm   # one platform's column
-    python -m repro lint               # model-integrity static analysis
     python -m repro trace table3 -o trace.json   # Perfetto span trace
     python -m repro bench              # whole grid + BENCH_suite.json
     python -m repro serve              # what-if query server (asyncio)
@@ -46,12 +45,6 @@ def _cmd_figures(_args):
     for name in ("figure1", "figure2", "figure3", "figure5"):
         print(reporting.describe_architecture(name))
         print()
-
-
-def _cmd_lint(args):
-    from repro.analysis import cli as analysis_cli
-
-    return analysis_cli.main(args.lint_args)
 
 
 def _cmd_trace(args):
@@ -259,7 +252,6 @@ COMMANDS = {
     "figures": _cmd_figures,
     "all": lambda args: print(suite.full_report()),
     "micro": _cmd_micro,
-    "lint": _cmd_lint,
     "trace": _cmd_trace,
     "bench": _cmd_bench,
     "serve": _cmd_serve,
@@ -498,27 +490,13 @@ def build_parser():
         default="kvm-arm",
         help="platform key (default kvm-arm)",
     )
-    lint = sub.add_parser(
-        "lint",
-        help="run the model-integrity linter (see python -m repro.analysis -h)",
-    )
-    lint.add_argument(
-        "lint_args",
-        nargs=argparse.REMAINDER,
-        help="arguments forwarded to repro.analysis (paths, --format, --select, ...)",
-    )
     return parser
 
 
 def main(argv=None):
     argv = sys.argv[1:] if argv is None else list(argv)
-    if argv[:1] == ["lint"]:
-        # forward verbatim: argparse.REMAINDER chokes on leading options
-        from repro.analysis import cli as analysis_cli
-
-        return analysis_cli.main(argv[1:])
     args = build_parser().parse_args(argv)
-    # lint returns the linter's exit status; report commands return None
+    # bench, serve and query return an exit status; report commands return None
     status = COMMANDS[args.command](args) or 0
     _maybe_emit_json(args)
     return status

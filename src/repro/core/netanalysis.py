@@ -182,8 +182,14 @@ class TcpRrBenchmark:
         us = clock.us_from_cycles
 
         def mean(values):
-            values = list(values)
-            return sum(values) / len(values) if values else 0.0
+            # a plain left fold, not sum(): from Python 3.12 sum() adds
+            # floats with compensated summation, so the last bits (and
+            # the result bytes) would depend on the interpreter
+            total, count = 0, 0
+            for value in values:
+                total = total + value
+                count += 1
+            return total / count if count else 0.0
 
         time_per_trans = mean(
             us(b.request.stamps["client.send"] - a.request.stamps["client.send"])

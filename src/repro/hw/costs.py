@@ -109,7 +109,7 @@ class ArmCosts:
     #: the paper measures 71 cycles for this hardware-assisted completion.
     #: This one cell of Table II *is* a primitive: the operation never
     #: leaves the guest, so the published number is the hardware cost.
-    virq_complete_hw: int = 71  # repro-lint: ignore[CAL001]
+    virq_complete_hw: int = 71
     #: guest exception entry to its own IRQ handler
     guest_irq_entry: int = 150
 
@@ -236,7 +236,7 @@ class X86Costs:
 
     #: (1300 coincidentally equals Table II's Hypercall kvm-x86 cell; this
     #: is the x86 grant-map primitive, fitted independently of it)
-    grant_map: int = 1300  # repro-lint: ignore[CAL001]
+    grant_map: int = 1300
     grant_unmap: int = 2400  # includes the IPI TLB-shootdown burden (no
     # broadcast invalidate on x86 — why zero-copy was abandoned there)
     copy_per_byte_num: int = 1

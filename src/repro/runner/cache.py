@@ -3,10 +3,9 @@
 A cell's cache key is the sha256 of a canonical JSON document binding
 together everything that can change its payload:
 
-* the **model fingerprint** — a hash over every ``repro`` source file
-  that participates in simulation (``analysis/`` is excluded: the
-  linter cannot change results).  Editing any model file moves every
-  key, so a stale hit is impossible after a code change;
+* the **model fingerprint** — a hash over every ``repro`` source file.
+  Editing any of them moves every key, so a stale hit is impossible
+  after a code change;
 * the **live cost tables** — ``repro.hw.costs.arm_costs()`` /
   ``x86_costs()`` serialized at key-derivation time, so a runtime
   mutation (a calibration experiment monkeypatching a primitive cost)
@@ -48,15 +47,13 @@ _MODEL_FINGERPRINT = None
 
 
 def model_fingerprint():
-    """sha256 over every simulation-relevant source file (memoized)."""
+    """sha256 over every ``repro`` source file (memoized)."""
     global _MODEL_FINGERPRINT
     if _MODEL_FINGERPRINT is None:
         root = pathlib.Path(repro.__file__).resolve().parent
         digest = hashlib.sha256()
         for path in sorted(root.rglob("*.py")):
             relative = path.relative_to(root).as_posix()
-            if relative.startswith("analysis/"):
-                continue
             digest.update(relative.encode("utf-8"))
             digest.update(b"\x00")
             digest.update(path.read_bytes())

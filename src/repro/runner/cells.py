@@ -21,6 +21,7 @@ payload (:mod:`repro.runner.merge` reassembles the ``*_data`` shapes).
 """
 
 import dataclasses
+import functools
 import json
 
 from repro.core.appbench import run_figure4
@@ -68,13 +69,14 @@ class CellSpec:
 
     ``params`` is a tuple of ``(name, value)`` pairs sorted by name, so
     equal cells compare (and hash, and pickle) equal and the cell id is
-    canonical.
+    canonical.  The id is computed once per spec, on first use; it is
+    not a field, so equality and hashing stay on ``(kind, params)``.
     """
 
     kind: str
     params: tuple = ()
 
-    @property
+    @functools.cached_property
     def id(self):
         if not self.params:
             return self.kind

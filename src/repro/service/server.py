@@ -29,7 +29,9 @@ The connection stays open only when the request asked for
 ``stop`` close the idle ones (waiting for their next request); a
 request that raced such a close is dropped unanswered, before any
 handler sees it, and the async client resends it once on a fresh
-connection.
+connection.  ``stop`` also aborts the connections still reading a
+request (a client that sent half a body): their requests get no
+response.
 """
 
 import asyncio
@@ -148,8 +150,10 @@ class ServiceServer:
         self._draining = False  # set once; new queries 503 shutting-down
         self._server = None
         self._loop = None
-        #: {writer: task} of the connections waiting for their next request
+        #: {writer: task} of the connections waiting for their next
+        #: request, and of those reading one (its headers and body)
         self._idle = {}
+        self._reading = {}
         self.port = None
 
     @property
@@ -173,15 +177,20 @@ class ServiceServer:
     async def stop(self):
         """Close the listener and every connection.
 
-        Idle kept-alive connections are closed first: from Python 3.12,
-        ``Server.wait_closed`` waits for every open connection, so one
-        idle client would otherwise hold the stop open indefinitely.  A
-        busy connection closes after its response (draining answers
+        From Python 3.12, ``Server.wait_closed`` waits for every open
+        connection, so any client could hold the stop open
+        indefinitely.  Stopping ends any drain, so idle kept-alive
+        connections are closed and those still reading a request are
+        aborted (the request was never admitted, and gets no response).
+        A busy connection closes after its response (draining answers
         ``Connection: close``).
         """
         if self._server is not None:
             self._draining = True
             closing = self._close_idle()
+            for writer, task in self._reading.items():
+                writer.transport.abort()
+                closing.append(task)
             if closing:
                 await asyncio.wait(closing)
             self._server.close()
@@ -265,8 +274,10 @@ class ServiceServer:
         returns whether the connection stays open for another."""
         keep_alive = False
         try:
-            request = await protocol.read_request(reader, line)
+            request = await self._read_request(reader, writer, line)
         except protocol.ProtocolError as exc:
+            if writer.is_closing():
+                return False  # ``stop`` aborted it mid-request
             status = protocol.error_status(protocol.BAD_REQUEST)
             document = protocol.error_document(protocol.BAD_REQUEST, str(exc))
         else:
@@ -288,6 +299,15 @@ class ServiceServer:
         writer.write(protocol.format_response(status, document, extra, keep_alive))
         await writer.drain()
         return keep_alive
+
+    async def _read_request(self, reader, writer, line):
+        """:func:`protocol.read_request`, with the connection marked as
+        reading a request meanwhile (``stop`` aborts such connections)."""
+        self._reading[writer] = asyncio.current_task()
+        try:
+            return await protocol.read_request(reader, line)
+        finally:
+            del self._reading[writer]
 
     async def _route(self, method, path, _headers, body):
         if path == "/healthz" and method == "GET":

@@ -5,52 +5,26 @@ in.  Each record names the file (package-relative), an exact source
 anchor, its replacement, the bug the edit models, and the gates that
 caught it when the audit last ran:
 
-* ``tests``: tier-1 ``tests/`` without the tier-owned files
-  (``TIER_OWNED`` below),
+* ``tests``: tier-1 ``tests/`` without this module,
 * ``paper``: the ``benchmarks/`` paper gate,
-* ``sha``: the pinned ``report_sha256`` of ``bench --no-cache``,
-* one code per lint rule that fires under ``repro lint``.
+* ``sha``: the pinned ``report_sha256`` of ``bench --no-cache``.
 
-DESIGN.md "Mutation audit" holds the full matrix and the verdict rule
-that ``sole_catcher_tier`` encodes.  Tier-1 checks that every anchor
-still applies exactly once and re-runs, in process, each row that only
-lint rules catch, so deleting a rule a row depends on fails here.  The
-full audit (every gate, every row) is run by hand: apply one record to a
-throwaway copy of the repository, then run the gates there.
+DESIGN.md "Mutation audit" holds the full matrix.  Tier-1 checks that
+every anchor still applies exactly once and that every row has a
+catcher.  The full audit (every gate, every row) is run by hand: apply
+one record to a throwaway copy of the repository, then run the gates
+there.
 """
 
 import collections
 import pathlib
-import shutil
 
 import pytest
-
-from repro.analysis import run_analysis
-from repro.analysis.config import LintConfig
 
 REPO = pathlib.Path(__file__).resolve().parent.parent
 SRC = REPO / "src" / "repro"
 
-#: test files that exercise the lint tiers themselves; the ``tests``
-#: column runs tier-1 without them
-TIER_OWNED = (
-    "test_analysis_clean.py",
-    "test_analysis_cli.py",
-    "test_analysis_rules.py",
-    "test_mutation_audit.py",
-)
-
-TIER_OF = {
-    "CAL001": "line",
-    "DET001": "line",
-    "COV001": "line",
-    "API001": "line",
-}
-RUNTIME_GATES = ("tests", "paper", "sha")
-GATES = RUNTIME_GATES + tuple(TIER_OF)
-
-#: the package directories the lint rows need (model layers + cost model)
-MODEL_DIRS = ("sim", "hw", "hv", "os", "workloads", "core", "obs")
+GATES = ("tests", "paper", "sha")
 
 Mutation = collections.namedtuple(
     "Mutation", "id file anchor replacement bug caught_by"
@@ -117,7 +91,7 @@ CATALOGUE = (
         "        jitter_ns = random.gauss(0.0, 0.0)\n"
         "        return self.clock.cycles_from_ns(serialize_ns + self.latency_ns + jitter_ns)\n",
         "wire latency draws (zero-amplitude) jitter from the global random module",
-        ("DET001",),
+        ("tests",),
     ),
     Mutation(
         "det-time-name",
@@ -129,7 +103,7 @@ CATALOGUE = (
         '            self._run(), name="%s.vhost.%d" % (vm.name, time.monotonic_ns())\n'
         "        )\n",
         "the vhost worker's process name embeds a wall-clock read",
-        ("DET001",),
+        ("tests",),
     ),
     Mutation(
         "x86-gets-arm-costs",
@@ -198,7 +172,7 @@ CATALOGUE = (
         'yield pcpu.op("eoi_emulate", costs.eoi_emulate_xen, "emul")\n',
         'yield pcpu.op("eoi_emulate", costs.eoi_emulate_xne, "emul")\n',
         "Xen's x86 EOI emulation reads a misspelt cost field",
-        ("tests", "paper", "sha", "COV001"),
+        ("tests", "paper", "sha"),
     ),
     Mutation(
         "hardcode-vgic-literal",
@@ -210,7 +184,7 @@ CATALOGUE = (
         "    vcpu.saved_context = arch.save_context(ARM_SWITCH_ORDER)\n",
         "split-mode exit hardcodes the Table III VGIC save instead of "
         "reading the cost table",
-        ("tests", "CAL001"),
+        ("tests",),
     ),
     Mutation(
         "vhe-wrong-primitive",
@@ -269,7 +243,7 @@ CATALOGUE = (
         "            vcpu.vm.stage2.walk(GICD_BASE_GPA, write=True)\n",
         "            vcpu.vm.stage2.walk(0x0800_0000, write=True)\n",
         "the distributor fault walks a raw hex address, not GICD_BASE_GPA",
-        ("API001", "CAL001"),
+        ("tests",),
     ),
     Mutation(
         "kvm-exit-state-stale",
@@ -300,7 +274,7 @@ CATALOGUE = (
         "    #: guest exception return from its IRQ handler\n"
         "    guest_irq_return: int = 120\n",
         "a new ARM primitive is calibrated but no path charges it",
-        ("COV001",),
+        ("tests",),
     ),
     Mutation(
         "xen-x86-return-uncharged",
@@ -427,43 +401,6 @@ CATALOGUE = (
 BY_ID = {mutation.id: mutation for mutation in CATALOGUE}
 
 
-def lint_only(mutation):
-    """Did no runtime gate catch ``mutation``?"""
-    return not set(mutation.caught_by) & set(RUNTIME_GATES)
-
-
-LINT_ONLY = [mutation for mutation in CATALOGUE if lint_only(mutation)]
-
-
-def sole_catcher_tier(mutation):
-    """The lint tier that alone catches ``mutation``, or None."""
-    if not lint_only(mutation):
-        return None
-    tiers = {TIER_OF[rule] for rule in mutation.caught_by}
-    return tiers.pop() if len(tiers) == 1 else None
-
-
-def make_tree(tmp_path):
-    """A self-contained copy of the model layers."""
-    tree = tmp_path / "tree"
-    for name in MODEL_DIRS:
-        shutil.copytree(
-            SRC / name, tree / name, ignore=shutil.ignore_patterns("__pycache__")
-        )
-    return tree
-
-
-def apply(tree, mutation):
-    target = tree / mutation.file
-    text = target.read_text()
-    assert text.count(mutation.anchor) == 1, mutation.id
-    target.write_text(text.replace(mutation.anchor, mutation.replacement))
-    return target
-
-
-# --- the catalogue ----------------------------------------------------------
-
-
 def test_catalogue_ids_are_unique():
     assert len(BY_ID) == len(CATALOGUE)
 
@@ -477,36 +414,5 @@ def test_anchor_applies_exactly_once(mutation):
     )
     assert mutation.replacement != mutation.anchor
     assert mutation.bug
+    assert mutation.caught_by, "%s: no gate catches this row" % mutation.id
     assert set(mutation.caught_by) <= set(GATES)
-
-
-def test_each_lint_tier_is_the_only_catcher_of_some_row():
-    """The verdict rule: a tier that alone catches no row goes."""
-    tiers = {sole_catcher_tier(mutation) for mutation in CATALOGUE}
-    assert set(TIER_OF.values()) == {"line"}
-    assert "line" in tiers
-
-
-@pytest.fixture(scope="module")
-def lint_tree(tmp_path_factory):
-    return make_tree(tmp_path_factory.mktemp("audit"))
-
-
-@pytest.mark.parametrize("mutation", LINT_ONLY, ids=lambda m: m.id)
-def test_lint_only_row_still_fires(lint_tree, mutation):
-    """Rows that no runtime gate catches must still trip their rules."""
-    target = lint_tree / mutation.file
-    original = target.read_text()
-    try:
-        apply(lint_tree, mutation)
-        findings = run_analysis(
-            [lint_tree],
-            config=LintConfig.load(REPO / "pyproject.toml"),
-            select=list(mutation.caught_by),
-        )
-    finally:
-        target.write_text(original)
-    assert {v.rule for v in findings} == set(mutation.caught_by), "\n".join(
-        v.format() for v in findings
-    )
-

@@ -14,6 +14,7 @@ returning bytes some stripped query would share.
 
 import dataclasses
 import json
+import pickle
 import threading
 
 import pytest
@@ -53,6 +54,29 @@ def _run_unstripped(spec, document=None):
         return executor(spec.params_dict())
     with hw_costs.overriding(document):
         return executor(spec.params_dict())
+
+
+class TestCellIds:
+    WHAT_IF = cells.with_cost_overrides(
+        cells.tcprr("kvm", 10), {"arm": {"trap_to_el2": 152}}
+    )
+
+    def test_ids_are_unchanged(self):
+        # the committed read sets are keyed by the bench grid's ids, in order
+        assert [spec.id for spec in cells.bench_cells()] == list(READ_SETS)
+        assert self.WHAT_IF.id == (
+            'tcprr[config=kvm,costs={"arm":{"trap_to_el2":152}},transactions=10]'
+        )
+
+    def test_id_is_computed_once_and_is_not_part_of_identity(self):
+        spec = cells.micro("kvm-arm")
+        assert spec.id is spec.id
+        fresh = cells.micro("kvm-arm")
+        assert spec == fresh and hash(spec) == hash(fresh)
+        assert dataclasses.astuple(spec) == ("micro", (("key", "kvm-arm"),))
+        for original in (spec, self.WHAT_IF):
+            copy = pickle.loads(pickle.dumps(original))
+            assert copy == original and copy.id == original.id
 
 
 class TestDeclaredArchitecture:

@@ -4,8 +4,9 @@ The async client asks for ``Connection: keep-alive`` and reuses the
 connections the server keeps open; everything else (``http.client``,
 the CLI) gets one connection per request.  These tests pin the
 connection count, the one-request-per-handler shape the benchmark
-wraps, the stop and drain paths with an idle connection open, and the
-transparent replacement of a pooled connection the server closed.
+wraps, the stop and drain paths with an idle connection (or one stuck
+mid-body) open, and the transparent replacement of a pooled connection
+the server closed.
 """
 
 import asyncio
@@ -22,6 +23,8 @@ from tests.serviceutil import WAIT_S, counter_value, running_server, wait_until
 
 KEEP_ALIVE = b"GET /healthz HTTP/1.1\r\nHost: t\r\nConnection: keep-alive\r\n\r\n"
 PLAIN = b"GET /healthz HTTP/1.1\r\nHost: t\r\n\r\n"
+#: a query that announces a 100-byte body and sends one byte of it
+HALF_SENT_BODY = b"POST /v1/query HTTP/1.1\r\nHost: t\r\nContent-Length: 100\r\n\r\n{"
 
 
 def _connect(port):
@@ -151,6 +154,27 @@ class TestStopAndDrain:
             elapsed = time.monotonic() - start
             assert elapsed < 5.0, elapsed
             assert _at_eof(sock)
+        finally:
+            sock.close()
+            handle.close()
+        assert not caplog.records, [record.getMessage() for record in caplog.records]
+
+    def test_connection_stuck_mid_body_does_not_hold_the_stop(self, caplog):
+        caplog.set_level(logging.ERROR, logger="asyncio")
+        handle = start_in_thread()
+        sock = _connect(handle.port)
+        try:
+            sock.sendall(HALF_SENT_BODY)
+            wait_until(lambda: handle.server._reading, "the server to read the body")
+            start = time.monotonic()
+            handle.close()
+            elapsed = time.monotonic() - start
+            assert elapsed < 5.0, elapsed
+            try:
+                answer = sock.recv(65536)
+            except ConnectionResetError:
+                answer = b""
+            assert answer == b"", "a request that never completed was answered"
         finally:
             sock.close()
             handle.close()
