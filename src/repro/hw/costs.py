@@ -255,8 +255,9 @@ def arm_costs():
     active what-if overrides (see :func:`overriding`)."""
     _check_scope("arm")
     costs = ArmCosts()
-    if _ACTIVE_OVERRIDES:
-        _apply_section(costs, _ACTIVE_OVERRIDES.get("arm") or {})
+    document = active_overrides()
+    if document:
+        _apply_section(costs, document.get("arm") or {})
     return _guard_reads(costs, "arm")
 
 
@@ -265,8 +266,9 @@ def x86_costs():
     active what-if overrides (see :func:`overriding`)."""
     _check_scope("x86")
     costs = X86Costs()
-    if _ACTIVE_OVERRIDES:
-        _apply_section(costs, _ACTIVE_OVERRIDES.get("x86") or {})
+    document = active_overrides()
+    if document:
+        _apply_section(costs, document.get("x86") or {})
     return _guard_reads(costs, "x86")
 
 
@@ -299,8 +301,11 @@ def x86_costs():
 #: the override sections that address into a dict field (RegClass-keyed)
 _DICT_FIELDS = ("save", "restore")
 
-#: the currently installed override document (None = pure defaults)
-_ACTIVE_OVERRIDES = None
+#: ``.document`` is the override document installed on this thread
+#: (absent or None = pure defaults).  Per thread, like :data:`_SCOPE`:
+#: the service derives cache keys on its event-loop thread while its
+#: worker thread simulates a what-if cell under that cell's document.
+_OVERRIDES = threading.local()
 
 #: The guard of the cell running on this thread: ``.arch`` is the one
 #: architecture it simulates and ``.reads`` its read set (None =
@@ -310,6 +315,11 @@ _ACTIVE_OVERRIDES = None
 #: another thread deriving a cache key (which builds both full tables)
 #: is never caught by it.
 _SCOPE = threading.local()
+
+
+def active_overrides():
+    """The override document installed on this thread, or None."""
+    return getattr(_OVERRIDES, "document", None)
 
 
 def _check_scope(arch):
@@ -448,21 +458,22 @@ def _apply_section(costs, section):
 
 @contextlib.contextmanager
 def overriding(document):
-    """Install a what-if override document for the duration of a block.
+    """Install a what-if override document for the duration of a block,
+    on this thread.
 
     Every :func:`arm_costs` / :func:`x86_costs` call inside the block —
     testbed construction and cache-key derivation alike — sees the
     overridden primitives; the previous state is restored on exit even
     if the block raises.  Documents do not merge: nesting replaces the
     outer document wholesale.  Each table reads only its own section.
+    Other threads keep their own document (by default none).
     """
-    global _ACTIVE_OVERRIDES
-    previous = _ACTIVE_OVERRIDES
-    _ACTIVE_OVERRIDES = validate_overrides(document) if document else None
+    previous = active_overrides()
+    _OVERRIDES.document = validate_overrides(document) if document else None
     try:
         yield
     finally:
-        _ACTIVE_OVERRIDES = previous
+        _OVERRIDES.document = previous
 
 
 @contextlib.contextmanager

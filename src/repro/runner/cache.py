@@ -10,8 +10,9 @@ together everything that can change its payload:
   ``x86_costs()`` serialized at key-derivation time, so a runtime
   mutation (a calibration experiment monkeypatching a primitive cost)
   also invalidates, even though no source file changed.  The digest is
-  re-derived only when the cost factories or the active override
-  document are replaced, the only ways the tables change at run time;
+  re-derived only when the cost factories or the calling thread's
+  override document are replaced, the only ways the tables change at
+  run time;
 * the **cell id and parameters** — kind plus the frozen parameter
   pairs.
 
@@ -97,7 +98,9 @@ class ResultCache:
         #: ``(arm_costs, x86_costs, override document, digest)`` of the
         #: last base fingerprint: the live tables change at run time only
         #: when one of the three objects is replaced (a monkeypatched cost
-        #: factory, a new ``hw_costs.overriding`` block)
+        #: factory, a new ``hw_costs.overriding`` block).  The document is
+        #: the calling thread's, so a thread inside another's what-if
+        #: block still derives default keys.
         self._base_memo = None
         self.hits = 0
         self.misses = 0
@@ -108,7 +111,7 @@ class ResultCache:
 
     def base_fingerprint(self):
         """The model+costs half of every key (derived once per cost state)."""
-        state = (hw_costs.arm_costs, hw_costs.x86_costs, hw_costs._ACTIVE_OVERRIDES)
+        state = (hw_costs.arm_costs, hw_costs.x86_costs, hw_costs.active_overrides())
         memo = self._base_memo
         if memo is None or any(now is not then for now, then in zip(state, memo)):
             digest = _digest(

@@ -80,13 +80,15 @@ class RunOutcome:
     """Everything one ``run_cells_outcome`` call produced.
 
     ``results`` holds the successful cells in request order;
-    ``failures`` the cells that raised; ``metrics`` the run-wide
-    counters.
+    ``failures`` the cells that raised; ``misses`` the cells a
+    cache-only pass (``simulate=False``) found no entry for, in request
+    order; ``metrics`` the run-wide counters.
     """
 
     results: "OrderedDict"
     failures: list
     metrics: MetricsRegistry
+    misses: list = dataclasses.field(default_factory=list)
 
 
 def execute_cell(spec):
@@ -147,7 +149,7 @@ def _from_cache(spec, entry):
     )
 
 
-def run_cells_outcome(specs, cache=None, metrics=None):
+def run_cells_outcome(specs, cache=None, metrics=None, simulate=True):
     """Plan, load or run, store: one pass over the deduplicated cells.
 
     Each cell is served from ``cache`` when a verified entry exists,
@@ -156,6 +158,10 @@ def run_cells_outcome(specs, cache=None, metrics=None):
     (deduplicated) request order.  A cell that raises is recorded in
     ``failures`` and the pass goes on, so one failing cell never costs
     the others (the broker's batches mix unrelated queries' cells).
+
+    With ``simulate=False`` the pass only reads the cache: a cell
+    without an entry is listed in ``misses`` instead of executed (the
+    service answers hits this way on its event-loop thread).
     """
     metrics = metrics if metrics is not None else MetricsRegistry()
     for name in RUNNER_COUNTERS:
@@ -163,6 +169,7 @@ def run_cells_outcome(specs, cache=None, metrics=None):
     ordered = cells.dedupe(specs)
     results = OrderedDict()
     failures = []
+    misses = []
     base = cache.base_fingerprint() if cache is not None else None
     write_errors_before = cache.write_errors if cache is not None else 0
     for spec in ordered:
@@ -173,6 +180,9 @@ def run_cells_outcome(specs, cache=None, metrics=None):
             if entry is not None:
                 results[spec.id] = _from_cache(spec, entry)
                 continue
+        if not simulate:
+            misses.append(spec)
+            continue
         try:
             result = execute_cell(spec)
         except CellExecutionError as exc:
@@ -186,7 +196,9 @@ def run_cells_outcome(specs, cache=None, metrics=None):
         metrics.counter("runner.cache.write_error").inc(
             cache.write_errors - write_errors_before
         )
-    return RunOutcome(results=results, failures=failures, metrics=metrics)
+    return RunOutcome(
+        results=results, failures=failures, metrics=metrics, misses=misses
+    )
 
 
 def run_cells(specs, cache=None):

@@ -14,26 +14,15 @@ Module map:
   error document, and the hand-rolled HTTP framing (stdlib only);
 * :mod:`repro.service.queries` — the target registry: canonicalization,
   query keys, cell planning, and deterministic reassembly;
-* :mod:`repro.service.broker` — the coalescing execution core: one
-  worker thread batching deduplicated cells through the resilient
-  runner pool, with an in-flight future registry so identical
-  concurrent queries simulate each cell exactly once;
+* :mod:`repro.service.broker` — the coalescing execution core: cache
+  hits answered on the submitting thread, misses batched through the
+  runner on one worker thread, with an in-flight future registry so
+  identical concurrent queries simulate each cell exactly once;
 * :mod:`repro.service.server` — admission control, budgets, deadlines,
   and the asyncio endpoint itself;
 * :mod:`repro.service.client` — sync and async clients (the CLI's
   ``python -m repro query`` rides the sync one).
+
+The package imports none of them: import the module you use, so a
+command that needs no server does not load asyncio.
 """
-
-from repro.service.broker import SimulationBroker
-from repro.service.client import AsyncServiceClient, ServiceClient, ServiceError
-from repro.service.server import ServiceConfig, ServiceServer, start_in_thread
-
-__all__ = [
-    "AsyncServiceClient",
-    "ServiceClient",
-    "ServiceConfig",
-    "ServiceError",
-    "ServiceServer",
-    "SimulationBroker",
-    "start_in_thread",
-]

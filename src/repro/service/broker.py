@@ -1,13 +1,22 @@
 """The coalescing execution core behind the query server.
 
-One worker thread drains a pending-cell queue in batches through the
-in-process runner (:func:`repro.runner.pool.run_cells_outcome`);
-an in-flight registry maps every queued-or-executing cell id to the
-``concurrent.futures.Future`` that will carry its verdict.  Submitting
-a cell that is already in flight *coalesces*: the caller joins the
-existing future and the cell is simulated exactly once no matter how
-many concurrent queries need it — the concurrency tests assert the
-counters to the cell.
+An in-flight registry maps every cell id a submission has claimed and
+not yet answered to the ``concurrent.futures.Future`` that will carry
+its verdict.  Submitting a cell that is already in flight *coalesces*:
+the caller joins the existing future and the cell is simulated exactly
+once no matter how many concurrent queries need it — the concurrency
+tests assert the counters to the cell.
+
+A submission answers what it can where it is: after registering its
+new cells, :meth:`SimulationBroker.submit` runs one cache-only pass
+(:meth:`~SimulationBroker._execute` →
+:func:`repro.runner.pool.run_cells_outcome` with ``simulate=False``)
+on the calling thread — the server's event loop — and resolves every
+hit before it returns.  Only the misses are queued for the one worker
+thread, which drains them in batches through the same pass with
+simulation on, storing each result in the cache.  A hit therefore
+never crosses a thread, and a fully cached submission returns with all
+its futures done.
 
 Futures always resolve to a verdict **tuple**, never an exception:
 
@@ -23,14 +32,15 @@ the failed ones next to the results, so one failing cell cannot cost a
 batch that carries other queries' cells.
 
 ``hold()`` / ``release()`` are the deterministic test seam: a held
-broker queues submissions without executing, so a test can pile up a
-coalescing burst, assert the registry state, and then let one batch
-run — no sleeps, no timing assumptions.
+broker still answers hits at submission, but its worker runs no batch,
+so a test can pile up a coalescing burst of misses, assert the registry
+state, and then let one batch run — no sleeps, no timing assumptions.
+``service.batches`` counts the worker's batches only.
 
-There is one worker thread, started by the first submission, and its
-target is :meth:`_run` itself.  Nothing in the loop is expected to
-raise: ``_execute`` turns any exception from the runner into a
-``failed`` verdict for every cell of the batch.
+There is one worker thread, started by the first miss, and its target
+is :meth:`_run` itself.  Nothing in the loop is expected to raise:
+``_execute`` turns any exception from the runner into a ``failed``
+verdict for every cell of the batch.
 """
 
 import threading
@@ -63,9 +73,15 @@ class SimulationBroker:
     def __init__(self, cache=None, metrics=None):
         self.cache = cache
         self.metrics = metrics if metrics is not None else MetricsRegistry()
-        for name in BROKER_COUNTERS:
-            self.metrics.counter(name)
-        self.metrics.gauge("service.queue.cells")
+        (
+            self._requested,
+            self._coalesced,
+            self._simulated,
+            self._cached,
+            self._failed,
+            self._batches,
+        ) = [self.metrics.counter(name) for name in BROKER_COUNTERS]
+        self._queued = self.metrics.gauge("service.queue.cells")
         self._lock = threading.Lock()
         self._inflight = OrderedDict()  # exec cell id -> (spec, Future)
         self._pending = []  # exec CellSpecs queued for the next batch
@@ -78,17 +94,19 @@ class SimulationBroker:
     # --- submission ------------------------------------------------------
 
     def submit(self, specs):
-        """Enqueue (or join) every cell; returns ``(futures, stats)``.
+        """Join or claim every cell, answer the hits; returns
+        ``(futures, stats)``.
 
         ``futures`` maps exec cell id to its verdict future, in request
-        order.  ``stats`` reports ``cells`` (unique cells requested),
-        ``coalesced`` (joined already-in-flight work), and ``owned``
-        (the ids this submission enqueued itself — the caller attributes
-        cached-vs-simulated counts over exactly these, so a coalesced
-        cell is never double counted).
+        order; those of cache hits are already done.  ``stats`` reports
+        ``cells`` (unique cells requested), ``coalesced`` (joined
+        already-in-flight work), and ``owned`` (the ids this submission
+        claimed itself — the caller attributes cached-vs-simulated
+        counts over exactly these, so a coalesced cell is never double
+        counted).
         """
         futures = OrderedDict()
-        owned = []
+        claimed = []
         coalesced = 0
         with self._lock:
             if self._closed:
@@ -103,19 +121,23 @@ class SimulationBroker:
                     continue
                 future = Future()
                 self._inflight[spec.id] = (spec, future)
-                self._pending.append(spec)
                 futures[spec.id] = future
-                owned.append(spec.id)
-            queued = len(self._pending)
-            self._ensure_thread()
-            self._wake.set()
-        self.metrics.counter("service.cells.requested").inc(len(futures))
-        self.metrics.counter("service.cells.coalesced").inc(coalesced)
-        self.metrics.gauge("service.queue.cells").set(queued)
+                claimed.append(spec)
+        self._requested.inc(len(futures))
+        self._coalesced.inc(coalesced)
+        if claimed:
+            misses = self._execute(claimed, simulate=False)
+            if misses:
+                with self._lock:
+                    self._pending.extend(misses)
+                    queued = len(self._pending)
+                    self._ensure_thread()
+                    self._wake.set()
+                self._queued.set(queued)
         return futures, {
             "cells": len(futures),
             "coalesced": coalesced,
-            "owned": owned,
+            "owned": [spec.id for spec in claimed],
         }
 
     def inflight_count(self):
@@ -125,7 +147,8 @@ class SimulationBroker:
     # --- the hold/release test seam --------------------------------------
 
     def hold(self):
-        """Park the worker before its next batch (deterministic tests)."""
+        """Park the worker before its next batch (deterministic tests);
+        hits are still answered at submission."""
         self._gate.clear()
 
     def release(self):
@@ -150,18 +173,25 @@ class SimulationBroker:
                 self._pending.clear()
                 if not batch:
                     if self._closed:
+                        # a submission accepted before close() may still
+                        # queue its misses: it starts a fresh worker
+                        self._thread = None
                         return
                     self._wake.clear()
             if batch:
-                self.metrics.gauge("service.queue.cells").set(0)
+                self._queued.set(0)
+                self._batches.inc()
                 self._execute(batch)
 
-    def _execute(self, batch):
-        self.metrics.counter("service.batches").inc()
+    def _execute(self, batch, simulate=True):
+        """One runner pass over ``batch``: resolve the future of every
+        cell it answered and return the cells it left unanswered (the
+        misses of a cache-only pass; none when simulating)."""
         verdicts = {}
+        misses = []
         try:
             outcome = pool.run_cells_outcome(
-                batch, cache=self.cache, metrics=self.metrics
+                batch, cache=self.cache, metrics=self.metrics, simulate=simulate
             )
         except Exception as exc:  # a runner bug: fail the batch, not the worker
             failure = {
@@ -170,20 +200,18 @@ class SimulationBroker:
             }
             for spec in batch:
                 verdicts[spec.id] = ("failed", dict(failure, id=spec.id))
-                self.metrics.counter("service.cells.failed").inc()
+                self._failed.inc()
         else:
-            failed_by_id = {failed.cell_id: failed for failed in outcome.failures}
-            for spec in batch:
-                result = outcome.results.get(spec.id)
-                if result is not None:
-                    verdicts[spec.id] = ("ok", result)
-                    if result.source == "cache":
-                        self.metrics.counter("service.cells.cached").inc()
-                    else:
-                        self.metrics.counter("service.cells.simulated").inc()
-                    continue
-                verdicts[spec.id] = ("failed", failed_by_id[spec.id].as_dict())
-                self.metrics.counter("service.cells.failed").inc()
+            misses = outcome.misses
+            for cell_id, result in outcome.results.items():
+                verdicts[cell_id] = ("ok", result)
+                if result.source == "cache":
+                    self._cached.inc()
+                else:
+                    self._simulated.inc()
+            for failed in outcome.failures:
+                verdicts[failed.cell_id] = ("failed", failed.as_dict())
+                self._failed.inc()
         with self._lock:
             entries = [
                 (cell_id, self._inflight.pop(cell_id))
@@ -191,11 +219,12 @@ class SimulationBroker:
                 if cell_id in self._inflight
             ]
         for cell_id, (_spec, future) in entries:
-            # a waiter that vanished (server shutdown cancels wrapped
-            # futures) must not kill the worker thread; the transition
-            # to RUNNING also makes late cancellations lose the race
+            # a future some caller cancelled must not raise here (in the
+            # worker, that would kill the thread); the transition to
+            # RUNNING also makes late cancellations lose the race
             if future.set_running_or_notify_cancel():
                 future.set_result(verdicts[cell_id])
+        return misses
 
     # --- shutdown ---------------------------------------------------------
 

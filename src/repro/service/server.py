@@ -16,10 +16,15 @@ immediately with the stable ``overloaded`` error — never queued, never
 partially executed, so shedding order is exactly arrival order at
 capacity.  Budgets reject a query whose *deduplicated* cell plan
 exceeds the per-query cell budget before anything is enqueued.
-Deadlines bound only the requester's wait: the underlying batch keeps
-running under ``asyncio.shield`` so coalesced siblings of a timed-out
-query still get their results (a deadline is the client giving up, not
-the work being wrong).
+
+An admitted query's cells go to the broker, which answers cache hits
+right there, on this event-loop thread, and hands only the misses to
+its worker thread.  The query then waits on one asyncio future that
+settles when its last verdict is in, so the loop is woken once per
+query, and not at all when every cell was a hit.  Deadlines bound only
+that wait: the broker's work keeps running, so coalesced siblings of a
+timed-out query still get their results (a deadline is the client
+giving up, not the work being wrong).
 
 Connections: each one runs :meth:`ServiceServer._connection`, a loop
 that waits for the next request line and hands it to
@@ -143,9 +148,16 @@ class ServiceServer:
             self.broker = broker_mod.SimulationBroker(
                 cache=cache, metrics=self.metrics
             )
-        for name in SERVER_COUNTERS:
-            self.metrics.counter(name)
-        self.metrics.gauge("service.admit.active")
+        (
+            self._queries,
+            self._queries_ok,
+            self._queries_errors,
+            self._admit_rejects,
+            self._budget_rejects,
+            self._deadline_expired,
+            self._coalesce_queries,
+        ) = [self.metrics.counter(name) for name in SERVER_COUNTERS]
+        self._admit_active = self.metrics.gauge("service.admit.active")
         self._active = 0  # queries admitted and not yet answered
         self._draining = False  # set once; new queries 503 shutting-down
         self._server = None
@@ -343,11 +355,11 @@ class ServiceServer:
     # --- the query path ---------------------------------------------------
 
     async def _query(self, body):
-        self.metrics.counter("service.queries").inc()
+        self._queries.inc()
         if self._draining:
             # drain phase: shed before admission, advise a retry — the
             # peer instance (or the restarted one) will take it
-            self.metrics.counter("service.admit.rejects").inc()
+            self._admit_rejects.inc()
             return 503, protocol.error_document(
                 protocol.SHUTTING_DOWN,
                 "server is draining for shutdown",
@@ -356,7 +368,7 @@ class ServiceServer:
         if self._active >= self.config.admit_max:
             # shed-on-overload: reject *before* canonicalization so a
             # shed request costs no planning and enqueues nothing
-            self.metrics.counter("service.admit.rejects").inc()
+            self._admit_rejects.inc()
             return 503, protocol.error_document(
                 protocol.OVERLOADED,
                 "admission queue at capacity (%d active)" % self._active,
@@ -365,16 +377,16 @@ class ServiceServer:
                 retry_after=RETRY_AFTER_S,
             )
         self._active += 1
-        self.metrics.gauge("service.admit.active").set(self._active)
+        self._admit_active.set(self._active)
         try:
             status, document = await self._admitted(body)
         finally:
             self._active -= 1
-            self.metrics.gauge("service.admit.active").set(self._active)
+            self._admit_active.set(self._active)
         if document.get("ok"):
-            self.metrics.counter("service.queries.ok").inc()
+            self._queries_ok.inc()
         else:
-            self.metrics.counter("service.queries.errors").inc()
+            self._queries_errors.inc()
         return status, document
 
     async def _admitted(self, body):
@@ -398,7 +410,7 @@ class ServiceServer:
                 else options["budget_cells"]
             )
         if budget and len(exec_specs) > budget:
-            self.metrics.counter("service.budget.rejects").inc()
+            self._budget_rejects.inc()
             return 400, protocol.error_document(
                 protocol.BUDGET_EXCEEDED,
                 "query plans %d cells, budget is %d" % (len(exec_specs), budget),
@@ -412,34 +424,32 @@ class ServiceServer:
         except broker_mod.BrokerClosed as exc:
             return 503, protocol.error_document(protocol.SHUTTING_DOWN, str(exc))
         if stats["coalesced"]:
-            self.metrics.counter("service.coalesce.queries").inc()
+            self._coalesce_queries.inc()
 
-        gather = asyncio.gather(
-            *[asyncio.wrap_future(future) for future in futures.values()]
-        )
-        deadline_ms = options["deadline_ms"]
-        if deadline_ms is not None:
+        waiting = [future for future in futures.values() if not future.done()]
+        if waiting:
+            settled = _all_settled(waiting, asyncio.get_running_loop())
+            deadline_ms = options["deadline_ms"]
             try:
-                verdicts = await asyncio.wait_for(
-                    asyncio.shield(gather), deadline_ms / 1000.0
+                # the batch keeps running for coalesced siblings: a
+                # deadline cancels only this query's wait
+                await asyncio.wait_for(
+                    settled,
+                    None if deadline_ms is None else deadline_ms / 1000.0,
                 )
             except asyncio.TimeoutError:
-                self.metrics.counter("service.deadline.expired").inc()
-                # the batch keeps running for coalesced siblings; swallow
-                # its eventual value so nothing warns about an orphan
-                gather.add_done_callback(_discard_result)
+                self._deadline_expired.inc()
                 return 504, protocol.error_document(
                     protocol.DEADLINE_EXCEEDED,
                     "query exceeded its %.0fms deadline" % deadline_ms,
                     deadline_ms=deadline_ms,
                     query_key=query.key,
                 )
-        else:
-            verdicts = await gather
 
         results = {}
         failed = []
-        for cell_id, (kind, value) in zip(futures.keys(), verdicts):
+        for cell_id, future in futures.items():
+            kind, value = future.result()
             if kind == "ok":
                 results[cell_id] = value
             else:
@@ -469,9 +479,38 @@ class ServiceServer:
         return 200, document
 
 
-def _discard_result(task):
-    if not task.cancelled():
-        task.exception()  # verdicts are values; this only clears the flag
+def _all_settled(futures, loop):
+    """An asyncio future on ``loop`` that settles once every one of
+    ``futures`` (the broker's ``concurrent.futures``) is done.
+
+    The loop is woken once per query, by whichever thread resolves the
+    last future (the broker's worker, or the loop itself).  A waiter
+    that was cancelled meanwhile, or a loop already closed, is skipped:
+    nothing raises on the resolving thread.
+    """
+    settled = loop.create_future()
+    lock = threading.Lock()
+    remaining = len(futures)
+
+    def on_done(_future):
+        nonlocal remaining
+        with lock:
+            remaining -= 1
+            if remaining:
+                return
+        try:
+            loop.call_soon_threadsafe(_settle, settled)
+        except RuntimeError:
+            pass  # the loop is closed: nobody is waiting any more
+
+    for future in futures:
+        future.add_done_callback(on_done)
+    return settled
+
+
+def _settle(settled):
+    if not settled.done():
+        settled.set_result(None)
 
 
 # --- running it ----------------------------------------------------------

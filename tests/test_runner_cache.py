@@ -10,6 +10,7 @@ import dataclasses
 import enum
 import json
 import os
+import threading
 
 import pytest
 
@@ -100,6 +101,36 @@ def test_live_costs_document_is_the_asdict_form(document):
             expected, sort_keys=True
         )
         assert live_costs() == expected
+
+
+class TestPerThreadOverrides:
+    def test_another_threads_what_if_block_leaves_this_thread_default(
+        self, cache
+    ):
+        default_trap = hw_costs.arm_costs().trap_to_el2
+        default_base = cache.base_fingerprint()
+        inside, leave = threading.Event(), threading.Event()
+        seen = {}
+
+        def what_if():
+            with hw_costs.overriding({"arm": {"trap_to_el2": 2 * default_trap}}):
+                seen["trap"] = hw_costs.arm_costs().trap_to_el2
+                seen["base"] = cache.base_fingerprint()
+                inside.set()
+                leave.wait(30)
+
+        thread = threading.Thread(target=what_if)
+        thread.start()
+        try:
+            assert inside.wait(30)
+            assert hw_costs.arm_costs().trap_to_el2 == default_trap
+            assert cache.base_fingerprint() == default_base
+        finally:
+            leave.set()
+            thread.join(30)
+        # the other thread did see its own document
+        assert seen["trap"] == 2 * default_trap
+        assert seen["base"] != default_base
 
 
 class TestInvalidation:
