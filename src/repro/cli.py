@@ -24,21 +24,35 @@ import argparse
 import json
 import sys
 
-from repro.core import reporting, suite
-from repro.core.microbench import MicrobenchmarkSuite
-from repro.core.testbed import ALL_KEYS, build_testbed
+from repro.core import reporting
+from repro.core.testbed import ALL_KEYS
+from repro.errors import ConfigurationError
+from repro.service import protocol, queries
+
+#: commands that print one query target: command -> (target, params)
+TARGET_COMMANDS = {
+    "table2": ("table2", lambda args: {}),
+    "table3": ("table3", lambda args: {}),
+    "table5": ("table5", lambda args: {"transactions": args.transactions}),
+    "figure4": ("figure4", lambda args: {}),
+    "ablation": ("ablation", lambda args: {}),
+    "vhe": ("vhe", lambda args: {}),
+    "all": ("report", lambda args: {}),
+    "micro": ("micro", lambda args: {"key": args.platform}),
+}
 
 
-def _cmd_micro(args):
-    results = MicrobenchmarkSuite(build_testbed(args.platform)).run_all()
-    rows = [[name, "%d" % cycles] for name, cycles in results.items()]
-    print(
-        reporting.render_table(
-            ["Microbenchmark", "cycles"],
-            rows,
-            title="Microbenchmarks on %s" % args.platform,
-        )
-    )
+def _cmd_target(args):
+    """Run the command's target once: print its table, and write its
+    JSON to ``--emit-json`` from the same results."""
+    target, params = TARGET_COMMANDS[args.command]
+    query, results = queries.run_local(target, params(args))
+    print(queries.render(query, results))
+    path = getattr(args, "emit_json", None)
+    if path:
+        with open(path, "w", encoding="utf-8") as handle:
+            json.dump(queries.assemble(query, results), handle, indent=1, sort_keys=True)
+            handle.write("\n")
 
 
 def _cmd_figures(_args):
@@ -98,14 +112,18 @@ def _cmd_bench(args):
 def _cmd_serve(args):
     from repro.service import server as service_server
 
-    config = service_server.ServiceConfig.from_env(
-        host=args.host,
-        port=args.port,
-        admit_max=args.admit_max,
-        query_budget=args.query_budget,
-        cache_dir=args.cache_dir,
-        drain_timeout=args.drain_timeout,
-    )
+    try:
+        config = service_server.ServiceConfig.from_env(
+            host=args.host,
+            port=args.port,
+            admit_max=args.admit_max,
+            query_budget=args.query_budget,
+            cache_dir=args.cache_dir,
+            drain_timeout=args.drain_timeout,
+        )
+    except ConfigurationError as exc:  # a bad REPRO_* setting
+        print(str(exc), file=sys.stderr)
+        return 1
     server = service_server.ServiceServer(config=config)
 
     def announce(host, port):
@@ -130,12 +148,16 @@ def _cmd_query(args):
     from repro.errors import ReproError
     from repro.service import client as service_client
 
-    retry = service_client.RetryConfig.from_env(
-        retries=0 if args.no_retry else args.retries
-    )
-    client = service_client.ServiceClient(
-        host=args.host, port=args.port, timeout=args.timeout, retry=retry
-    )
+    try:
+        retry = service_client.RetryConfig.from_env(
+            retries=0 if args.no_retry else args.retries
+        )
+        client = service_client.ServiceClient(
+            host=args.host, port=args.port, timeout=args.timeout, retry=retry
+        )
+    except ConfigurationError as exc:  # a bad REPRO_* setting
+        print(str(exc), file=sys.stderr)
+        return 1
     if args.health:
         ok = client.health()
         print("ok" if ok else "unreachable")
@@ -208,6 +230,20 @@ def _transactions(text):
     return value
 
 
+def _port(minimum):
+    """An argparse type: a TCP port in ``minimum..protocol.MAX_PORT``."""
+
+    def port(text):
+        value = int(text)
+        if not minimum <= value <= protocol.MAX_PORT:
+            raise argparse.ArgumentTypeError(
+                "must be in %d..%d, got %d" % (minimum, protocol.MAX_PORT, value)
+            )
+        return value
+
+    return port
+
+
 def _nonnegative_int(text):
     value = int(text)
     if value < 0:
@@ -222,41 +258,14 @@ def _positive_float(text):
     return value
 
 
-#: table commands with a JSON-serializable ``suite.*_data`` twin
-DATA_FUNCS = {
-    "table2": lambda args: suite.table2_data(),
-    "table3": lambda args: suite.table3_data(),
-    "table5": lambda args: suite.table5_data(args.transactions),
-    "figure4": lambda args: suite.figure4_data(),
-    "ablation": lambda args: suite.ablation_data(),
-    "vhe": lambda args: suite.vhe_data(),
-}
-
-
-def _maybe_emit_json(args):
-    path = getattr(args, "emit_json", None)
-    if not path:
-        return
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(DATA_FUNCS[args.command](args), handle, indent=1, sort_keys=True)
-        handle.write("\n")
-
-
-COMMANDS = {
-    "table2": lambda args: print(suite.table2_report()),
-    "table3": lambda args: print(suite.table3_report()),
-    "table5": lambda args: print(suite.table5_report(args.transactions)),
-    "figure4": lambda args: print(suite.figure4_report()),
-    "ablation": lambda args: print(suite.ablation_report()),
-    "vhe": lambda args: print(suite.vhe_report()),
-    "figures": _cmd_figures,
-    "all": lambda args: print(suite.full_report()),
-    "micro": _cmd_micro,
-    "trace": _cmd_trace,
-    "bench": _cmd_bench,
-    "serve": _cmd_serve,
-    "query": _cmd_query,
-}
+COMMANDS = dict.fromkeys(TARGET_COMMANDS, _cmd_target)
+COMMANDS.update(
+    figures=_cmd_figures,
+    trace=_cmd_trace,
+    bench=_cmd_bench,
+    serve=_cmd_serve,
+    query=_cmd_query,
+)
 
 
 def build_parser():
@@ -270,23 +279,20 @@ def build_parser():
     sub = parser.add_subparsers(dest="command", required=True)
     for name in ("figures", "all"):
         sub.add_parser(name, help="regenerate %s" % name)
-    for name in ("table2", "table3", "figure4", "ablation", "vhe"):
+    for name in ("table2", "table3", "table5", "figure4", "ablation", "vhe"):
         table = sub.add_parser(name, help="regenerate %s" % name)
         table.add_argument(
             "--emit-json",
             metavar="PATH",
             help="also write the results as JSON to PATH",
         )
-    table5 = sub.add_parser("table5", help="regenerate table5")
-    table5.add_argument(
-        "--transactions",
-        type=_transactions,
-        default=40,
-        help="TCP_RR transactions to simulate (at most 256)",
-    )
-    table5.add_argument(
-        "--emit-json", metavar="PATH", help="also write the results as JSON to PATH"
-    )
+        if name == "table5":
+            table.add_argument(
+                "--transactions",
+                type=_transactions,
+                default=40,
+                help="TCP_RR transactions to simulate (at most 256)",
+            )
     trace = sub.add_parser(
         "trace",
         help="run one operation with observability on; print the span tree "
@@ -346,8 +352,6 @@ def build_parser():
         help="where to write the bench document (default %s)"
         % runner_bench.DEFAULT_DOCUMENT_PATH,
     )
-    from repro.service import protocol as service_protocol
-
     serve = sub.add_parser(
         "serve",
         help="start the asyncio what-if query server (JSON over HTTP); "
@@ -360,11 +364,11 @@ def build_parser():
     )
     serve.add_argument(
         "--port",
-        type=_nonnegative_int,
+        type=_port(0),
         default=None,
         metavar="N",
         help="TCP port, 0 for ephemeral (default REPRO_SERVE_PORT or %d)"
-        % service_protocol.DEFAULT_PORT,
+        % protocol.DEFAULT_PORT,
     )
     serve.add_argument(
         "--admit-max",
@@ -406,11 +410,11 @@ def build_parser():
     )
     query.add_argument(
         "--port",
-        type=_positive_int,
+        type=_port(1),
         default=None,
         metavar="N",
         help="server port (default REPRO_SERVE_PORT or %d)"
-        % service_protocol.DEFAULT_PORT,
+        % protocol.DEFAULT_PORT,
     )
     query.add_argument(
         "--timeout",
@@ -497,9 +501,7 @@ def main(argv=None):
     argv = sys.argv[1:] if argv is None else list(argv)
     args = build_parser().parse_args(argv)
     # bench, serve and query return an exit status; report commands return None
-    status = COMMANDS[args.command](args) or 0
-    _maybe_emit_json(args)
-    return status
+    return COMMANDS[args.command](args) or 0
 
 
 if __name__ == "__main__":

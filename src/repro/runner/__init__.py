@@ -17,12 +17,12 @@ entry is a miss, and the cell's re-store overwrites it
 (:mod:`repro.runner.resilience` holds the failure records and the
 digest).
 
-``repro.core.suite`` routes every ``*_report``/``*_data`` entry point
-through here, so callers get deduplication (Table II and the VHE
-comparison share their KVM ARM cells) and caching for free.  The
-default plan is uncached; ``REPRO_CACHE_DIR=PATH`` reuses cached cell
-results keyed by the model fingerprint, live cost tables, and cell
-parameters.
+The table commands and ``repro.core.suite`` run a target's cells
+through :func:`run_plan` (via ``repro.service.queries.run_local``), so
+callers get deduplication (Table II and the VHE comparison share their
+KVM ARM cells) and caching for free.  The default plan is uncached;
+``REPRO_CACHE_DIR=PATH`` reuses cached cell results keyed by the model
+fingerprint, live cost tables, and cell parameters.
 
 ``python -m repro bench`` (:mod:`repro.runner.bench`) runs the full
 grid plus the oversubscription sweep and emits ``BENCH_suite.json``.

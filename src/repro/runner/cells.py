@@ -17,7 +17,8 @@ oversubscription grid.  Every cell is:
 Cells deliberately deduplicate across report sections: Table II and the
 Section VI VHE comparison both need the ``micro[key=kvm-arm]`` cell, so
 the runner simulates it once and both sections merge from the same
-payload (:mod:`repro.runner.merge` reassembles the ``*_data`` shapes).
+payload (:mod:`repro.runner.merge` hydrates the payloads that the query
+registry renders and assembles).
 """
 
 import dataclasses
@@ -39,8 +40,8 @@ from repro.runner.readsets_golden import READ_SETS
 from repro.workloads import FIGURE4_WORKLOADS
 
 #: netperf TCP_RR transactions simulated per Table V cell (the
-#: ``run_table5`` default; ``python -m repro table5 --transactions`` and
-#: the cache key both carry the actual value).
+#: ``table5`` query default; ``python -m repro table5 --transactions``
+#: and the cache key both carry the actual value).
 DEFAULT_RR_TRANSACTIONS = 40
 #: the most TCP_RR transactions one cell can simulate: each transaction
 #: takes one virtio-net rx buffer that the KVM guest never re-posts, so

@@ -34,7 +34,7 @@ def _payload(results, spec):
 
 
 def table2_results(results, keys=None):
-    """{key: {microbenchmark: cycles}} — ``suite.run_table2``'s shape."""
+    """{key: {microbenchmark: cycles}} — Table II, one column per key."""
     keys = keys or PLATFORM_ORDER
     return {key: dict(_payload(results, cells.micro(key))) for key in keys}
 

@@ -57,8 +57,7 @@ class ServiceError(ReproError):
 
 
 def _default_port():
-    text = os.environ.get("REPRO_SERVE_PORT")
-    return int(text) if text else protocol.DEFAULT_PORT
+    return protocol.port_from_env(os.environ, 1)
 
 
 @dataclasses.dataclass

@@ -25,7 +25,7 @@ only after the whole batch settled.
 
 import json
 
-from repro.errors import ReproError
+from repro.errors import ConfigurationError, ReproError
 
 #: response envelope schema (success and error documents)
 SCHEMA = "repro-service/1"
@@ -34,6 +34,28 @@ METRICS_SCHEMA = "repro-service-metrics/1"
 
 #: the default ``python -m repro serve`` port (``REPRO_SERVE_PORT``)
 DEFAULT_PORT = 8123
+ENV_PORT = "REPRO_SERVE_PORT"
+#: the highest TCP port number
+MAX_PORT = 65535
+
+
+def port_from_env(environ, minimum):
+    """``REPRO_SERVE_PORT`` as a port in ``minimum..MAX_PORT``, or
+    ``DEFAULT_PORT`` when unset; ``serve`` allows 0 (ephemeral), a
+    client needs a real port."""
+    text = environ.get(ENV_PORT)
+    if not text:
+        return DEFAULT_PORT
+    try:
+        port = int(text)
+    except ValueError:
+        raise ConfigurationError("%s=%r is not an integer" % (ENV_PORT, text))
+    if not minimum <= port <= MAX_PORT:
+        raise ConfigurationError(
+            "%s must be in %d..%d, got %d" % (ENV_PORT, minimum, MAX_PORT, port)
+        )
+    return port
+
 
 # --- error vocabulary ----------------------------------------------------
 

@@ -8,11 +8,14 @@ the same canonical document and therefore the same ``query_key``
 (sha256 over compact sorted JSON), the same cell plan, and the same
 in-flight futures inside the broker.
 
-Every target's ``assemble`` is the exact ``suite.*_data`` shape the CLI
-``--emit-json`` twins produce, built from the same ``runner.merge``
-functions — which is what lets the differential harness demand that a
-served response is byte-identical (``payload_digest``) to the direct
-runner path for the same canonical query.
+The registry is the one place a target is planned and assembled.
+``assemble`` builds the JSON a served response carries and the CLI's
+``--emit-json`` writes; ``render`` builds the text table the CLI prints
+(``python -m repro table2``, ``all``, ...), from the same
+``runner.merge`` outputs.  :func:`run_local` plans and runs a target
+once for both.  The differential harness demands that a served
+response is byte-identical (``payload_digest``) to the direct runner
+path for the same canonical query.
 
 Cost overrides never leak into the merge layer: cells are *planned* at
 their base (default-calibration) identity, *executed* under the
@@ -29,6 +32,8 @@ import hashlib
 import math
 from collections import OrderedDict
 
+from repro import runner
+from repro.core import reporting
 from repro.core.oversubscription import INTERVAL_MS
 from repro.core.testbed import ALL_KEYS
 from repro.errors import ConfigurationError
@@ -74,6 +79,9 @@ class Target:
     plan: object
     #: (results keyed by base cell id, canonical params) -> JSON data
     assemble: object
+    #: (results keyed by base cell id, canonical params) -> text table
+    #: (None: no CLI command prints the target)
+    render: object
     #: parameter names and one-line help, for ``GET /v1/targets``
     param_help: tuple = ()
 
@@ -220,7 +228,7 @@ def _no_params(raw, target):
     return {}
 
 
-# --- per-target validate/plan/assemble -----------------------------------
+# --- per-target validate/plan/assemble/render ----------------------------
 
 
 def _validate_micro(raw):
@@ -232,6 +240,15 @@ def _validate_micro(raw):
 
 def _assemble_micro(results, params):
     return dict(results[cells.micro(params["key"]).id].payload)
+
+
+def _render_micro(results, params):
+    column = _assemble_micro(results, params)
+    return reporting.render_table(
+        ["Microbenchmark", "cycles"],
+        [[name, "%d" % cycles] for name, cycles in column.items()],
+        title="Microbenchmarks on %s" % params["key"],
+    )
 
 
 def _validate_table2(raw):
@@ -344,8 +361,12 @@ def _assemble_oversub(results, params):
     )
 
 
+def _render_report(results, params):
+    return merge.full_report_text(results, params["transactions"])
+
+
 def _assemble_report(results, params):
-    return {"text": merge.full_report_text(results, params["transactions"])}
+    return {"text": _render_report(results, params)}
 
 
 TARGETS = OrderedDict(
@@ -357,6 +378,7 @@ TARGETS = OrderedDict(
             _validate_micro,
             lambda params: [cells.micro(params["key"])],
             _assemble_micro,
+            _render_micro,
             (("key", "platform key (default kvm-arm)"),),
         ),
         Target(
@@ -365,6 +387,9 @@ TARGETS = OrderedDict(
             _validate_table2,
             lambda params: cells.table2_cells(params["keys"]),
             _assemble_table2,
+            lambda results, params: reporting.render_table2(
+                merge.table2_results(results, params["keys"])
+            ),
             (("keys", "platform keys (default the four paper platforms)"),),
         ),
         Target(
@@ -373,6 +398,9 @@ TARGETS = OrderedDict(
             lambda raw: _no_params(raw, "table3"),
             lambda params: cells.table3_cells(),
             _assemble_table3,
+            lambda results, params: reporting.render_table3(
+                merge.breakdown_result(results)
+            ),
         ),
         Target(
             "table5",
@@ -380,6 +408,9 @@ TARGETS = OrderedDict(
             lambda raw: _transactions(raw, "table5"),
             lambda params: cells.table5_cells(params["transactions"]),
             _assemble_table5,
+            lambda results, params: reporting.render_table5(
+                merge.table5_results(results, params["transactions"])
+            ),
             (
                 (
                     "transactions",
@@ -393,6 +424,10 @@ TARGETS = OrderedDict(
             _validate_figure4,
             lambda params: cells.figure4_cells(params["keys"], params["irq_vcpus"]),
             _assemble_figure4,
+            lambda results, params: reporting.render_figure4(
+                merge.figure4_grid(results, params["keys"], params["irq_vcpus"]),
+                params["keys"],
+            ),
             (
                 ("keys", "platform keys (default the four paper platforms)"),
                 ("irq_vcpus", "VCPUs receiving device IRQs (default 1)"),
@@ -406,6 +441,9 @@ TARGETS = OrderedDict(
                 params["keys"], params["workloads"]
             ),
             _assemble_ablation,
+            lambda results, params: reporting.render_ablation(
+                merge.ablation_grid(results, params["keys"], params["workloads"])
+            ),
             (
                 ("keys", "platform keys (default kvm-arm, xen-arm)"),
                 ("workloads", "workload mix (default Apache, Memcached)"),
@@ -417,6 +455,9 @@ TARGETS = OrderedDict(
             lambda raw: _no_params(raw, "vhe"),
             lambda params: cells.vhe_cells(),
             _assemble_vhe,
+            lambda results, params: reporting.render_vhe(
+                merge.vhe_comparison(results)
+            ),
         ),
         Target(
             "oversub",
@@ -426,6 +467,7 @@ TARGETS = OrderedDict(
                 params["keys"], params["timeslices_us"]
             ),
             _assemble_oversub,
+            None,
             (
                 ("keys", "platform keys (default the four paper platforms)"),
                 ("timeslices_us", "timeslice sweep points (default paper grid)"),
@@ -437,6 +479,7 @@ TARGETS = OrderedDict(
             lambda raw: _transactions(raw, "report"),
             lambda params: cells.full_report_cells(params["transactions"]),
             _assemble_report,
+            _render_report,
             (
                 (
                     "transactions",
@@ -546,8 +589,13 @@ def rekey(results, base_specs, exec_specs):
 
 
 def assemble(query, results_by_base_id):
-    """The target's deterministic ``*_data`` shape from merged payloads."""
+    """The target's deterministic JSON result from merged payloads."""
     return TARGETS[query.target].assemble(results_by_base_id, query.params)
+
+
+def render(query, results_by_base_id):
+    """The target's text table from the same merged payloads."""
+    return TARGETS[query.target].render(results_by_base_id, query.params)
 
 
 def success_document(query, result, stats):
@@ -586,6 +634,15 @@ def run_direct(query, cache=None):
         "simulated": sum(1 for source in sources if source == "run"),
     }
     return result, stats
+
+
+def run_local(target, params=None, cache_dir=None):
+    """``(query, results by base cell id)`` for one default-cost target,
+    run once through :func:`repro.runner.run_plan` (so ``cache_dir`` or
+    ``REPRO_CACHE_DIR`` applies) for :func:`render` and :func:`assemble`."""
+    query, _options = canonicalize({"target": target, "params": params or {}})
+    base, execs = plan(query)
+    return query, rekey(runner.run_plan(execs, cache_dir), base, execs)
 
 
 def direct_document(target, params=None, costs=None, cache=None):

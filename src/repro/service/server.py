@@ -42,6 +42,7 @@ response.
 import asyncio
 import dataclasses
 import json
+import math
 import os
 import signal
 import sys
@@ -54,7 +55,6 @@ from repro.service import broker as broker_mod
 from repro.service import protocol, queries
 
 ENV_HOST = "REPRO_SERVE_HOST"
-ENV_PORT = "REPRO_SERVE_PORT"
 ENV_ADMIT_MAX = "REPRO_ADMIT_MAX"
 ENV_QUERY_BUDGET = "REPRO_QUERY_BUDGET"
 ENV_DRAIN_TIMEOUT = "REPRO_DRAIN_TIMEOUT"
@@ -116,9 +116,15 @@ class ServiceConfig:
             raise ConfigurationError(
                 "%s=%r is not a number" % (ENV_DRAIN_TIMEOUT, drain_text)
             )
+        # the --drain-timeout flag's limit: a finite number of seconds > 0
+        if not (math.isfinite(drain_timeout) and drain_timeout > 0):
+            raise ConfigurationError(
+                "%s must be a finite number > 0, got %r"
+                % (ENV_DRAIN_TIMEOUT, drain_text)
+            )
         config = cls(
             host=environ.get(ENV_HOST) or DEFAULT_HOST,
-            port=_env_int(environ, ENV_PORT, protocol.DEFAULT_PORT, 0),
+            port=protocol.port_from_env(environ, 0),
             admit_max=_env_int(environ, ENV_ADMIT_MAX, DEFAULT_ADMIT_MAX, 1),
             query_budget=_env_int(environ, ENV_QUERY_BUDGET, 0, 0),
             cache_dir=environ.get("REPRO_CACHE_DIR") or None,

@@ -1,8 +1,18 @@
 """Tests for the command-line interface."""
 
+import json
+
 import pytest
 
 from repro.cli import build_parser, main
+from repro.core import reporting, suite
+from repro.core.microbench import MicrobenchmarkSuite
+from repro.core.testbed import ALL_KEYS, build_testbed
+from repro.runner import pool
+from repro.service import queries
+
+#: the six report-table commands, with the cells each plans
+TABLE_CELLS = {"table2": 4, "table3": 1, "table5": 3, "figure4": 4, "ablation": 2, "vhe": 4}
 
 
 class TestParser:
@@ -120,3 +130,63 @@ class TestEmitJson:
         assert set(data) == {"kvm-arm", "kvm-x86", "xen-arm", "xen-x86"}
         assert data["kvm-arm"]["Hypercall"] > 0
         capsys.readouterr()
+
+
+@pytest.fixture
+def executions(monkeypatch):
+    """Count ``pool.execute_cell`` calls, uncached."""
+    monkeypatch.delenv("REPRO_CACHE_DIR", raising=False)
+    calls = []
+    execute = pool.execute_cell
+
+    def counting(spec, *args, **kwargs):
+        calls.append(spec.id)
+        return execute(spec, *args, **kwargs)
+
+    monkeypatch.setattr(pool, "execute_cell", counting)
+    return calls
+
+
+class TestOnePath:
+    """Table commands, ``--emit-json`` and the suite share the query
+    registry: one plan, one run, one assembly per target."""
+
+    @pytest.mark.parametrize(
+        "argv, params",
+        [([name], {}) for name in TABLE_CELLS]
+        + [(["table5", "--transactions", "80"], {"transactions": 80})],
+        ids=list(TABLE_CELLS) + ["table5-80"],
+    )
+    def test_emit_json_is_the_registry_result(self, argv, params, tmp_path, capsys):
+        path = tmp_path / "out.json"
+        assert main(argv + ["--emit-json", str(path)]) == 0
+        capsys.readouterr()
+        result = queries.direct_document(argv[0], params)["result"]
+        assert path.read_text() == json.dumps(result, indent=1, sort_keys=True) + "\n"
+
+    def test_table_commands_join_into_the_full_report(self, capsys):
+        tables = []
+        for name in TABLE_CELLS:
+            assert main([name]) == 0
+            out = capsys.readouterr().out
+            assert out.endswith("\n")
+            tables.append(out[:-1])
+        assert "\n\n".join(tables) == suite.full_report()
+
+    @pytest.mark.parametrize("name, cells", TABLE_CELLS.items())
+    def test_each_cell_runs_once(self, name, cells, executions, tmp_path, capsys):
+        assert main([name, "--emit-json", str(tmp_path / "out.json")]) == 0
+        capsys.readouterr()
+        assert len(executions) == cells
+        assert len(set(executions)) == cells
+
+    @pytest.mark.parametrize("key", ALL_KEYS)
+    def test_micro_prints_the_platform_column(self, key, capsys):
+        measured = MicrobenchmarkSuite(build_testbed(key)).run_all()
+        expected = reporting.render_table(
+            ["Microbenchmark", "cycles"],
+            [[name, "%d" % cycles] for name, cycles in measured.items()],
+            title="Microbenchmarks on %s" % key,
+        )
+        assert main(["micro", "--platform", key]) == 0
+        assert capsys.readouterr().out == expected + "\n"

@@ -13,8 +13,10 @@ import pathlib
 import pytest
 
 from repro import cli
+from repro.errors import ConfigurationError
 from repro.runner.resilience import payload_digest
 from repro.service import queries
+from repro.service.client import ServiceClient
 
 from tests.serviceutil import running_server
 
@@ -186,4 +188,38 @@ class TestQueryServed:
     def test_query_without_target_aborts(self):
         with pytest.raises(SystemExit):
             cli.main(["query", "--port", "1"])
+
+
+class TestPortEnvironment:
+    def test_non_integer_port_is_a_clear_error(self, monkeypatch, capsys):
+        monkeypatch.setenv("REPRO_SERVE_PORT", "abc")
+        with pytest.raises(ConfigurationError, match="REPRO_SERVE_PORT"):
+            ServiceClient()
+        assert cli.main(["query", "--health"]) == 1
+        assert "REPRO_SERVE_PORT='abc' is not an integer" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("text", ["0", "65536"])
+    def test_client_port_must_be_a_real_port(self, text, monkeypatch):
+        monkeypatch.setenv("REPRO_SERVE_PORT", text)
+        with pytest.raises(ConfigurationError, match="REPRO_SERVE_PORT"):
+            ServiceClient()
+
+    @pytest.mark.parametrize(
+        "argv", [["serve", "--port", "65536"], ["query", "--port", "0", "--health"]]
+    )
+    def test_port_flags_take_tcp_ports_only(self, argv, capsys):
+        with pytest.raises(SystemExit):
+            cli.main(argv)
+        assert "must be in" in capsys.readouterr().err
+
+    def test_serve_rejects_an_out_of_range_port(self, monkeypatch, capsys):
+        from repro.service import server
+
+        def never(*_args, **_kwargs):
+            raise AssertionError("serve started with a bad port")
+
+        monkeypatch.setattr(server, "run_forever", never)
+        monkeypatch.setenv("REPRO_SERVE_PORT", "70000")
+        assert cli.main(["serve"]) == 1
+        assert "REPRO_SERVE_PORT must be in 0..65535" in capsys.readouterr().err
 

@@ -327,3 +327,18 @@ class TestServiceConfig:
             ServiceConfig.from_env(environ={"REPRO_ADMIT_MAX": "zero"})
         with pytest.raises(ConfigurationError):
             ServiceConfig.from_env(environ={"REPRO_ADMIT_MAX": "0"})
+
+    @pytest.mark.parametrize("text", ["-5", "0", "nan", "inf"])
+    def test_drain_timeout_must_be_finite_and_positive(self, text):
+        # the --drain-timeout flag's limit
+        with pytest.raises(ConfigurationError, match="REPRO_DRAIN_TIMEOUT"):
+            ServiceConfig.from_env(environ={"REPRO_DRAIN_TIMEOUT": text})
+
+    def test_serve_port_must_be_a_tcp_port(self):
+        with pytest.raises(ConfigurationError, match="REPRO_SERVE_PORT"):
+            ServiceConfig.from_env(environ={"REPRO_SERVE_PORT": "70000"})
+        assert ServiceConfig.from_env(environ={"REPRO_SERVE_PORT": "0"}).port == 0
+        assert (
+            ServiceConfig.from_env(environ={"REPRO_SERVE_PORT": "65535"}).port
+            == 65535
+        )
