@@ -15,6 +15,7 @@ Usage:
     python -m repro serve              # what-if query server (asyncio)
     python -m repro query --target table2      # query a running server
     python -m repro query --direct --target table2  # same, no server
+    python -m repro check FILE...      # check bench/service/trace documents
 
 Table commands accept ``--emit-json PATH`` to write the underlying
 results as JSON alongside the rendered table.
@@ -148,16 +149,18 @@ def _cmd_query(args):
     from repro.errors import ReproError
     from repro.service import client as service_client
 
-    try:
-        retry = service_client.RetryConfig.from_env(
-            retries=0 if args.no_retry else args.retries
-        )
-        client = service_client.ServiceClient(
-            host=args.host, port=args.port, timeout=args.timeout, retry=retry
-        )
-    except ConfigurationError as exc:  # a bad REPRO_* setting
-        print(str(exc), file=sys.stderr)
-        return 1
+    # --direct opens no connection, so it reads no client setting
+    if not args.direct or args.health or args.show_metrics:
+        try:
+            retry = service_client.RetryConfig.from_env(
+                retries=0 if args.no_retry else args.retries
+            )
+            client = service_client.ServiceClient(
+                host=args.host, port=args.port, timeout=args.timeout, retry=retry
+            )
+        except ConfigurationError as exc:  # a bad REPRO_* setting
+            print(str(exc), file=sys.stderr)
+            return 1
     if args.health:
         ok = client.health()
         print("ok" if ok else "unreachable")
@@ -209,6 +212,45 @@ def _cmd_query(args):
     else:
         print(text)
     return 0
+
+
+def check_document(document):
+    """Problems with one document (an empty list when it is valid), found
+    by the check of the module that writes it: a trace by its
+    ``traceEvents``, any other document by its ``schema`` tag."""
+    from repro.obs import export
+    from repro.runner import bench
+
+    if not isinstance(document, dict):
+        return ["document is not a JSON object"]
+    if "traceEvents" in document:
+        return export.check_trace(document)
+    check = {
+        bench.BENCH_SCHEMA: bench.check_document,
+        protocol.SCHEMA: protocol.check_response,
+        protocol.METRICS_SCHEMA: protocol.check_metrics,
+    }.get(document.get("schema"))
+    if check is None:
+        return ["unknown schema tag %r" % (document.get("schema"),)]
+    return check(document)
+
+
+def _cmd_check(args):
+    failed = False
+    for path in args.files:
+        try:
+            with open(path, "r", encoding="utf-8") as handle:
+                document = json.load(handle)
+        except (OSError, ValueError) as exc:
+            problems = ["cannot load: %s" % exc]
+        else:
+            problems = check_document(document)
+        for problem in problems:
+            print("FAIL %s: %s" % (path, problem))
+        if not problems:
+            print("ok   %s" % path)
+        failed = failed or bool(problems)
+    return 1 if failed else 0
 
 
 def _positive_int(text):
@@ -265,6 +307,7 @@ COMMANDS.update(
     bench=_cmd_bench,
     serve=_cmd_serve,
     query=_cmd_query,
+    check=_cmd_check,
 )
 
 
@@ -487,6 +530,12 @@ def build_parser():
     query.add_argument(
         "-o", "--output", metavar="PATH", help="write the response document to PATH"
     )
+    check = sub.add_parser(
+        "check",
+        help="check bench, service and trace documents against the contract "
+        "of the code that writes them; exit 1 if any is invalid or unreadable",
+    )
+    check.add_argument("files", nargs="+", metavar="FILE", help="JSON documents")
     micro = sub.add_parser("micro", help="one platform's microbenchmark column")
     micro.add_argument(
         "--platform",
@@ -500,7 +549,8 @@ def build_parser():
 def main(argv=None):
     argv = sys.argv[1:] if argv is None else list(argv)
     args = build_parser().parse_args(argv)
-    # bench, serve and query return an exit status; report commands return None
+    # bench, serve, query and check return an exit status; report commands
+    # return None
     return COMMANDS[args.command](args) or 0
 
 

@@ -36,17 +36,22 @@ def _numeric(cell):
 
 
 def render_table2(measured):
-    """measured: {key: {benchmark: cycles}} -> side-by-side with paper."""
+    """measured: {key: {benchmark: cycles}} -> side-by-side with paper,
+    one column group per measured key (``n/a`` where the paper has no
+    column for the key)."""
     headers = ["Microbenchmark"]
-    for key in PLATFORM_ORDER:
+    for key in measured:
         headers += ["%s sim" % key, "paper", "err%"]
     rows = []
     for name in TABLE2:
         row = [name]
-        for key in PLATFORM_ORDER:
-            sim = measured[key][name]
-            paper = TABLE2[name][key]
-            row += ["%d" % sim, "%d" % paper, "%+.1f" % ((sim - paper) / paper * 100)]
+        for key, column in measured.items():
+            sim = column[name]
+            paper = TABLE2[name].get(key)
+            if paper is None:
+                row += ["%d" % sim, "n/a", "-"]
+            else:
+                row += ["%d" % sim, "%d" % paper, "%+.1f" % ((sim - paper) / paper * 100)]
         rows.append(row)
     return render_table(headers, rows, title="Table II: Microbenchmark Measurements (cycle counts)")
 

@@ -8,8 +8,9 @@ simulated *cycles* (the trace's native unit — Perfetto renders them as
 microseconds, which only relabels the axis).
 
 Every emitted event carries the keys ``ph``, ``ts``, ``dur``, ``pid``
-and ``tid`` — the contract the CI schema smoke (tools/validate_trace.py)
-enforces on generated artifacts.
+and ``tid`` with non-negative integer times — the contract
+:func:`check_trace` checks (CI runs it on generated artifacts through
+``python -m repro check``).
 """
 
 import json
@@ -18,6 +19,10 @@ import json
 MACHINE_PID = 0
 #: tid of the engine-level track (spans with no pcpu tag).
 ENGINE_TID = 0
+#: the keys every emitted event carries
+EVENT_KEYS = ("ph", "ts", "dur", "pid", "tid")
+#: the phases emitted: metadata, complete span, counter
+PHASES = ("M", "X", "C")
 
 
 def _tid(pcpu):
@@ -114,6 +119,31 @@ def write_chrome_trace(path, recorder, metrics=None, machine_name="machine", ext
         json.dump(document, handle, indent=1, sort_keys=True)
         handle.write("\n")
     return document
+
+
+def check_trace(document):
+    """Problems with a trace document (an empty list when it is valid):
+    a non-empty ``traceEvents`` list of events with every key of
+    ``EVENT_KEYS``, a phase of ``PHASES``, non-negative integer
+    ``ts``/``dur``, and at least one complete ("X") span."""
+    events = document.get("traceEvents")
+    if not isinstance(events, list) or not events:
+        return ["traceEvents missing or empty"]
+    problems = []
+    for index, event in enumerate(events):
+        if not isinstance(event, dict):
+            problems.append("event %d is not an object" % index)
+            continue
+        problems += ["event %d lacks %r" % (index, key) for key in EVENT_KEYS if key not in event]
+        if event.get("ph") not in PHASES:
+            problems.append("event %d has unknown ph %r" % (index, event.get("ph")))
+        for key in ("ts", "dur"):
+            value = event.get(key)
+            if not isinstance(value, int) or value < 0:
+                problems.append("event %d %s=%r is not a non-negative int" % (index, key, value))
+    if not any(isinstance(event, dict) and event.get("ph") == "X" for event in events):
+        problems.append("no complete ('X') span events")
+    return problems
 
 
 def render_span_tree(recorder, show_pcpu=True):

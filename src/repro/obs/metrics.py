@@ -112,6 +112,10 @@ class CycleHistogram:
         return "CycleHistogram(%r, n=%d)" % (self.name, self.count)
 
 
+#: every instrument kind a snapshot reports
+KINDS = tuple(cls.kind for cls in (Counter, Gauge, CycleHistogram))
+
+
 class MetricsRegistry:
     """All instruments of one machine, keyed by name (get-or-create)."""
 

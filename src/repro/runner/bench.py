@@ -14,7 +14,8 @@ the cache the moment it finishes, so rerunning ``bench`` on the same
 cache after a failed or interrupted run simulates only the cells that
 are missing.
 
-Document schema (``tools/validate_bench.py`` is the CI check):
+Document schema (:func:`check_document` checks it; CI runs it on every
+bench document through ``python -m repro check``):
 
 .. code-block:: json
 
@@ -40,7 +41,8 @@ import time
 
 from repro.runner import cells, merge
 from repro.runner.cache import ResultCache, model_fingerprint
-from repro.runner.pool import run_cells
+from repro.runner.pool import SOURCES, run_cells
+from repro.runner.resilience import is_count, is_sha256
 
 BENCH_SCHEMA = "repro-bench/1"
 DEFAULT_CACHE_DIR = ".repro-cache"
@@ -135,3 +137,72 @@ def write_document(path, document):
         json.dump(document, handle, indent=1, sort_keys=True)
         handle.write("\n")
 
+
+def _is_duration(value):
+    return isinstance(value, (int, float)) and not isinstance(value, bool) and value >= 0
+
+
+def check_document(document):
+    """Problems with a bench document (an empty list when it is valid).
+
+    Checks the schema above: the ``BENCH_SCHEMA`` tag, the ``cache``
+    block's counters, a non-empty ``cells`` list whose rows carry
+    id/kind/params/source and non-negative wall time, cycles and engine
+    counts, totals that agree with the rows, and the report digest.  A
+    run with a failed cell writes no document, so a valid one covers
+    the whole grid.  Keys older runners wrote (``jobs``, ``resilience``,
+    ``journal``, ``perf``, ``partial``, ``failed_cells``) are ignored.
+    """
+    if not isinstance(document, dict):
+        return ["document is not a JSON object"]
+    problems = []
+
+    def expect(ok, name, value, what):
+        if not ok:
+            problems.append("%s=%r is not %s" % (name, value, what))
+
+    schema = document.get("schema")
+    expect(schema == BENCH_SCHEMA, "schema", schema, repr(BENCH_SCHEMA))
+    cache = document.get("cache")
+    expect(isinstance(cache, dict), "cache", cache, "an object")
+    if isinstance(cache, dict):
+        enabled = cache.get("enabled")
+        expect(isinstance(enabled, bool), "cache.enabled", enabled, "a bool")
+        optional = ("write_errors",) if "write_errors" in cache else ()
+        for key in ("hits", "misses") + optional:
+            expect(is_count(cache.get(key)), "cache." + key, cache.get(key), "a non-negative int")
+
+    rows = document.get("cells")
+    if not isinstance(rows, list) or not rows:
+        problems.append("cells missing or empty")
+        rows = []
+    for index, row in enumerate(rows):
+        name = "cell %d" % index
+        expect(isinstance(row, dict), name, row, "an object")
+        if not isinstance(row, dict):
+            continue
+        for key in ("id", "kind"):
+            value = row.get(key)
+            expect(isinstance(value, str) and value, name + " " + key, value, "a non-empty string")
+        params, source = row.get("params"), row.get("source")
+        expect(isinstance(params, dict), name + " params", params, "an object")
+        expect(source in SOURCES, name + " source", source, "one of %s" % (SOURCES,))
+        wall = row.get("wall_ms")
+        expect(_is_duration(wall), name + " wall_ms", wall, "a non-negative number")
+        for key in ("simulated_cycles", "engines"):
+            expect(is_count(row.get(key)), name + " " + key, row.get(key), "a non-negative int")
+
+    totals = document.get("totals")
+    expect(isinstance(totals, dict), "totals", totals, "an object")
+    if isinstance(totals, dict):
+        expect(totals.get("cells") == len(rows), "totals.cells", totals.get("cells"),
+               "the %d cells listed" % len(rows))
+        wall = totals.get("wall_ms")
+        expect(_is_duration(wall), "totals.wall_ms", wall, "a non-negative number")
+        if not problems:  # the cycle sum is only meaningful over valid rows
+            cycles = sum(row["simulated_cycles"] for row in rows)
+            expect(totals.get("simulated_cycles") == cycles, "totals.simulated_cycles",
+                   totals.get("simulated_cycles"), "the cells' sum %d" % cycles)
+    digest = document.get("report_sha256")
+    expect(is_sha256(digest), "report_sha256", digest, "64 lowercase hex chars")
+    return problems

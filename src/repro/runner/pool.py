@@ -59,6 +59,11 @@ RUNNER_COUNTERS = (
 _EXECUTE_LOCK = threading.Lock()
 
 
+#: where a :class:`CellResult` came from: simulated in process, or read
+#: from the cache (the bench document's ``source`` column)
+SOURCES = ("run", "cache")
+
+
 @dataclasses.dataclass
 class CellResult:
     """One cell's payload plus where it came from and what it cost."""
@@ -68,7 +73,7 @@ class CellResult:
     wall_ms: float
     simulated_cycles: int
     engines: int
-    source: str  # "run" | "cache"
+    source: str  # one of SOURCES
     payload_sha256: str = ""
     #: always empty (there is no fast lane: the interpreter is the only
     #: path); kept because callers outside the runner read it
@@ -149,7 +154,7 @@ def _from_cache(spec, entry):
     )
 
 
-def run_cells_outcome(specs, cache=None, metrics=None, simulate=True):
+def run_cells_outcome(specs, cache=None, metrics=None, simulate=True, load=True):
     """Plan, load or run, store: one pass over the deduplicated cells.
 
     Each cell is served from ``cache`` when a verified entry exists,
@@ -161,7 +166,9 @@ def run_cells_outcome(specs, cache=None, metrics=None, simulate=True):
 
     With ``simulate=False`` the pass only reads the cache: a cell
     without an entry is listed in ``misses`` instead of executed (the
-    service answers hits this way on its event-loop thread).
+    service answers hits this way on its event-loop thread).  With
+    ``load=False`` it reads no entry and executes and stores every cell
+    (the service's worker runs only cells such a pass just missed).
     """
     metrics = metrics if metrics is not None else MetricsRegistry()
     for name in RUNNER_COUNTERS:
@@ -176,7 +183,7 @@ def run_cells_outcome(specs, cache=None, metrics=None, simulate=True):
         key = None
         if cache is not None:
             key = cache.key_for(spec, base)
-            entry = cache.load(key)
+            entry = cache.load(key) if load else None
             if entry is not None:
                 results[spec.id] = _from_cache(spec, entry)
                 continue

@@ -8,7 +8,8 @@ naming each failed cell, its error and its traceback.
 
 Payload integrity is a sha256 over the canonical payload JSON
 (:func:`payload_digest`): the cache verifies it on every read, and the
-service reports it as ``result_sha256``.
+service reports it as ``result_sha256``, which
+:func:`repro.service.protocol.check_response` recomputes.
 """
 
 import dataclasses
@@ -29,6 +30,21 @@ def payload_digest(payload):
     return hashlib.sha256(
         json.dumps(payload, separators=(",", ":")).encode("utf-8")
     ).hexdigest()
+
+
+def is_sha256(text):
+    """Whether ``text`` is a digest as :func:`payload_digest` writes it
+    (64 lowercase hex characters); the document checks use it."""
+    return (
+        isinstance(text, str)
+        and len(text) == 64
+        and all(ch in "0123456789abcdef" for ch in text)
+    )
+
+
+def is_count(value):
+    """Whether ``value`` is a non-negative int (a bool is not one)."""
+    return isinstance(value, int) and not isinstance(value, bool) and value >= 0
 
 
 class CellExecutionError(ReproError):

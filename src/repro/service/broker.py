@@ -13,10 +13,11 @@ new cells, :meth:`SimulationBroker.submit` runs one cache-only pass
 :func:`repro.runner.pool.run_cells_outcome` with ``simulate=False``)
 on the calling thread — the server's event loop — and resolves every
 hit before it returns.  Only the misses are queued for the one worker
-thread, which drains them in batches through the same pass with
-simulation on, storing each result in the cache.  A hit therefore
-never crosses a thread, and a fully cached submission returns with all
-its futures done.
+thread, which drains them in batches through the same runner call with
+simulation on and cache reads off (each cell was just missed), storing
+each result in the cache.  A hit therefore never crosses a thread, a
+miss is read from the cache once, and a fully cached submission returns
+with all its futures done.
 
 Futures always resolve to a verdict **tuple**, never an exception:
 
@@ -186,12 +187,17 @@ class SimulationBroker:
     def _execute(self, batch, simulate=True):
         """One runner pass over ``batch``: resolve the future of every
         cell it answered and return the cells it left unanswered (the
-        misses of a cache-only pass; none when simulating)."""
+        misses of a cache-only pass; none when simulating, which reads
+        no entry: a batch holds only cells a cache-only pass missed)."""
         verdicts = {}
         misses = []
         try:
             outcome = pool.run_cells_outcome(
-                batch, cache=self.cache, metrics=self.metrics, simulate=simulate
+                batch,
+                cache=self.cache,
+                metrics=self.metrics,
+                simulate=simulate,
+                load=not simulate,
             )
         except Exception as exc:  # a runner bug: fail the batch, not the worker
             failure = {

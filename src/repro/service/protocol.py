@@ -15,22 +15,32 @@ The error document is *stable by contract* (the overload and chaos
 tests assert its exact shape): every non-2xx response is
 
     {"schema": "repro-service/1", "ok": false, "partial": false,
-     "error": {"code": "<one of ERROR_CODES>", "message": "...", ...}}
+     "error": {"code": "<one of ERROR_STATUS>", "message": "...", ...}}
 
 ``partial`` is always ``false`` on errors — a rejected or failed query
 never executed half-way from the client's point of view; admission
 rejects happen before any cell is enqueued, and cell failures surface
 only after the whole batch settled.
+
+:func:`check_response` and :func:`check_metrics` check a document
+against this contract (``python -m repro check`` runs them); nothing on
+the serving path calls them.
 """
 
 import json
 
 from repro.errors import ConfigurationError, ReproError
+from repro.obs.metrics import KINDS as METRIC_KINDS
+from repro.runner.resilience import is_count, is_sha256, payload_digest
 
 #: response envelope schema (success and error documents)
 SCHEMA = "repro-service/1"
 #: ``GET /v1/metrics`` document schema
 METRICS_SCHEMA = "repro-service-metrics/1"
+
+#: a success document's ``stats``: unique cells, and how each was
+#: answered (joined in flight, read from the cache, or simulated)
+STAT_FIELDS = ("cells", "coalesced", "cached", "simulated")
 
 #: the default ``python -m repro serve`` port (``REPRO_SERVE_PORT``)
 DEFAULT_PORT = 8123
@@ -104,6 +114,87 @@ def error_document(code, message, **details):
 
 def error_status(code):
     return ERROR_STATUS.get(code, 500)
+
+
+# --- document checks -----------------------------------------------------
+
+
+def check_response(document):
+    """Problems with a query response (an empty list when it is valid).
+
+    A success document's ``result_sha256`` is recomputed over its
+    ``result`` (:func:`~repro.runner.resilience.payload_digest`), so a
+    response rewritten, key-sorted or truncated after the server signed
+    it fails; its ``stats`` must partition ``cells``.  An error
+    document must carry a code of ``ERROR_STATUS`` and a message.
+    """
+    problems = []
+    if document.get("schema") != SCHEMA:
+        problems.append("bad schema tag")
+    if not isinstance(document.get("ok"), bool):
+        problems.append("'ok' must be a boolean")
+    if document.get("partial") is not False:
+        problems.append("'partial' must be false")
+    if not document.get("ok"):
+        error = document.get("error")
+        if not isinstance(error, dict):
+            return problems + ["error doc missing 'error' object"]
+        if error.get("code") not in ERROR_STATUS:
+            problems.append("unknown error code %r" % error.get("code"))
+        if not isinstance(error.get("message"), str) or not error["message"]:
+            problems.append("'error.message' must be a non-empty string")
+        return problems
+    for field in ("target", "params", "costs", "query_key", "result", "result_sha256", "stats"):
+        if field not in document:
+            problems.append("success doc missing %r" % field)
+    if problems:
+        return problems
+    if not isinstance(document["target"], str) or not document["target"]:
+        problems.append("'target' must be a non-empty string")
+    for field in ("params", "costs"):
+        if not isinstance(document[field], dict):
+            problems.append("%r must be an object" % field)
+    for field in ("query_key", "result_sha256"):
+        if not is_sha256(document[field]):
+            problems.append("%r is not a sha256" % field)
+    recomputed = payload_digest(document["result"])
+    if recomputed != document["result_sha256"]:
+        problems.append(
+            "result_sha256 mismatch: doc says %s, result hashes to %s"
+            % (str(document["result_sha256"])[:16], recomputed[:16])
+        )
+    stats = document["stats"]
+    if not isinstance(stats, dict):
+        return problems + ["'stats' must be an object"]
+    problems += [
+        "stats.%s must be a non-negative integer" % field
+        for field in STAT_FIELDS
+        if not is_count(stats.get(field))
+    ]
+    if not problems:
+        if stats["coalesced"] > stats["cells"]:
+            problems.append("stats.coalesced exceeds stats.cells")
+        if stats["coalesced"] + stats["cached"] + stats["simulated"] != stats["cells"]:
+            problems.append("stats partition does not cover stats.cells")
+    return problems
+
+
+def check_metrics(document):
+    """Problems with a ``GET /v1/metrics`` snapshot (empty when valid):
+    every instrument must report one of the registry's kinds."""
+    problems = []
+    if document.get("schema") != METRICS_SCHEMA:
+        problems.append("bad schema tag")
+    if document.get("ok") is not True:
+        problems.append("'ok' must be true")
+    metrics = document.get("metrics")
+    if not isinstance(metrics, dict):
+        return problems + ["'metrics' must be an object"]
+    return problems + [
+        "metric %r has no valid kind" % name
+        for name, instrument in metrics.items()
+        if not isinstance(instrument, dict) or instrument.get("kind") not in METRIC_KINDS
+    ]
 
 
 # --- HTTP framing --------------------------------------------------------

@@ -1,23 +1,11 @@
 """CLI tests for ``python -m repro bench`` and the bench-document schema."""
 
-import importlib.util
 import json
-import pathlib
 
 import pytest
 
 from repro.cli import build_parser, main
-
-TOOLS_DIR = pathlib.Path(__file__).resolve().parent.parent / "tools"
-
-
-def _load_validate_bench():
-    spec = importlib.util.spec_from_file_location(
-        "validate_bench", TOOLS_DIR / "validate_bench.py"
-    )
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
+from repro.runner.bench import check_document
 
 
 class TestParser:
@@ -196,25 +184,27 @@ class TestResilienceExecution:
 
 
 class TestValidateBenchTool:
+    """``runner.bench.check_document`` and ``repro check`` on bench documents."""
+
     def test_valid_document_passes(self, tmp_path, monkeypatch, capsys):
         monkeypatch.chdir(tmp_path)
         assert main(["bench", "--no-cache"]) == 0
         capsys.readouterr()
-        validator = _load_validate_bench()
-        assert validator.validate(str(tmp_path / "BENCH_suite.json")) == []
-        assert validator.main([str(tmp_path / "BENCH_suite.json")]) == 0
+        path = tmp_path / "BENCH_suite.json"
+        assert check_document(json.loads(path.read_text())) == []
+        assert main(["check", str(path)]) == 0
 
-    def test_corrupt_documents_fail(self, tmp_path):
-        validator = _load_validate_bench()
+    def test_corrupt_documents_fail(self, tmp_path, capsys):
         missing = tmp_path / "missing.json"
-        assert validator.validate(str(missing))
+        assert main(["check", str(missing)]) == 1
+        assert "cannot load" in capsys.readouterr().out
 
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps({"schema": "repro-bench/1", "cache": "nope"}))
-        problems = validator.validate(str(bad))
+        problems = check_document(json.loads(bad.read_text()))
         assert any("cache" in problem for problem in problems)
         assert any("cells" in problem for problem in problems)
-        assert validator.main([str(bad)]) == 1
+        assert main(["check", str(bad)]) == 1
 
     def test_total_cycle_mismatch_detected(self, tmp_path, monkeypatch, capsys):
         monkeypatch.chdir(tmp_path)
@@ -224,13 +214,15 @@ class TestValidateBenchTool:
         document["totals"]["simulated_cycles"] += 1
         tampered = tmp_path / "tampered.json"
         tampered.write_text(json.dumps(document))
-        validator = _load_validate_bench()
         assert any(
             "simulated_cycles" in problem
-            for problem in validator.validate(str(tampered))
+            for problem in check_document(json.loads(tampered.read_text()))
         )
+        assert main(["check", str(tampered)]) == 1
 
-    def test_usage_without_args(self):
-        validator = _load_validate_bench()
-        assert validator.main([]) == 2
+    def test_usage_without_args(self, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["check"])
+        assert excinfo.value.code == 2
+        assert "usage" in capsys.readouterr().err
 

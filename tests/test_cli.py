@@ -86,7 +86,8 @@ class TestTraceCommand:
 
     def test_trace_writes_valid_perfetto_json(self, tmp_path, capsys):
         import json
-        import sys
+
+        from repro.obs.export import check_trace
 
         path = tmp_path / "trace.json"
         assert main(["trace", "vm-switch", "--platform", "xen-arm", "-o", str(path)]) == 0
@@ -97,13 +98,47 @@ class TestTraceCommand:
             for key in ("ph", "ts", "dur", "pid", "tid"):
                 assert key in event
         assert any(event["ph"] == "X" for event in events)
-        # The CI schema smoke agrees.
-        sys.path.insert(0, "tools")
-        try:
-            import validate_trace
-        finally:
-            sys.path.pop(0)
-        assert validate_trace.validate(str(path)) == []
+        # The writer's own check, which CI runs through `repro check`, agrees.
+        assert check_trace(document) == []
+        assert main(["check", str(path)]) == 0
+
+
+class TestCheckCommand:
+    def test_each_kind_passes_and_a_tampered_copy_fails(self, tmp_path, capsys):
+        """`repro check` exits 0 on a document of each kind as its writer
+        made it, and 1 on a copy with one value tampered."""
+        from tests.serviceutil import running_server
+
+        written = {kind: tmp_path / (kind + ".json") for kind in ("bench", "trace", "response")}
+        assert main(["bench", "--no-cache", "-o", str(written["bench"])]) == 0
+        assert main(["trace", "table3", "-o", str(written["trace"])]) == 0
+        assert main(["query", "--direct", "--target", "table3", "-o", str(written["response"])]) == 0
+        documents = {kind: json.loads(path.read_text()) for kind, path in written.items()}
+        with running_server() as (_handle, client):
+            client.query("micro", {"key": "kvm-arm"})
+            documents["metrics"] = client.metrics()
+        capsys.readouterr()
+
+        def tamper_trace(document):
+            document["traceEvents"][-1]["ts"] = -1
+
+        def tamper_metrics(document):
+            document["metrics"]["service.queries"]["kind"] = "meter"
+
+        tamperings = {
+            "bench": lambda document: document["totals"].update(cells=0),
+            "trace": tamper_trace,
+            "response": lambda document: document["result"].update(total_cycles=1),
+            "metrics": tamper_metrics,
+        }
+        for kind, document in documents.items():
+            path = tmp_path / ("valid-%s.json" % kind)
+            path.write_text(json.dumps(document))
+            assert main(["check", str(path)]) == 0, capsys.readouterr().out
+            tamperings[kind](document)
+            path.write_text(json.dumps(document))
+            assert main(["check", str(path)]) == 1, kind
+            assert "FAIL %s" % path in capsys.readouterr().out
 
 
 class TestEmitJson:

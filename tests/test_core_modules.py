@@ -143,3 +143,21 @@ class TestReporting:
         grid = run_figure4(["xen-x86"], workloads=[Apache()])
         text = reporting.render_figure4(grid, ["xen-x86"])
         assert "n/a" in text  # Apache on Xen x86 crashed in the paper
+
+    @pytest.mark.parametrize("keys", [["kvm-arm"], ["kvm-vhe-arm"]])
+    def test_render_table2_renders_the_keys_it_was_given(self, keys):
+        from repro.paperdata import TABLE2
+        from repro.service import queries
+
+        text = queries.render(*queries.run_local("table2", {"keys": keys}))
+        header, _rule, *rows = text.splitlines()[1:]
+        assert [cell.strip() for cell in header.split("|")] == [
+            "Microbenchmark", "%s sim" % keys[0], "paper", "err%"
+        ]
+        assert len(rows) == len(TABLE2)
+        for row in rows:
+            name, _sim, paper, err = [cell.strip() for cell in row.split("|")]
+            if keys[0] in TABLE2[name]:
+                assert paper == "%d" % TABLE2[name][keys[0]]
+            else:
+                assert (paper, err) == ("n/a", "-")

@@ -16,6 +16,7 @@ from concurrent.futures import Future
 import pytest
 
 from repro.runner import ResultCache, cells, run_cells
+from repro.service import queries
 from repro.service.broker import SimulationBroker
 from repro.service.server import _all_settled
 
@@ -105,6 +106,36 @@ def test_misses_of_a_submission_accepted_before_close_are_still_run():
     broker._execute = close_during_the_pass
     second, _ = broker.submit([COLD])
     assert second[COLD.id].result(WAIT_S)[0] == "ok"
+
+
+def test_a_what_if_miss_is_read_from_the_cache_once(cache, monkeypatch):
+    """The worker simulates and stores the cells the cache-only pass
+    missed without opening their entries again."""
+    query, _options = queries.canonicalize(
+        {"target": "table5", "costs": {"arm": {"trap_to_el2": 151}}}
+    )
+    _base, execs = queries.plan(query)
+    loads = []
+    load = ResultCache.load
+
+    def counting(self, key):
+        loads.append(key)
+        return load(self, key)
+
+    monkeypatch.setattr(ResultCache, "load", counting)
+    broker = SimulationBroker(cache=cache)
+    try:
+        futures, _stats = broker.submit(execs)
+        verdicts = [future.result(WAIT_S) for future in futures.values()]
+        assert all(kind == "ok" and result.source == "run" for kind, result in verdicts)
+        assert len(execs) == 3
+        assert sorted(loads) == sorted({cache.key_for(spec) for spec in execs})
+        # the worker stored every cell: a second submission hits them all
+        again, _stats = broker.submit(execs)
+        assert all(future.done() for future in again.values())
+        assert _counter(broker, "service.cells.cached") == 3
+    finally:
+        broker.close()
 
 
 def test_concurrent_submissions_keep_the_counts_whole(cache):

@@ -3,12 +3,11 @@
 Exercises ``python -m repro query`` in-process via ``cli.main`` — the
 direct path, the served path against a live in-thread server, the
 health probe and structured error exits — and checks every artifact
-with ``tools/validate_service.py`` exactly as the CI job does.
+with ``repro.cli.check_document``, the check ``python -m repro check``
+runs in the CI job.
 """
 
-import importlib.util
 import json
-import pathlib
 
 import pytest
 
@@ -19,17 +18,6 @@ from repro.service import queries
 from repro.service.client import ServiceClient
 
 from tests.serviceutil import running_server
-
-TOOLS_DIR = pathlib.Path(__file__).resolve().parent.parent / "tools"
-
-
-def _load_validator():
-    spec = importlib.util.spec_from_file_location(
-        "validate_service", TOOLS_DIR / "validate_service.py"
-    )
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
 
 
 def _direct_sha(target, params=None, costs=None):
@@ -48,7 +36,7 @@ class TestQueryDirect:
         )
         assert status == 0
         document = json.loads(out.read_text())
-        assert _load_validator().validate_document(document) == []
+        assert cli.check_document(document) == []
         assert document["result_sha256"] == _direct_sha("table2")
         stderr = capsys.readouterr().err
         assert document["result_sha256"][:16] in stderr
@@ -126,7 +114,7 @@ class TestQueryServed:
             )
         assert status == 0
         document = json.loads(capsys.readouterr().out)
-        assert _load_validator().validate_document(document) == []
+        assert cli.check_document(document) == []
         assert document["result_sha256"] == _direct_sha(
             "micro", {"key": "kvm-arm"}
         )
@@ -142,7 +130,7 @@ class TestQueryServed:
         assert status == 1
         document = json.loads(capsys.readouterr().err)
         assert document["error"]["code"] == "budget-exceeded"
-        assert _load_validator().validate_document(document) == []
+        assert cli.check_document(document) == []
 
     def test_huge_timeslice_exits_one_with_bad_request(self, capsys):
         with running_server() as (handle, _client):
@@ -155,7 +143,7 @@ class TestQueryServed:
         assert status == 1
         document = json.loads(capsys.readouterr().err)
         assert document["error"]["code"] == "bad-request"
-        assert _load_validator().validate_document(document) == []
+        assert cli.check_document(document) == []
 
     def test_unreachable_server_exits_one(self, capsys):
         status = cli.main(
@@ -183,7 +171,7 @@ class TestQueryServed:
             )
         assert status == 0
         document = json.loads(capsys.readouterr().out)
-        assert _load_validator().validate_document(document) == []
+        assert cli.check_document(document) == []
 
     def test_query_without_target_aborts(self):
         with pytest.raises(SystemExit):
@@ -197,6 +185,14 @@ class TestPortEnvironment:
             ServiceClient()
         assert cli.main(["query", "--health"]) == 1
         assert "REPRO_SERVE_PORT='abc' is not an integer" in capsys.readouterr().err
+
+    def test_direct_query_reads_no_port_setting(self, monkeypatch, capsys):
+        argv = ["query", "--direct", "--target", "table3"]
+        assert cli.main(argv) == 0
+        expected = capsys.readouterr().out
+        monkeypatch.setenv("REPRO_SERVE_PORT", "abc")
+        assert cli.main(argv) == 0
+        assert capsys.readouterr().out == expected
 
     @pytest.mark.parametrize("text", ["0", "65536"])
     def test_client_port_must_be_a_real_port(self, text, monkeypatch):

@@ -7,12 +7,11 @@ coalescing primitive), anything malformed must come back as the stable
 validated, and restorable.
 """
 
-import importlib.util
 import json
-import pathlib
 
 import pytest
 
+from repro.cli import check_document
 from repro.errors import ConfigurationError
 from repro.hw import costs as hw_costs
 from repro.runner import cells
@@ -20,18 +19,6 @@ from repro.service import protocol, queries
 from repro.service.server import ServiceConfig
 
 from tests.serviceutil import running_server
-
-TOOLS_DIR = pathlib.Path(__file__).resolve().parent.parent / "tools"
-
-
-def _load_validator():
-    spec = importlib.util.spec_from_file_location(
-        "validate_service", TOOLS_DIR / "validate_service.py"
-    )
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
 
 class TestCanonicalization:
     def test_equivalent_requests_share_a_key(self):
@@ -270,34 +257,42 @@ class TestHttpSurface:
             assert document["admit_max"] == 7
 
     def test_metrics_route_validates(self):
-        validator = _load_validator()
         with running_server() as (_handle, client):
             client.query("micro", {"key": "kvm-arm"})
             document = client.metrics()
-        assert validator.validate_document(document) == []
+        assert protocol.check_metrics(document) == []
+        assert check_document(document) == []
         assert document["metrics"]["service.queries"]["value"] == 1
 
 
 class TestValidatorTool:
+    """``protocol.check_response`` and the ``repro check`` dispatch."""
+
     def test_success_and_error_documents_validate(self):
-        validator = _load_validator()
         with running_server() as (_handle, client):
             good = client.query("micro", {"key": "kvm-arm"})
             _status, bad = client.query_raw({"target": "no-such-target"})
-        assert validator.validate_document(good) == []
-        assert validator.validate_document(bad) == []
+        assert protocol.check_response(good) == []
+        assert protocol.check_response(bad) == []
+        assert check_document(good) == check_document(bad) == []
 
     def test_tampered_result_is_caught(self):
-        validator = _load_validator()
         with running_server() as (_handle, client):
             document = client.query("micro", {"key": "kvm-arm"})
         document["result"]["Hypercall"] = 1
-        findings = validator.validate_document(document)
+        findings = protocol.check_response(document)
         assert any("result_sha256 mismatch" in finding for finding in findings)
+        assert check_document(document) == findings
 
     def test_unknown_schema_is_rejected(self):
-        validator = _load_validator()
-        assert validator.validate_document({"schema": "bogus/9"}) != []
+        assert check_document({"schema": "bogus/9"}) != []
+
+    def test_every_error_code_builds_a_valid_document(self):
+        for code in protocol.ERROR_STATUS:
+            document = protocol.error_document(code, "a %s failure" % code)
+            assert protocol.check_response(document) == [], code
+        unknown = protocol.error_document("no-such-code", "message")
+        assert protocol.check_response(unknown) == ["unknown error code 'no-such-code'"]
 
 
 class TestServiceConfig:
