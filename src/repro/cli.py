@@ -118,9 +118,7 @@ def _cmd_serve(args):
             host=args.host,
             port=args.port,
             admit_max=args.admit_max,
-            query_budget=args.query_budget,
             cache_dir=args.cache_dir,
-            drain_timeout=args.drain_timeout,
         )
     except ConfigurationError as exc:  # a bad REPRO_* setting
         print(str(exc), file=sys.stderr)
@@ -186,13 +184,7 @@ def _cmd_query(args):
             return 1
     else:
         try:
-            document = client.query(
-                args.target,
-                params,
-                costs,
-                budget_cells=args.budget_cells,
-                deadline_ms=args.deadline_ms,
-            )
+            document = client.query(args.target, params, costs)
         except service_client.ServiceError as exc:
             # the stable error document, verbatim, on stderr
             print(json.dumps(exc.document, indent=1), file=sys.stderr)
@@ -422,26 +414,10 @@ def build_parser():
         "(default REPRO_ADMIT_MAX or 64)",
     )
     serve.add_argument(
-        "--query-budget",
-        type=_nonnegative_int,
-        default=None,
-        metavar="N",
-        help="max cells per query, 0 = unlimited "
-        "(default REPRO_QUERY_BUDGET or 0)",
-    )
-    serve.add_argument(
         "--cache-dir",
         default=None,
         metavar="PATH",
         help="content-addressed result cache (default REPRO_CACHE_DIR or off)",
-    )
-    serve.add_argument(
-        "--drain-timeout",
-        type=_positive_float,
-        default=None,
-        metavar="SECONDS",
-        help="max time to finish in-flight queries after SIGTERM/SIGINT "
-        "before stopping anyway (default REPRO_DRAIN_TIMEOUT or 30)",
     )
     query = sub.add_parser(
         "query",
@@ -476,20 +452,6 @@ def build_parser():
         "--costs",
         metavar="JSON",
         help="what-if cost overrides, e.g. '{\"arm\": {\"trap_to_el2\": 152}}'",
-    )
-    query.add_argument(
-        "--budget-cells",
-        type=_positive_int,
-        default=None,
-        metavar="N",
-        help="reject the query if it plans more than N cells",
-    )
-    query.add_argument(
-        "--deadline-ms",
-        type=_positive_float,
-        default=None,
-        metavar="MS",
-        help="give up (504) if the response takes longer than MS",
     )
     query.add_argument(
         "--direct",

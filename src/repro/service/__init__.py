@@ -18,8 +18,8 @@ Module map:
   hits answered on the submitting thread, misses batched through the
   runner on one worker thread, with an in-flight future registry so
   identical concurrent queries simulate each cell exactly once;
-* :mod:`repro.service.server` — admission control, budgets, deadlines,
-  and the asyncio endpoint itself;
+* :mod:`repro.service.server` — admission control and the asyncio
+  endpoint itself;
 * :mod:`repro.service.client` — sync and async clients (the CLI's
   ``python -m repro query`` rides the sync one).
 

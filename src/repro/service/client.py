@@ -125,16 +125,12 @@ class RetryConfig:
         return self.backoff_s(attempt)
 
 
-def _query_payload(target, params, costs, budget_cells, deadline_ms):
+def _query_payload(target, params, costs):
     payload = {"target": target}
     if params:
         payload["params"] = params
     if costs:
         payload["costs"] = costs
-    if budget_cells is not None:
-        payload["budget_cells"] = budget_cells
-    if deadline_ms is not None:
-        payload["deadline_ms"] = deadline_ms
     return payload
 
 
@@ -176,20 +172,13 @@ class ServiceClient:
         document = json.loads(text) if text.strip() else {}
         return status, document
 
-    def query(
-        self,
-        target,
-        params=None,
-        costs=None,
-        budget_cells=None,
-        deadline_ms=None,
-    ):
+    def query(self, target, params=None, costs=None):
         """Submit one what-if query; returns the full success document.
 
         Retries on connection reset and retryable 503s per
         ``self.retry`` (queries are idempotent — see module docstring).
         """
-        payload = _query_payload(target, params, costs, budget_cells, deadline_ms)
+        payload = _query_payload(target, params, costs)
         attempt = 0
         while True:
             try:
@@ -317,16 +306,9 @@ class AsyncServiceClient:
             for _reader, writer in idle:
                 await _close(writer)
 
-    async def query(
-        self,
-        target,
-        params=None,
-        costs=None,
-        budget_cells=None,
-        deadline_ms=None,
-    ):
+    async def query(self, target, params=None, costs=None):
         """Like :meth:`ServiceClient.query`, with the same retry rules."""
-        payload = _query_payload(target, params, costs, budget_cells, deadline_ms)
+        payload = _query_payload(target, params, costs)
         attempt = 0
         while True:
             try:

@@ -70,24 +70,20 @@ def port_from_env(environ, minimum):
 # --- error vocabulary ----------------------------------------------------
 
 BAD_REQUEST = "bad-request"
-BUDGET_EXCEEDED = "budget-exceeded"
 NOT_FOUND = "not-found"
 CELL_FAILED = "cell-failed"
 INTERNAL = "internal"
 OVERLOADED = "overloaded"
 SHUTTING_DOWN = "shutting-down"
-DEADLINE_EXCEEDED = "deadline-exceeded"
 
 #: every error code the service may emit, with its HTTP status
 ERROR_STATUS = {
     BAD_REQUEST: 400,
-    BUDGET_EXCEEDED: 400,
     NOT_FOUND: 404,
     CELL_FAILED: 500,
     INTERNAL: 500,
     OVERLOADED: 503,
     SHUTTING_DOWN: 503,
-    DEADLINE_EXCEEDED: 504,
 }
 
 _REASONS = {
@@ -96,7 +92,6 @@ _REASONS = {
     404: "Not Found",
     500: "Internal Server Error",
     503: "Service Unavailable",
-    504: "Gateway Timeout",
 }
 
 

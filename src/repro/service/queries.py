@@ -42,12 +42,17 @@ from repro.paperdata import PLATFORM_ORDER
 from repro.runner import cells, merge, pool, resilience
 from repro.service import protocol
 from repro.workloads import FIGURE4_WORKLOADS
+from repro.workloads.base import VM_VCPUS
 
 #: workload names a mix parameter may select from (Figure 4 vocabulary)
 WORKLOAD_NAMES = tuple(workload.name for workload in FIGURE4_WORKLOADS)
 #: the longest oversubscription timeslice: one slice fills the sweep's
 #: whole simulated interval (the paper grid tops out at 4000 us)
 MAX_TIMESLICE_US = INTERVAL_MS * 1000.0
+#: the most sweep points one oversub query may ask for (the paper grid
+#: has 4); with every platform key, the largest plan any valid query
+#: makes is 5 keys x 8 points = 40 cells
+MAX_TIMESLICES = 8
 
 
 class Query:
@@ -186,6 +191,11 @@ def _timeslices(value, target):
             "'timeslices_us' for target %r must be a non-empty list, got %r"
             % (target, value)
         )
+    if len(value) > MAX_TIMESLICES:
+        raise ConfigurationError(
+            "'timeslices_us' for target %r holds at most %d entries, got %d"
+            % (target, MAX_TIMESLICES, len(value))
+        )
     out = []
     for item in value:
         if isinstance(item, bool) or not isinstance(item, (int, float)):
@@ -295,7 +305,10 @@ def _validate_figure4(raw):
     _reject_unknown(params, "figure4", ("keys", "irq_vcpus"))
     return {
         "keys": _platform_keys(params.get("keys"), "figure4", PLATFORM_ORDER, ALL_KEYS),
-        "irq_vcpus": _positive_int(params.get("irq_vcpus"), "figure4", "irq_vcpus", 1),
+        # past the VM's VCPUs every value simulates the same spread
+        "irq_vcpus": _positive_int(
+            params.get("irq_vcpus"), "figure4", "irq_vcpus", 1, VM_VCPUS
+        ),
     }
 
 
@@ -430,7 +443,10 @@ TARGETS = OrderedDict(
             ),
             (
                 ("keys", "platform keys (default the four paper platforms)"),
-                ("irq_vcpus", "VCPUs receiving device IRQs (default 1)"),
+                (
+                    "irq_vcpus",
+                    "VCPUs receiving device IRQs (default 1, at most %d)" % VM_VCPUS,
+                ),
             ),
         ),
         Target(
@@ -490,10 +506,6 @@ TARGETS = OrderedDict(
     )
 )
 
-#: request-level execution knobs — part of the request, never the query key
-REQUEST_OPTIONS = ("budget_cells", "deadline_ms")
-
-
 def describe_targets():
     """``GET /v1/targets`` payload: the queryable vocabulary."""
     return [
@@ -510,17 +522,11 @@ def describe_targets():
 
 
 def canonicalize(payload):
-    """Validate one request body; returns ``(Query, options)``.
-
-    ``options`` carries the request-level execution knobs
-    (``budget_cells``, ``deadline_ms``) — they shape *how* the query
-    runs, not *what* it computes, so they stay out of the query key and
-    two requests differing only in a deadline still coalesce.
-    """
+    """Validate one request body, exactly ``{target, params, costs}``;
+    returns its :class:`Query`."""
     if not isinstance(payload, dict):
         raise ConfigurationError("query must be a JSON object, got %r" % (payload,))
-    known = ("target", "params", "costs") + REQUEST_OPTIONS
-    _reject_unknown(payload, "query", known)
+    _reject_unknown(payload, "query", ("target", "params", "costs"))
     target_name = payload.get("target")
     if not isinstance(target_name, str) or not target_name:
         raise ConfigurationError("query is missing a 'target' name")
@@ -532,38 +538,7 @@ def canonicalize(payload):
         )
     params = target.validate(payload.get("params"))
     costs = hw_costs.validate_overrides(payload.get("costs") or {})
-    options = {
-        "budget_cells": _option_int(payload, "budget_cells"),
-        "deadline_ms": _option_number(payload, "deadline_ms"),
-    }
-    return Query(target_name, params, costs), options
-
-
-def _option_int(payload, name):
-    value = payload.get(name)
-    if value is None:
-        return None
-    if isinstance(value, bool) or not isinstance(value, int) or value < 1:
-        raise ConfigurationError(
-            "%r must be an integer >= 1, got %r" % (name, value)
-        )
-    return value
-
-
-def _option_number(payload, name):
-    value = payload.get(name)
-    if value is None:
-        return None
-    if (
-        isinstance(value, bool)
-        or not isinstance(value, (int, float))
-        or not _finite(value)
-        or value <= 0
-    ):
-        raise ConfigurationError(
-            "%r must be a finite number > 0, got %r" % (name, value)
-        )
-    return float(value)
+    return Query(target_name, params, costs)
 
 
 def plan(query):
@@ -614,6 +589,14 @@ def success_document(query, result, stats):
     }
 
 
+def query_stats(cells_count, coalesced, sources):
+    """A success document's ``stats`` (:data:`protocol.STAT_FIELDS`):
+    ``sources`` holds the ``source`` of each cell the query answered
+    itself, the ones not joined in flight."""
+    counts = (cells_count, coalesced, sources.count("cache"), sources.count("run"))
+    return dict(zip(protocol.STAT_FIELDS, counts))
+
+
 def run_direct(query, cache=None):
     """The differential twin: the same query straight through the runner.
 
@@ -627,27 +610,21 @@ def run_direct(query, cache=None):
     results = pool.run_cells(execs, cache=cache)
     result = assemble(query, rekey(results, base, execs))
     sources = [results[spec.id].source for spec in execs]
-    stats = {
-        "cells": len(execs),
-        "coalesced": 0,
-        "cached": sum(1 for source in sources if source == "cache"),
-        "simulated": sum(1 for source in sources if source == "run"),
-    }
-    return result, stats
+    return result, query_stats(len(execs), 0, sources)
 
 
 def run_local(target, params=None, cache_dir=None):
     """``(query, results by base cell id)`` for one default-cost target,
     run once through :func:`repro.runner.run_plan` (so ``cache_dir`` or
     ``REPRO_CACHE_DIR`` applies) for :func:`render` and :func:`assemble`."""
-    query, _options = canonicalize({"target": target, "params": params or {}})
+    query = canonicalize({"target": target, "params": params or {}})
     base, execs = plan(query)
     return query, rekey(runner.run_plan(execs, cache_dir), base, execs)
 
 
 def direct_document(target, params=None, costs=None, cache=None):
     """A full response envelope computed without any server in the path."""
-    query, _options = canonicalize(
+    query = canonicalize(
         {"target": target, "params": params or {}, "costs": costs or {}}
     )
     result, stats = run_direct(query, cache=cache)

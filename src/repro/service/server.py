@@ -1,4 +1,4 @@
-"""The asyncio query endpoint: admission, budgets, deadlines, routing.
+"""The asyncio query endpoint: admission and routing.
 
 ``python -m repro serve`` binds a JSON-over-HTTP server
 (``asyncio.start_server``; no frameworks, no dependencies) with four
@@ -14,17 +14,15 @@ The admission model is intentionally simple and deterministic: at most
 answered) at once, and a request arriving at capacity is shed
 immediately with the stable ``overloaded`` error — never queued, never
 partially executed, so shedding order is exactly arrival order at
-capacity.  Budgets reject a query whose *deduplicated* cell plan
-exceeds the per-query cell budget before anything is enqueued.
+capacity.  A query's size is bounded where it is validated
+(:func:`repro.service.queries.canonicalize`): every target's parameters
+have ceilings, so no valid query plans more than 40 cells.
 
 An admitted query's cells go to the broker, which answers cache hits
 right there, on this event-loop thread, and hands only the misses to
 its worker thread.  The query then waits on one asyncio future that
 settles when its last verdict is in, so the loop is woken once per
-query, and not at all when every cell was a hit.  Deadlines bound only
-that wait: the broker's work keeps running, so coalesced siblings of a
-timed-out query still get their results (a deadline is the client
-giving up, not the work being wrong).
+query, and not at all when every cell was a hit.
 
 Connections: each one runs :meth:`ServiceServer._connection`, a loop
 that waits for the next request line and hands it to
@@ -42,7 +40,6 @@ response.
 import asyncio
 import dataclasses
 import json
-import math
 import os
 import signal
 import sys
@@ -56,12 +53,11 @@ from repro.service import protocol, queries
 
 ENV_HOST = "REPRO_SERVE_HOST"
 ENV_ADMIT_MAX = "REPRO_ADMIT_MAX"
-ENV_QUERY_BUDGET = "REPRO_QUERY_BUDGET"
-ENV_DRAIN_TIMEOUT = "REPRO_DRAIN_TIMEOUT"
 
 DEFAULT_HOST = "127.0.0.1"
 DEFAULT_ADMIT_MAX = 64
-DEFAULT_DRAIN_TIMEOUT = 30.0
+#: how long a signaled ``serve`` waits for admitted queries (seconds)
+DRAIN_TIMEOUT_S = 30.0
 
 #: the Retry-After we advise on shed/drain 503s (seconds)
 RETRY_AFTER_S = 1
@@ -72,8 +68,6 @@ SERVER_COUNTERS = (
     "service.queries.ok",
     "service.queries.errors",
     "service.admit.rejects",
-    "service.budget.rejects",
-    "service.deadline.expired",
     "service.coalesce.queries",
 )
 
@@ -100,40 +94,23 @@ class ServiceConfig:
     host: str = DEFAULT_HOST
     port: int = protocol.DEFAULT_PORT
     admit_max: int = DEFAULT_ADMIT_MAX
-    query_budget: int = 0  # max cells per query; 0 = unlimited
     cache_dir: str = None
-    drain_timeout: float = DEFAULT_DRAIN_TIMEOUT
 
     @classmethod
     def from_env(cls, environ=None, **overrides):
+        """The ``REPRO_*`` settings, then every override that is not
+        None (an unknown name raises ``TypeError``)."""
         environ = os.environ if environ is None else environ
-        drain_text = environ.get(ENV_DRAIN_TIMEOUT)
-        try:
-            drain_timeout = (
-                float(drain_text) if drain_text else DEFAULT_DRAIN_TIMEOUT
-            )
-        except ValueError:
-            raise ConfigurationError(
-                "%s=%r is not a number" % (ENV_DRAIN_TIMEOUT, drain_text)
-            )
-        # the --drain-timeout flag's limit: a finite number of seconds > 0
-        if not (math.isfinite(drain_timeout) and drain_timeout > 0):
-            raise ConfigurationError(
-                "%s must be a finite number > 0, got %r"
-                % (ENV_DRAIN_TIMEOUT, drain_text)
-            )
         config = cls(
             host=environ.get(ENV_HOST) or DEFAULT_HOST,
             port=protocol.port_from_env(environ, 0),
             admit_max=_env_int(environ, ENV_ADMIT_MAX, DEFAULT_ADMIT_MAX, 1),
-            query_budget=_env_int(environ, ENV_QUERY_BUDGET, 0, 0),
             cache_dir=environ.get("REPRO_CACHE_DIR") or None,
-            drain_timeout=drain_timeout,
         )
-        for name, value in overrides.items():
-            if value is not None:
-                setattr(config, name, value)
-        return config
+        return dataclasses.replace(
+            config,
+            **{name: value for name, value in overrides.items() if value is not None}
+        )
 
 
 class ServiceServer:
@@ -159,8 +136,6 @@ class ServiceServer:
             self._queries_ok,
             self._queries_errors,
             self._admit_rejects,
-            self._budget_rejects,
-            self._deadline_expired,
             self._coalesce_queries,
         ) = [self.metrics.counter(name) for name in SERVER_COUNTERS]
         self._admit_active = self.metrics.gauge("service.admit.active")
@@ -243,7 +218,7 @@ class ServiceServer:
         """
         self.begin_drain()
         if timeout is None:
-            timeout = self.config.drain_timeout
+            timeout = DRAIN_TIMEOUT_S
         loop = asyncio.get_running_loop()
         deadline = loop.time() + timeout
         while self._active > 0 or self.broker.inflight_count() > 0:
@@ -330,7 +305,6 @@ class ServiceServer:
     async def _route(self, method, path, _headers, body):
         if path == "/healthz" and method == "GET":
             return 200, {
-                "schema": protocol.SCHEMA,
                 "ok": True,
                 "status": "draining" if self._draining else "ok",
                 "active": self._active,
@@ -344,7 +318,6 @@ class ServiceServer:
             }
         if path == "/v1/targets" and method == "GET":
             return 200, {
-                "schema": protocol.SCHEMA,
                 "ok": True,
                 "targets": queries.describe_targets(),
             }
@@ -403,28 +376,10 @@ class ServiceServer:
                 protocol.BAD_REQUEST, "request body is not valid JSON"
             )
         try:
-            query, options = queries.canonicalize(payload)
+            query = queries.canonicalize(payload)
         except ConfigurationError as exc:
             return 400, protocol.error_document(protocol.BAD_REQUEST, str(exc))
         base_specs, exec_specs = queries.plan(query)
-
-        budget = self.config.query_budget
-        if options["budget_cells"] is not None:
-            budget = (
-                min(budget, options["budget_cells"])
-                if budget
-                else options["budget_cells"]
-            )
-        if budget and len(exec_specs) > budget:
-            self._budget_rejects.inc()
-            return 400, protocol.error_document(
-                protocol.BUDGET_EXCEEDED,
-                "query plans %d cells, budget is %d" % (len(exec_specs), budget),
-                cells=len(exec_specs),
-                budget=budget,
-                query_key=query.key,
-            )
-
         try:
             futures, stats = self.broker.submit(exec_specs)
         except broker_mod.BrokerClosed as exc:
@@ -434,23 +389,7 @@ class ServiceServer:
 
         waiting = [future for future in futures.values() if not future.done()]
         if waiting:
-            settled = _all_settled(waiting, asyncio.get_running_loop())
-            deadline_ms = options["deadline_ms"]
-            try:
-                # the batch keeps running for coalesced siblings: a
-                # deadline cancels only this query's wait
-                await asyncio.wait_for(
-                    settled,
-                    None if deadline_ms is None else deadline_ms / 1000.0,
-                )
-            except asyncio.TimeoutError:
-                self._deadline_expired.inc()
-                return 504, protocol.error_document(
-                    protocol.DEADLINE_EXCEEDED,
-                    "query exceeded its %.0fms deadline" % deadline_ms,
-                    deadline_ms=deadline_ms,
-                    query_key=query.key,
-                )
+            await _all_settled(waiting, asyncio.get_running_loop())
 
         results = {}
         failed = []
@@ -470,17 +409,11 @@ class ServiceServer:
         result = queries.assemble(
             query, queries.rekey(results, base_specs, exec_specs)
         )
-        owned = set(stats["owned"])
-        sources = [results[cell_id].source for cell_id in owned]
+        sources = [results[cell_id].source for cell_id in stats["owned"]]
         document = queries.success_document(
             query,
             result,
-            {
-                "cells": stats["cells"],
-                "coalesced": stats["coalesced"],
-                "cached": sum(1 for source in sources if source == "cache"),
-                "simulated": sum(1 for source in sources if source == "run"),
-            },
+            queries.query_stats(stats["cells"], stats["coalesced"], sources),
         )
         return 200, document
 
@@ -530,7 +463,7 @@ def run_forever(server, announce=None):
     1. **draining** — admission flips off (new queries shed with 503
        ``shutting-down`` + ``Retry-After``) while admitted queries and
        the broker's in-flight batch run to completion;
-    2. **drained** — residence hit zero (or ``drain_timeout`` expired —
+    2. **drained** — residence hit zero (or ``DRAIN_TIMEOUT_S`` expired —
        logged, never hung);
     3. **stopped** — listener closed, broker closed, and a final metrics
        snapshot flushed to stderr.
@@ -554,12 +487,12 @@ def run_forever(server, announce=None):
                 pass  # non-main thread or exotic platform: Ctrl-C still works
         try:
             await stop.wait()
-            print("draining (max %.0fs)" % server.config.drain_timeout, file=sys.stderr)
+            print("draining (max %.0fs)" % DRAIN_TIMEOUT_S, file=sys.stderr)
             drained = await server.drain()
             if not drained:
                 print(
                     "drain timeout after %.0fs: %d query(ies) still active"
-                    % (server.config.drain_timeout, server.active),
+                    % (DRAIN_TIMEOUT_S, server.active),
                     file=sys.stderr,
                 )
         finally:
@@ -640,8 +573,8 @@ class ServerHandle:
         future = asyncio.run_coroutine_threadsafe(
             self.server.drain(timeout), self._loop
         )
-        budget = timeout if timeout is not None else self.server.config.drain_timeout
-        return future.result(budget + 30.0)
+        wait_s = timeout if timeout is not None else DRAIN_TIMEOUT_S
+        return future.result(wait_s + 30.0)
 
     def close(self):
         self._assert_off_loop("close")

@@ -230,7 +230,7 @@ class TestDroppingUnreadFieldsIsExact:
 
     def test_a_field_no_cell_reads_plans_every_target_at_base_identity(self):
         for target in queries.TARGETS:
-            query, _ = queries.canonicalize(
+            query = queries.canonicalize(
                 {"target": target, "costs": {"x86": {"virq_complete_vapic": 1}}}
             )
             assert query.costs == {"x86": {"virq_complete_vapic": 1}}

@@ -111,7 +111,7 @@ def test_misses_of_a_submission_accepted_before_close_are_still_run():
 def test_a_what_if_miss_is_read_from_the_cache_once(cache, monkeypatch):
     """The worker simulates and stores the cells the cache-only pass
     missed without opening their entries again."""
-    query, _options = queries.canonicalize(
+    query = queries.canonicalize(
         {"target": "table5", "costs": {"arm": {"trap_to_el2": 151}}}
     )
     _base, execs = queries.plan(query)

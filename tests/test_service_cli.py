@@ -21,7 +21,7 @@ from tests.serviceutil import running_server
 
 
 def _direct_sha(target, params=None, costs=None):
-    query, _ = queries.canonicalize(
+    query = queries.canonicalize(
         {"target": target, "params": params or {}, "costs": costs or {}}
     )
     result, _stats = queries.run_direct(query)
@@ -118,19 +118,6 @@ class TestQueryServed:
         assert document["result_sha256"] == _direct_sha(
             "micro", {"key": "kvm-arm"}
         )
-
-    def test_budget_reject_exits_one_with_error_document(self, capsys):
-        with running_server() as (handle, _client):
-            status = cli.main(
-                [
-                    "query", "--port", str(handle.port),
-                    "--target", "table2", "--budget-cells", "2",
-                ]
-            )
-        assert status == 1
-        document = json.loads(capsys.readouterr().err)
-        assert document["error"]["code"] == "budget-exceeded"
-        assert cli.check_document(document) == []
 
     def test_huge_timeslice_exits_one_with_bad_request(self, capsys):
         with running_server() as (handle, _client):

@@ -82,8 +82,8 @@ class TestDistinctQueriesSharingCells:
     def test_shared_cells_simulate_once(self):
         # table2 = micro cells for 4 platforms; the two micro queries
         # each overlap table2 in exactly one cell; vhe is disjoint.
-        query_table2, _ = queries.canonicalize({"target": "table2"})
-        query_vhe, _ = queries.canonicalize({"target": "vhe"})
+        query_table2 = queries.canonicalize({"target": "table2"})
+        query_vhe = queries.canonicalize({"target": "vhe"})
         table2_specs, _ = queries.plan(query_table2)
         vhe_specs, _ = queries.plan(query_vhe)
         distinct_ids = {spec.id for spec in table2_specs + vhe_specs}

@@ -36,7 +36,7 @@ TARGET_MATRIX = [
 
 
 def _direct(target, params, costs=None, cache=None):
-    query, _options = queries.canonicalize(
+    query = queries.canonicalize(
         {"target": target, "params": params, "costs": costs or {}}
     )
     result, stats = queries.run_direct(query, cache=cache)

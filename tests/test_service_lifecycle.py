@@ -22,7 +22,6 @@ import pytest
 
 from repro.service import protocol, queries
 from repro.service.broker import SimulationBroker
-from repro.service.server import ServiceConfig
 
 from tests.serviceutil import (
     WAIT_S,
@@ -43,7 +42,7 @@ def _no_retry_client(port):
 
 
 def _micro_specs():
-    query, _options = queries.canonicalize(
+    query = queries.canonicalize(
         {"target": "micro", "params": {"key": "kvm-arm"}}
     )
     _base, exec_specs = queries.plan(query)
@@ -222,22 +221,6 @@ class TestFailingCell:
             assert health["active"] == 0
 
 
-class TestConfig:
-    def test_drain_timeout_from_env_and_override(self):
-        config = ServiceConfig.from_env(environ={"REPRO_DRAIN_TIMEOUT": "2.5"})
-        assert config.drain_timeout == 2.5
-        config = ServiceConfig.from_env(
-            environ={"REPRO_DRAIN_TIMEOUT": "2.5"}, drain_timeout=7.0
-        )
-        assert config.drain_timeout == 7.0
-
-    def test_bad_drain_timeout_rejected(self):
-        from repro.errors import ConfigurationError
-
-        with pytest.raises(ConfigurationError):
-            ServiceConfig.from_env(environ={"REPRO_DRAIN_TIMEOUT": "soon"})
-
-
 class TestSigtermProcess:
     """The real thing: a ``repro serve`` process, a real SIGTERM."""
 
@@ -251,8 +234,6 @@ class TestSigtermProcess:
                 "serve",
                 "--port",
                 "0",
-                "--drain-timeout",
-                "10",
             ],
             cwd=tmp_path,
             env=env,

@@ -12,47 +12,40 @@ import json
 import pytest
 
 from repro.cli import check_document
+from repro.core.testbed import ALL_KEYS
 from repro.errors import ConfigurationError
 from repro.hw import costs as hw_costs
 from repro.runner import cells
 from repro.service import protocol, queries
 from repro.service.server import ServiceConfig
+from repro.workloads.base import VM_VCPUS
 
 from tests.serviceutil import running_server
 
 class TestCanonicalization:
     def test_equivalent_requests_share_a_key(self):
-        spelled_out, _ = queries.canonicalize(
+        spelled_out = queries.canonicalize(
             {"target": "table5", "params": {"transactions": 40}, "costs": {}}
         )
-        defaulted, _ = queries.canonicalize({"target": "table5"})
+        defaulted = queries.canonicalize({"target": "table5"})
         assert spelled_out.key == defaulted.key
         assert spelled_out.params == {"transactions": 40}
 
     def test_key_order_is_irrelevant(self):
-        one, _ = queries.canonicalize(
+        one = queries.canonicalize(
             {"params": {"key": "xen-arm"}, "target": "micro"}
         )
-        two, _ = queries.canonicalize(
+        two = queries.canonicalize(
             {"target": "micro", "params": {"key": "xen-arm"}}
         )
         assert one.key == two.key
 
     def test_costs_enter_the_key(self):
-        plain, _ = queries.canonicalize({"target": "micro"})
-        what_if, _ = queries.canonicalize(
+        plain = queries.canonicalize({"target": "micro"})
+        what_if = queries.canonicalize(
             {"target": "micro", "costs": {"arm": {"trap_to_el2": 152}}}
         )
         assert plain.key != what_if.key
-
-    def test_request_options_stay_out_of_the_key(self):
-        plain, plain_options = queries.canonicalize({"target": "micro"})
-        bounded, options = queries.canonicalize(
-            {"target": "micro", "deadline_ms": 500, "budget_cells": 3}
-        )
-        assert plain.key == bounded.key
-        assert plain_options == {"budget_cells": None, "deadline_ms": None}
-        assert options == {"budget_cells": 3, "deadline_ms": 500.0}
 
     @pytest.mark.parametrize(
         "payload",
@@ -90,15 +83,57 @@ class TestCanonicalization:
             {"target": "micro", "deadline_ms": float("nan")},
             {"target": "micro", "deadline_ms": float("inf")},
             {"target": "micro", "deadline_ms": 10**400},  # past float range
+            # past the VM's 4 VCPUs every irq_vcpus simulates the same spread
+            {"target": "figure4", "params": {"irq_vcpus": 5}},
+            {"target": "figure4", "params": {"irq_vcpus": 10**6}},
+            {
+                "target": "oversub",
+                "params": {
+                    "timeslices_us": [100.0] * (queries.MAX_TIMESLICES + 1)
+                },
+            },
+            # a request is exactly {target, params, costs}
+            {"target": "micro", "deadline_ms": 50},
+            {"target": "micro", "budget_cells": 3},
         ],
     )
     def test_bad_requests_raise(self, payload):
         with pytest.raises(ConfigurationError):
             queries.canonicalize(payload)
 
+    def test_the_largest_valid_query_plans_forty_cells(self):
+        # every parameter at its ceiling: all five keys, MAX_TIMESLICES
+        # sweep points, every workload, the most transactions
+        largest = {
+            "keys": list(ALL_KEYS),
+            "timeslices_us": [
+                float(us) for us in range(1, queries.MAX_TIMESLICES + 1)
+            ],
+            "workloads": list(queries.WORKLOAD_NAMES),
+            "transactions": cells.MAX_RR_TRANSACTIONS,
+            "irq_vcpus": VM_VCPUS,
+            "key": ALL_KEYS[0],
+        }
+        sizes = {}
+        for name, target in queries.TARGETS.items():
+            known = {param for param, _help in target.param_help}
+            query = queries.canonicalize(
+                {
+                    "target": name,
+                    "params": {
+                        param: value
+                        for param, value in largest.items()
+                        if param in known
+                    },
+                }
+            )
+            sizes[name] = len(queries.plan(query)[0])
+        assert max(sizes.values()) == 40
+        assert sizes["oversub"] == len(ALL_KEYS) * queries.MAX_TIMESLICES
+
     def test_timeslice_bound_keeps_the_paper_grid(self):
         grid = list(cells.OVERSUB_TIMESLICES_US) + [queries.MAX_TIMESLICE_US]
-        query, _ = queries.canonicalize(
+        query = queries.canonicalize(
             {"target": "oversub", "params": {"timeslices_us": grid}}
         )
         assert query.params["timeslices_us"] == grid
@@ -112,7 +147,7 @@ class TestCanonicalization:
         assert sorted(document["result"]) == sorted(cells.TCPRR_CONFIGS)
 
     def test_plan_pairs_base_and_exec_specs(self):
-        query, _ = queries.canonicalize(
+        query = queries.canonicalize(
             {"target": "table2", "costs": {"arm": {"trap_to_el2": 152}}}
         )
         base, execs = queries.plan(query)
@@ -129,7 +164,7 @@ class TestCanonicalization:
                 )
 
     def test_plan_without_costs_is_identity(self):
-        query, _ = queries.canonicalize({"target": "table2"})
+        query = queries.canonicalize({"target": "table2"})
         base, execs = queries.plan(query)
         assert base == execs
 
@@ -248,6 +283,15 @@ class TestHttpSurface:
             names = [target["name"] for target in document["targets"]]
             assert names == list(queries.TARGETS)
 
+    @pytest.mark.parametrize("path", ["/healthz", "/v1/targets"])
+    def test_only_query_responses_carry_the_response_tag(self, path):
+        with running_server() as (_handle, client):
+            status, document = client.request("GET", path)
+        assert status == 200
+        assert document["ok"] is True
+        # repro-service/1 tags query responses alone
+        assert "schema" not in document
+
     def test_healthz_reports_admission_state(self):
         with running_server(admit_max=7) as (_handle, client):
             status, document = client.request("GET", "/healthz")
@@ -302,13 +346,11 @@ class TestServiceConfig:
                 "REPRO_SERVE_HOST": "0.0.0.0",
                 "REPRO_SERVE_PORT": "9000",
                 "REPRO_ADMIT_MAX": "5",
-                "REPRO_QUERY_BUDGET": "12",
             }
         )
         assert config.host == "0.0.0.0"
         assert config.port == 9000
         assert config.admit_max == 5
-        assert config.query_budget == 12
 
     def test_overrides_beat_env(self):
         config = ServiceConfig.from_env(
@@ -323,11 +365,10 @@ class TestServiceConfig:
         with pytest.raises(ConfigurationError):
             ServiceConfig.from_env(environ={"REPRO_ADMIT_MAX": "0"})
 
-    @pytest.mark.parametrize("text", ["-5", "0", "nan", "inf"])
-    def test_drain_timeout_must_be_finite_and_positive(self, text):
-        # the --drain-timeout flag's limit
-        with pytest.raises(ConfigurationError, match="REPRO_DRAIN_TIMEOUT"):
-            ServiceConfig.from_env(environ={"REPRO_DRAIN_TIMEOUT": text})
+    @pytest.mark.parametrize("name", ["query_budget", "drain_timeout", "bogus"])
+    def test_an_unknown_override_raises(self, name):
+        with pytest.raises(TypeError, match=name):
+            ServiceConfig.from_env(environ={}, **{name: 2})
 
     def test_serve_port_must_be_a_tcp_port(self):
         with pytest.raises(ConfigurationError, match="REPRO_SERVE_PORT"):
