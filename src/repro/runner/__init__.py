@@ -12,10 +12,10 @@ There is no worker pool: the whole bench grid is 32 cells of at most
 spawn pool costs more than it saves.  A cell that raises fails once:
 ``run_cells_outcome`` records a :class:`FailedCell` and runs the rest,
 and ``run_cells`` raises a structured :class:`CellFailure`.  Cache
-entries carry a payload sha256 that is verified on every read; a bad
-entry is a miss, and the cell's re-store overwrites it
-(:mod:`repro.runner.resilience` holds the failure records and the
-digest).
+entries carry a payload sha256 that is verified on their first read in
+a process (then kept in memory); a bad entry is a miss, and the cell's
+re-store overwrites it (:mod:`repro.runner.resilience` holds the
+failure records and the digest).
 
 The table commands and ``repro.core.suite`` run a target's cells
 through :func:`run_plan` (via ``repro.service.queries.run_local``), so

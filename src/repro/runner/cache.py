@@ -23,11 +23,16 @@ a bench, a direct query) can share a directory.  A lookup opens only
 behind is never read.
 
 Integrity: every entry carries a ``payload_sha256`` over the canonical
-payload JSON, verified on every read.  An entry that does not parse,
-fails that check, or carries a foreign schema tag is a **miss**, never
-an error: the file is left where it is, the cell is re-simulated, and
-its store overwrites the bad entry with the same atomic rename.  A bad
-entry can cost time, not correctness.
+payload JSON, verified on its first read in a process, then kept in
+memory (a key's bytes never change): a later load of that key opens no
+file.  The memo holds at most :data:`MEMO_CAP` entries per cache and is
+cleared when it reaches the cap; only verified loads enter it, so the
+what-if entries a query stores and never reads again stay on disk.
+Callers share a kept entry and must not mutate it.  An entry that
+does not parse, fails that check, or carries a foreign schema tag is a
+**miss**, never an error: the file is left where it is, the cell is
+re-simulated, and its store overwrites the bad entry with the same
+atomic rename.  A bad entry can cost time, not correctness.
 """
 
 import dataclasses
@@ -43,6 +48,10 @@ from repro.runner import resilience
 
 #: bump when the entry layout changes; old entries become misses.
 CACHE_SCHEMA = "repro-runner-cache/2"
+
+#: verified entries a :class:`ResultCache` keeps in memory; the default
+#: report has 32 distinct cells, so a hot server's whole set fits
+MEMO_CAP = 64
 
 _MODEL_FINGERPRINT = None
 
@@ -102,6 +111,8 @@ class ResultCache:
         #: the calling thread's, so a thread inside another's what-if
         #: block still derives default keys.
         self._base_memo = None
+        #: key -> verified entry (see the module docstring)
+        self._memo = {}
         self.hits = 0
         self.misses = 0
         self.write_errors = 0
@@ -157,7 +168,12 @@ class ResultCache:
     def load(self, key):
         """The stored entry dict, or None: a cold, unparseable,
         foreign-schema or failing entry is a miss, left in place for the
-        cell's store to overwrite."""
+        cell's store to overwrite.  A verified entry is kept, so the
+        key's next load is a hit that opens no file."""
+        entry = self._memo.get(key)
+        if entry is not None:
+            self.hits += 1
+            return entry
         try:
             with open(self._path(key), "rb") as handle:
                 entry = json.loads(handle.read().decode("utf-8"))
@@ -166,6 +182,9 @@ class ResultCache:
         if not self._entry_sound(entry, key):
             self.misses += 1
             return None
+        if len(self._memo) >= MEMO_CAP:
+            self._memo.clear()
+        self._memo[key] = entry
         self.hits += 1
         return entry
 

@@ -7,9 +7,9 @@ caller that needs every cell gets a structured :class:`CellFailure`
 naming each failed cell, its error and its traceback.
 
 Payload integrity is a sha256 over the canonical payload JSON
-(:func:`payload_digest`): the cache verifies it on every read, and the
-service reports it as ``result_sha256``, which
-:func:`repro.service.protocol.check_response` recomputes.
+(:func:`payload_digest`): the cache verifies it on an entry's first
+read in a process, and the service reports it as ``result_sha256``,
+which :func:`repro.service.protocol.check_response` recomputes.
 """
 
 import dataclasses

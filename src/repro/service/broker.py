@@ -17,7 +17,8 @@ thread, which drains them in batches through the same runner call with
 simulation on and cache reads off (each cell was just missed), storing
 each result in the cache.  A hit therefore never crosses a thread, a
 miss is read from the cache once, and a fully cached submission returns
-with all its futures done.
+with all its futures done.  A hot hit opens no file: the cache keeps
+each entry it has verified in memory (see :mod:`repro.runner.cache`).
 
 Futures always resolve to a verdict **tuple**, never an exception:
 

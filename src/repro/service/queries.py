@@ -570,7 +570,10 @@ def assemble(query, results_by_base_id):
 
 def render(query, results_by_base_id):
     """The target's text table from the same merged payloads."""
-    return TARGETS[query.target].render(results_by_base_id, query.params)
+    target = TARGETS[query.target]
+    if target.render is None:
+        raise ConfigurationError("target %r has no text form" % (query.target,))
+    return target.render(results_by_base_id, query.params)
 
 
 def success_document(query, result, stats):

@@ -161,3 +161,10 @@ class TestReporting:
                 assert paper == "%d" % TABLE2[name][keys[0]]
             else:
                 assert (paper, err) == ("n/a", "-")
+
+    def test_render_of_a_target_without_text_is_a_configuration_error(self):
+        from repro.service import queries
+
+        oversub = queries.canonicalize({"target": "oversub"})
+        with pytest.raises(ConfigurationError, match="'oversub'"):
+            queries.render(oversub, {})

@@ -3,9 +3,11 @@
 The content address must move whenever anything that can change a cell
 payload moves (live cost-table values, cell parameters, model source),
 and a poisoned or corrupt cache entry must degrade to a miss — never a
-crash, never a stale hit.
+crash, never a stale hit.  A verified entry is kept in memory, bounded,
+and shared by every later answer, which must never change it.
 """
 
+import copy
 import dataclasses
 import enum
 import json
@@ -16,7 +18,9 @@ import pytest
 
 from repro.hw import costs as hw_costs
 from repro.runner import ResultCache, cells, run_cells
-from repro.runner.cache import CACHE_SCHEMA, live_costs
+from repro.runner.cache import CACHE_SCHEMA, MEMO_CAP, live_costs
+from repro.runner.pool import CellResult
+from repro.service import queries
 
 
 MICRO = cells.micro("kvm-arm")
@@ -342,3 +346,110 @@ class TestWriteHardening:
         rerun = run_cells([MICRO], cache=cache)[MICRO.id]
         assert rerun.source == "run"
         assert run_cells([MICRO], cache=cache)[MICRO.id].source == "cache"
+
+
+def _truncate(path):
+    path.write_text(path.read_text()[:40])
+
+
+def _foreign_schema(path):
+    entry = json.loads(path.read_text())
+    entry["schema"] = "repro-runner-cache/0"
+    path.write_text(json.dumps(entry))
+
+
+def _failing_digest(path):
+    entry = json.loads(path.read_text())
+    entry["payload_sha256"] = "0" * 64
+    path.write_text(json.dumps(entry))
+
+
+class TestVerifiedMemo:
+    """A verified entry is read from disk once per cache, then kept."""
+
+    def _stored(self, cache):
+        run_cells([MICRO], cache=cache)
+        key = cache.key_for(MICRO)
+        return key, cache.directory / key[:2] / (key + ".json")
+
+    def test_a_verified_entry_is_served_without_its_file(self, cache):
+        key, path = self._stored(cache)
+        fresh = ResultCache(cache.directory)
+        first = fresh.load(key)
+        assert first is not None
+        path.unlink()
+        assert fresh.load(key) == first
+        assert (fresh.hits, fresh.misses) == (2, 0)
+
+    @pytest.mark.parametrize(
+        "poison",
+        [_truncate, _foreign_schema, _failing_digest],
+        ids=["truncated", "foreign-schema", "failing-digest"],
+    )
+    def test_a_bad_entry_is_never_kept(self, cache, poison):
+        key, path = self._stored(cache)
+        poison(path)
+        fresh = ResultCache(cache.directory)
+        assert fresh.load(key) is None
+        assert fresh.load(key) is None
+        assert (fresh.hits, fresh.misses) == (0, 2)
+        # the re-simulated cell's store heals the entry on disk
+        assert run_cells([MICRO], cache=fresh)[MICRO.id].source == "run"
+        assert fresh.load(key) is not None
+        assert fresh.hits == 1
+
+    def test_a_store_is_not_kept(self, cache):
+        key, path = self._stored(cache)
+        path.unlink()
+        assert cache.load(key) is None
+
+    def test_the_memo_never_holds_more_than_the_cap(self, cache):
+        keys = []
+        for index in range(MEMO_CAP + 10):
+            spec = cells.tcprr("native", transactions=index + 1)
+            key = cache.key_for(spec)
+            cache.store(
+                key,
+                CellResult(
+                    spec=spec,
+                    payload={"index": index},
+                    wall_ms=0.0,
+                    simulated_cycles=0,
+                    engines=0,
+                    source="run",
+                ),
+            )
+            keys.append(key)
+        for key in keys:
+            assert cache.load(key) is not None
+            assert len(cache._memo) <= MEMO_CAP
+        assert cache.hits == MEMO_CAP + 10
+
+
+def test_shared_entries_survive_every_target_unchanged(tmp_path):
+    """Answers share kept entries, so an answer that changed a payload
+    in place would corrupt every later answer of that cell."""
+    directory = tmp_path / "cache"
+    simulated = [
+        queries.direct_document(target, cache=ResultCache(directory))
+        for target in queries.TARGETS
+    ]
+    cache = ResultCache(directory)
+    first = [queries.direct_document(target, cache=cache) for target in queries.TARGETS]
+    kept = copy.deepcopy(cache._memo)
+    assert kept
+    second = [
+        queries.direct_document(target, cache=cache) for target in queries.TARGETS
+    ]
+    digests = [
+        [document["result_sha256"] for document in documents]
+        for documents in (simulated, first, second)
+    ]
+    assert digests[0] == digests[1] == digests[2]
+    assert all(
+        document["stats"]["cached"] == document["stats"]["cells"]
+        for document in second
+    )
+    assert cache._memo == kept
+    on_disk = ResultCache(directory)
+    assert cache._memo == {key: on_disk.load(key) for key in cache._memo}

@@ -95,6 +95,9 @@ class TestCanonicalization:
             # a request is exactly {target, params, costs}
             {"target": "micro", "deadline_ms": 50},
             {"target": "micro", "budget_cells": 3},
+            # non-finite numbers in a field that is read as a number
+            {"target": "micro", "costs": {"arm": {"trap_to_el2": float("nan")}}},
+            {"target": "micro", "costs": {"arm": {"trap_to_el2": float("inf")}}},
         ],
     )
     def test_bad_requests_raise(self, payload):
@@ -233,15 +236,32 @@ class TestHttpSurface:
             assert document["error"]["code"] == "bad-request"
 
     @pytest.mark.parametrize(
-        "body",
+        ("body", "reached"),
         [
-            b'{"target": "oversub", "params": {"timeslices_us": [Infinity]}}',
-            b'{"target": "oversub", "params": {"timeslices_us": [1e300]}}',
-            b'{"target": "micro", "deadline_ms": NaN}',
+            (
+                b'{"target": "oversub", "params": {"timeslices_us": [Infinity]}}',
+                "got inf",
+            ),
+            (
+                b'{"target": "oversub", "params": {"timeslices_us": [1e300]}}',
+                "got 1e+300",
+            ),
+            (b'{"target": "micro", "deadline_ms": NaN}', "unknown parameter"),
+            (
+                b'{"target": "oversub", "params": {"timeslices_us": [NaN]}}',
+                "got nan",
+            ),
+            (
+                b'{"target": "micro", "costs": {"arm": {"trap_to_el2": NaN}}}',
+                "arm.trap_to_el2 must be an integer, got nan",
+            ),
         ],
-        ids=["inf-timeslice", "huge-timeslice", "nan-deadline"],
+        ids=[
+            "inf-timeslice", "huge-timeslice", "nan-deadline", "nan-timeslice",
+            "nan-cost",
+        ],
     )
-    def test_non_finite_and_huge_numbers_are_bad_requests(self, body):
+    def test_non_finite_and_huge_numbers_are_bad_requests(self, body, reached):
         def reject_constant(name):
             raise AssertionError("response carries a non-JSON %s" % name)
 
@@ -265,6 +285,8 @@ class TestHttpSurface:
             finally:
                 connection.close()
             assert document["error"]["code"] == "bad-request"
+            # the message names the check the number reached
+            assert reached in document["error"]["message"], document
 
     @pytest.mark.parametrize("target", ["table5", "report"])
     def test_too_many_transactions_is_a_bad_request(self, target):
