@@ -55,9 +55,9 @@ class DerivedOpCosts:
         return cycles * 1e6 / self.frequency_hz
 
 
-def measure_derived_costs(key, seed=2016):
+def measure_derived_costs(key):
     """Measure all derived costs for one platform key."""
-    testbed = build_testbed(key, seed=seed)
+    testbed = build_testbed(key)
     suite = MicrobenchmarkSuite(testbed)
     micro = suite.run_all()
     notify_running, occupancy = _measure_notify_running(testbed)
@@ -137,6 +137,3 @@ def _measure_notify_running(testbed):
     )
     return total, occupancy
 
-
-def measure_all(keys, seed=2016):
-    return {key: measure_derived_costs(key, seed=seed) for key in keys}

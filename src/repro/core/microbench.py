@@ -1,8 +1,10 @@
 """The seven microbenchmarks of paper Table I, run on simulated testbeds.
 
 Methodology mirrors the paper's custom kernel driver: each operation is
-measured from inside the VM with synchronized cycle counters, VCPUs
-pinned, and all other virtual interrupts kept off the measured VCPUs.
+measured from inside the VM on the engine's cycle clock (one clock for
+every PCPU, so the paper's synchronized cycle counters hold by
+construction), VCPUs pinned, and all other virtual interrupts kept off
+the measured VCPUs.
 Because the simulator is deterministic, repeated iterations must agree
 exactly — the suite verifies this instead of averaging away noise.
 """
@@ -103,10 +105,6 @@ class MicrobenchmarkSuite:
                 "non-deterministic microbenchmark samples: %r" % (samples,)
             )
         return samples[0]
-
-    def _install_vm(self, vm):
-        for vcpu in vm.vcpus:
-            self.hv.install_guest(vcpu)
 
     def _drain_and_complete(self, vcpu):
         """Complete any virq left active by a measurement iteration."""

@@ -230,14 +230,12 @@ class TcpRrBenchmark:
         )
 
 
-def run_table5(transactions=40, seed=2016):
+def run_table5(transactions=40):
     """The full Table V: native, KVM, Xen on the ARM platform."""
     from repro.core.testbed import build_testbed, native_testbed
 
     results = {}
-    results["native"] = TcpRrBenchmark(
-        native_testbed("arm", seed=seed), transactions
-    ).run()
-    results["kvm"] = TcpRrBenchmark(build_testbed("kvm-arm", seed=seed), transactions).run()
-    results["xen"] = TcpRrBenchmark(build_testbed("xen-arm", seed=seed), transactions).run()
+    results["native"] = TcpRrBenchmark(native_testbed("arm"), transactions).run()
+    results["kvm"] = TcpRrBenchmark(build_testbed("kvm-arm"), transactions).run()
+    results["xen"] = TcpRrBenchmark(build_testbed("xen-arm"), transactions).run()
     return results

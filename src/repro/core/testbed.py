@@ -82,10 +82,10 @@ def build_platform(key, vapic=False, costs=None):
     return x86_r320(vapic_enabled=vapic, costs=costs)
 
 
-def build_testbed(key, seed=2016, vapic=False, costs=None):
+def build_testbed(key, vapic=False, costs=None):
     """Build the full testbed for one platform column of Table II."""
     hv_kind, arch, vhe = parse_key(key)
-    machine = Machine(build_platform(key, vapic, costs), seed=seed)
+    machine = Machine(build_platform(key, vapic, costs))
     hypervisor = build_hypervisor(hv_kind, machine, vhe=vhe)
 
     if hv_kind == "xen":
@@ -131,10 +131,10 @@ def build_testbed(key, seed=2016, vapic=False, costs=None):
     )
 
 
-def native_testbed(arch, seed=2016):
+def native_testbed(arch):
     """A machine with no hypervisor — the native baseline runs here."""
     platform = arm_m400() if arch == "arm" else x86_r320()
-    machine = Machine(platform, seed=seed)
+    machine = Machine(platform)
     netstack = NetstackModel(machine.clock)
     kernel = KernelModel(machine.clock)
     server_nic = Nic(machine.engine, "server", irq=SERVER_NIC_IRQ)

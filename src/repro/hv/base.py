@@ -61,7 +61,6 @@ def switch_label(prefix, reg_class):
 VIRQ_IPI = 1  # SGI used for guest rescheduling IPIs
 VIRQ_VIRTIO_NET = 48  # KVM virtio-net queue interrupt
 VIRQ_EVTCHN = 31  # Xen event-channel upcall PPI
-VIRQ_TIMER = 27  # virtual timer PPI
 
 
 class VcpuState(enum.Enum):

@@ -171,7 +171,6 @@ class KvmHypervisor(Hypervisor):
         pcpu, costs = vcpu.pcpu, self.costs
         yield pcpu.op("mmio_decode", costs.mmio_decode, "emul")
         if self.machine.is_arm:
-            self.machine.gic.distributor.is_enabled(VIRQ_VIRTIO_NET)
             yield pcpu.op("gic_dist_access", costs.gic_dist_access, "emul")
         else:
             yield pcpu.op("apic_access", costs.apic_access_kvm, "emul")
@@ -317,14 +316,6 @@ class KvmHypervisor(Hypervisor):
                 dst.pcpu, HOST_WAKE_IRQ, {"kind": "wake_enter", "vcpu": dst, "done": done}
             )
         self.machine.obs.spans.end(span)
-
-    def deliver_timer_virq(self, vcpu, done=None):
-        """Virtual-timer expiry: the physical PPI fires on the VCPU's own
-        PCPU (no IPI wire) and is translated into VIRQ_TIMER."""
-        kind = "inject_running" if vcpu.state == VcpuState.GUEST else "wake_enter"
-        vcpu.pcpu.raise_physical_irq(
-            27, {"kind": kind, "vcpu": vcpu, "done": done}
-        )
 
     # --- physical interrupt handling on a PCPU -------------------------------
 

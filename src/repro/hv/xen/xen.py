@@ -22,7 +22,6 @@ from repro.hv.base import (
 )
 from repro.hv.xen.event_channels import EventChannelTable
 from repro.hv.xen.netback import NetbackWorker
-from repro.hv.xen.sched_credit import CreditScheduler
 from repro.hw.cpu.arm import ExceptionLevel
 from repro.hw.cpu.registers import fresh_context_image
 from repro.hw.mem.grant import GrantTable
@@ -43,7 +42,6 @@ class XenHypervisor(Hypervisor):
     def __init__(self, machine):
         super().__init__(machine)
         self.event_channels = EventChannelTable(metrics=machine.obs.metrics)
-        self.scheduler = CreditScheduler()
         self.grant_tables = {}
         self.netback_workers = {}
         self.shootdown = TlbShootdownModel(
@@ -70,8 +68,6 @@ class XenHypervisor(Hypervisor):
 
     def _on_vm_created(self, vm):
         self.grant_tables[vm.name] = GrantTable(vm.name)
-        for vcpu in vm.vcpus:
-            self.scheduler.register(vcpu)
         if self.dom0 is not None and vm is not self.dom0:
             # A DomU: wire its PV network interface to a netback instance
             # in Dom0 and bind the event channels.
@@ -106,14 +102,12 @@ class XenHypervisor(Hypervisor):
                 if arch.loaded_vmcs is vcpu.vmcs:
                     vcpu.state = VcpuState.GUEST
                     pcpu.current_context = vcpu
-                    self.scheduler.wake(vcpu)
                     return
                 arch.vmexit("reinstall")
             arch.load_vmcs(vcpu.vmcs)
             arch.vmentry()
         vcpu.state = VcpuState.GUEST
         pcpu.current_context = vcpu
-        self.scheduler.wake(vcpu)
 
     def park_vcpu(self, vcpu):
         """The domain blocks; its PCPU runs the idle domain."""
@@ -129,7 +123,6 @@ class XenHypervisor(Hypervisor):
         vcpu.state = VcpuState.BLOCKED
         if pcpu.current_context is vcpu:
             pcpu.current_context = IDLE
-        self.scheduler.block(vcpu)
 
     # --- light trap entry/return (the Type 1 advantage on ARM) ---------------
 
@@ -228,7 +221,6 @@ class XenHypervisor(Hypervisor):
             arch.vmentry()
         in_vcpu.state = VcpuState.GUEST
         pcpu.current_context = in_vcpu
-        self.scheduler.wake(in_vcpu)
         self.machine.obs.spans.end(span)
 
     # --- Table I operations -----------------------------------------------------
@@ -254,7 +246,6 @@ class XenHypervisor(Hypervisor):
         pcpu, costs = vcpu.pcpu, self.costs
         yield pcpu.op("mmio_decode", costs.mmio_decode, "emul")
         if self.machine.is_arm:
-            self.machine.gic.distributor.is_enabled(VIRQ_EVTCHN)
             yield pcpu.op("gic_dist_access", costs.gic_dist_access, "emul")
             yield pcpu.op(
                 "gic_dist_access_xen_extra", costs.gic_dist_access_xen_extra, "emul"
@@ -371,13 +362,6 @@ class XenHypervisor(Hypervisor):
         self._deliver_event(dst, done=done)
         yield from self._xen_return(dom0_vcpu)
         self.machine.obs.spans.end(span)
-
-    def deliver_timer_virq(self, vcpu, done=None):
-        """Virtual-timer expiry: handled entirely in EL2 (Xen emulates
-        timers in the hypervisor proper) and injected locally."""
-        vcpu.pcpu.raise_physical_irq(
-            27, {"kind": "evtchn_deliver", "vcpu": vcpu, "done": done}
-        )
 
     # --- event delivery / physical IRQ handling ----------------------------------
 

@@ -1,13 +1,12 @@
 """Interrupt controllers: ARM GIC (+virtual interface), x86 APIC, IPI fabric."""
 
-from repro.hw.irq.gic import Gic, GicDistributor, VirtualCpuInterface
+from repro.hw.irq.gic import Gic, VirtualCpuInterface
 from repro.hw.irq.apic import Apic, LocalApic
 from repro.hw.irq.ipi import IpiFabric
 
 __all__ = [
     "Apic",
     "Gic",
-    "GicDistributor",
     "IpiFabric",
     "LocalApic",
     "VirtualCpuInterface",

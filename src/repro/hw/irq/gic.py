@@ -13,90 +13,11 @@ What the paper relies on:
 * The LR/VMCR/APR state is part of what split-mode KVM must save/restore
   on every transition — the 3,250-cycle VGIC save of Table III.
 * All physical interrupts are taken to EL2 while a VM runs.
-
-IRQ number spaces follow the GIC convention: SGIs 0-15 (IPIs), PPIs 16-31
-(per-CPU, e.g. the virtual timer is PPI 27), SPIs 32+ (devices).
 """
 
 from repro.errors import HardwareFault
 
-SGI_RANGE = range(0, 16)
-PPI_RANGE = range(16, 32)
-VIRTUAL_TIMER_PPI = 27
-MAX_IRQ = 1020
 NUM_LIST_REGISTERS = 4
-
-
-class GicDistributor:
-    """Distributor state: enable/pending per IRQ, SGI routing."""
-
-    def __init__(self, num_cpus):
-        self.num_cpus = num_cpus
-        self.enabled = set()
-        #: pending[(cpu, irq)] for banked SGI/PPI, pending[(None, irq)] SPIs
-        self._pending = set()
-        #: SPI -> target cpu index (affinity routing)
-        self.spi_target = {}
-
-    def enable(self, irq):
-        self._check(irq)
-        self.enabled.add(irq)
-
-    def disable(self, irq):
-        self._check(irq)
-        self.enabled.discard(irq)
-
-    def is_enabled(self, irq):
-        return irq in self.enabled
-
-    def set_spi_target(self, irq, cpu_index):
-        if irq in SGI_RANGE or irq in PPI_RANGE:
-            raise HardwareFault("irq %d is banked, cannot set affinity" % irq)
-        self._check(irq)
-        self.spi_target[irq] = cpu_index
-
-    def raise_sgi(self, target_cpu, irq):
-        """Send a software-generated interrupt (physical IPI)."""
-        if irq not in SGI_RANGE:
-            raise HardwareFault("SGI irq must be 0-15, got %d" % irq)
-        self._pending.add((target_cpu, irq))
-
-    def raise_ppi(self, cpu_index, irq):
-        if irq not in PPI_RANGE:
-            raise HardwareFault("PPI irq must be 16-31, got %d" % irq)
-        self._pending.add((cpu_index, irq))
-
-    def raise_spi(self, irq):
-        if irq in SGI_RANGE or irq in PPI_RANGE:
-            raise HardwareFault("irq %d is not an SPI" % irq)
-        self._check(irq)
-        self._pending.add((None, irq))
-
-    def acknowledge(self, cpu_index, irq):
-        """GICC_IAR: claim a pending IRQ on behalf of ``cpu_index``."""
-        if (cpu_index, irq) in self._pending:
-            self._pending.discard((cpu_index, irq))
-        elif (None, irq) in self._pending:
-            self._pending.discard((None, irq))
-        else:
-            raise HardwareFault("irq %d not pending for cpu %d" % (irq, cpu_index))
-        return irq
-
-    def pending_for(self, cpu_index):
-        """IRQs deliverable to ``cpu_index`` right now."""
-        result = []
-        for target, irq in sorted(self._pending, key=lambda pair: pair[1]):
-            if irq not in self.enabled:
-                continue
-            if target == cpu_index:
-                result.append(irq)
-            elif target is None and self.spi_target.get(irq, 0) == cpu_index:
-                result.append(irq)
-        return result
-
-    def _check(self, irq):
-        if not 0 <= irq < MAX_IRQ:
-            raise HardwareFault("irq %d out of range" % irq)
 
 
 class ListRegister:
@@ -172,26 +93,15 @@ class VirtualCpuInterface:
     def has_pending(self):
         return self.pending_count() > 0 or bool(self.overflow)
 
-    def snapshot(self):
-        """The LR/state image KVM saves on every world switch (Table III)."""
-        return {
-            "lrs": [(lr.virq, lr.state) for lr in self.list_registers],
-            "overflow": list(self.overflow),
-        }
-
-    def load(self, image):
-        for lr, (virq, state) in zip(self.list_registers, image["lrs"]):
-            lr.virq = virq
-            lr.state = state
-        self.overflow = list(image["overflow"])
-
 
 class Gic:
-    """The whole GIC: distributor + one virtual interface per VCPU slot."""
+    """The GIC's virtualization side: one virtual interface per VCPU slot.
 
-    def __init__(self, num_cpus):
-        self.num_cpus = num_cpus
-        self.distributor = GicDistributor(num_cpus)
+    The distributor has no state here: guest accesses to it are modelled
+    as the Stage-2 fault and emulation costs the hypervisors charge.
+    """
+
+    def __init__(self):
         self._virtual_interfaces = {}
 
     def virtual_interface(self, key):

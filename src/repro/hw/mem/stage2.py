@@ -59,17 +59,6 @@ class Stage2Tables:
         """Install a 4K mapping gpa_page -> hpa_page."""
         self.leaf_table(gpa_page)[gpa_page & _INDEX_MASK] = (hpa_page, writable)
 
-    def unmap_page(self, gpa_page):
-        node = self._root
-        indices = self._indices(gpa_page)
-        for index in indices[:-1]:
-            if index not in node:
-                raise HardwareFault("unmapping unmapped page 0x%x" % gpa_page)
-            node = node[index]
-        if indices[-1] not in node:
-            raise HardwareFault("unmapping unmapped page 0x%x" % gpa_page)
-        del node[indices[-1]]
-
     def walk(self, gpa, write=False):
         """Translate; returns (HPA, levels_walked).  Faults if unmapped."""
         gpa = GPA(gpa)

@@ -1,4 +1,4 @@
-"""TLB model and the cross-CPU invalidation cost asymmetry.
+"""The cross-CPU TLB invalidation cost asymmetry.
 
 The paper's zero-copy discussion hinges on this: removing a grant-table
 mapping requires invalidating the page's translation on every PCPU.  On
@@ -7,48 +7,7 @@ I/O); ARM has a hardware broadcast invalidate (DVM), so the same
 operation is one broadcast message.
 """
 
-from collections import OrderedDict
-
 from repro.errors import ConfigurationError
-
-
-class Tlb:
-    """A per-PCPU Stage-2 TLB: (vmid, gpa_page) -> hpa_page, LRU."""
-
-    def __init__(self, capacity=512):
-        if capacity < 1:
-            raise ConfigurationError("TLB capacity must be >= 1")
-        self.capacity = capacity
-        self._entries = OrderedDict()
-        self.hits = 0
-        self.misses = 0
-
-    def lookup(self, vmid, gpa_page):
-        key = (vmid, gpa_page)
-        if key in self._entries:
-            self._entries.move_to_end(key)
-            self.hits += 1
-            return self._entries[key]
-        self.misses += 1
-        return None
-
-    def fill(self, vmid, gpa_page, hpa_page):
-        key = (vmid, gpa_page)
-        self._entries[key] = hpa_page
-        self._entries.move_to_end(key)
-        while len(self._entries) > self.capacity:
-            self._entries.popitem(last=False)
-
-    def invalidate_page(self, vmid, gpa_page):
-        self._entries.pop((vmid, gpa_page), None)
-
-    def invalidate_vmid(self, vmid):
-        stale = [key for key in self._entries if key[0] == vmid]
-        for key in stale:
-            del self._entries[key]
-
-    def __len__(self):
-        return len(self._entries)
 
 
 class TlbShootdownModel:
@@ -70,8 +29,3 @@ class TlbShootdownModel:
             return self.costs.tlb_invalidate_broadcast
         return self.costs.tlb_invalidate_ipi * max(0, self.num_cpus - 1)
 
-    def invalidate_all(self, tlbs, vmid, gpa_page):
-        """Perform the invalidation on every TLB; returns the cycle cost."""
-        for tlb in tlbs:
-            tlb.invalidate_page(vmid, gpa_page)
-        return self.invalidate_cycles()

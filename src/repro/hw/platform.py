@@ -15,13 +15,12 @@ import dataclasses
 from repro.errors import ConfigurationError, HardwareFault
 from repro.hw.costs import arm_costs, x86_costs
 from repro.hw.cpu.arm import ArmCpu
-from repro.hw.cpu.counters import CycleCounter
 from repro.hw.cpu.x86 import X86Cpu
 from repro.hw.irq.apic import Apic
 from repro.hw.irq.gic import Gic
 from repro.hw.irq.ipi import IpiFabric
 from repro.obs import Observability
-from repro.sim import Clock, DeterministicRng, Engine, Timeout
+from repro.sim import Clock, Engine, Timeout
 
 ARM = "arm"
 X86 = "x86"
@@ -111,21 +110,19 @@ class Pcpu:
 class Machine:
     """A booted server: the simulation context everything else plugs into."""
 
-    def __init__(self, platform, seed=2016):
+    def __init__(self, platform):
         self.platform = platform
         self.engine = Engine()
         self.clock = Clock(platform.frequency_hz)
         #: structured observability (spans + metrics), disabled by default
         self.obs = Observability(self.engine)
-        self.rng = DeterministicRng(seed)
         self.costs = platform.costs
-        self.counter = CycleCounter(self.engine)
         if platform.arch == ARM:
             cpus = [
                 ArmCpu(i, vhe_capable=platform.vhe_capable)
                 for i in range(platform.num_cores)
             ]
-            self.gic = Gic(platform.num_cores)
+            self.gic = Gic()
             self.apic = None
         else:
             cpus = [

@@ -1,12 +1,11 @@
 """Operating-system model: the Linux-like kernel both hosts and guests run.
 
 The workloads only exercise the kernel through costed paths (syscalls,
-scheduler operations, network-stack traversals, driver work); this package
-is the single home of those costs.
+wakeups, network-stack traversals, driver work); this package is the
+single home of those costs.
 """
 
 from repro.os.netstack import NetstackModel
 from repro.os.kernel import KernelModel
-from repro.os.sched import CfsScheduler
 
-__all__ = ["CfsScheduler", "KernelModel", "NetstackModel"]
+__all__ = ["KernelModel", "NetstackModel"]

@@ -21,9 +21,9 @@ class VirtioNetFrontend:
 
     name = "virtio-net"
 
-    def __init__(self, clock, costs_ns=None):
+    def __init__(self, clock):
         self.clock = clock
-        self.ns = costs_ns if costs_ns is not None else VirtioDriverCostsNs()
+        self.ns = VirtioDriverCostsNs()
         self.tx_count = 0
         self.rx_count = 0
 

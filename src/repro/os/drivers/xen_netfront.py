@@ -20,9 +20,9 @@ class XenNetfront:
 
     name = "xen-netfront"
 
-    def __init__(self, clock, costs_ns=None):
+    def __init__(self, clock):
         self.clock = clock
-        self.ns = costs_ns if costs_ns is not None else NetfrontCostsNs()
+        self.ns = NetfrontCostsNs()
         self.tx_count = 0
         self.rx_count = 0
 

@@ -1,4 +1,4 @@
-"""Kernel cost model: syscalls, faults, and scheduler-visible operations.
+"""Kernel cost model: syscalls, wakeups and rescheduling IPIs.
 
 These are the per-event costs the workload models multiply by their event
 mixes.  Expressed in nanoseconds (Linux 4.0-era costs on server-class
@@ -11,36 +11,24 @@ import dataclasses
 @dataclasses.dataclass
 class KernelCostsNs:
     syscall: float = 180.0
-    process_switch: float = 1400.0
     #: futex/pipe wake of a sleeping task on the same machine
     local_wakeup: float = 900.0
-    page_fault: float = 1100.0
     #: one scheduler rebalancing IPI handled natively
     resched_ipi: float = 700.0
-    fork_exec: float = 220000.0
 
 
 class KernelModel:
     """Cycle-cost view of kernel operations for one platform."""
 
-    def __init__(self, clock, costs_ns=None):
+    def __init__(self, clock):
         self.clock = clock
-        self.ns = costs_ns if costs_ns is not None else KernelCostsNs()
+        self.ns = KernelCostsNs()
 
     def syscall_cycles(self):
         return self.clock.cycles_from_ns(self.ns.syscall)
 
-    def process_switch_cycles(self):
-        return self.clock.cycles_from_ns(self.ns.process_switch)
-
     def local_wakeup_cycles(self):
         return self.clock.cycles_from_ns(self.ns.local_wakeup)
 
-    def page_fault_cycles(self):
-        return self.clock.cycles_from_ns(self.ns.page_fault)
-
     def resched_ipi_cycles(self):
         return self.clock.cycles_from_ns(self.ns.resched_ipi)
-
-    def fork_exec_cycles(self):
-        return self.clock.cycles_from_ns(self.ns.fork_exec)

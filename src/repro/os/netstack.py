@@ -39,11 +39,11 @@ class NetstackCostsNs:
 class NetstackModel:
     """Cycle-cost view of the stack for one platform."""
 
-    def __init__(self, clock, costs_ns=None):
+    def __init__(self, clock):
         if clock is None:
             raise ConfigurationError("netstack model needs the platform clock")
         self.clock = clock
-        self.ns = costs_ns if costs_ns is not None else NetstackCostsNs()
+        self.ns = NetstackCostsNs()
 
     # --- per-packet paths (latency benchmarks) ----------------------------
 

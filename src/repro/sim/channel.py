@@ -2,8 +2,6 @@
 
 from collections import deque
 
-from repro.errors import SimulationError
-
 
 class Channel:
     """A FIFO of messages with blocking ``get``.
@@ -40,13 +38,3 @@ class Channel:
         item = yield event
         return item
 
-    def get_nowait(self):
-        """Pop an item immediately; raises if the channel is empty."""
-        if not self._items:
-            raise SimulationError("channel %r is empty" % (self.name,))
-        return self._items.popleft()
-
-    def peek(self):
-        if not self._items:
-            raise SimulationError("channel %r is empty" % (self.name,))
-        return self._items[0]

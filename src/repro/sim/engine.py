@@ -5,7 +5,7 @@ import math
 from functools import partial
 
 from repro.errors import SimulationError
-from repro.sim.events import AllOf, AnyOf, SimEvent, Timeout
+from repro.sim.events import SimEvent, Timeout
 from repro.sim.process import Process
 
 
@@ -106,69 +106,10 @@ class Engine:
             self.schedule(command.delay, partial(process.resume, None))
         elif isinstance(command, SimEvent):
             command.add_waiter(process)
-        elif isinstance(command, AllOf):
-            self._wait_all(process, command.events)
-        elif isinstance(command, AnyOf):
-            self._wait_any(process, command.events)
-        elif isinstance(command, Process):
-            command.add_join_waiter(process)
         else:
             raise SimulationError(
                 "process %r yielded unsupported command %r" % (process.name, command)
             )
-
-    def _wait_all(self, process, events):
-        pending = [event for event in events if not event.fired]
-        remaining = len(pending)
-        if not remaining:
-            self.wake(process, [event.value for event in events])
-            return
-        state = {"remaining": remaining}
-
-        def make_callback():
-            def callback(_value):
-                state["remaining"] -= 1
-                if state["remaining"] == 0:
-                    self.wake(process, [event.value for event in events])
-
-            return callback
-
-        for event in pending:
-            event.on_fire(make_callback())
-
-    def _wait_any(self, process, events):
-        for index, event in enumerate(events):
-            if event.fired:
-                self.wake(process, (index, event.value))
-                return
-
-        # Losing registrations must be cancelled when the race completes:
-        # a stale callback left in a loser's ``_callbacks`` would block a
-        # later ``reset()`` and accumulate without bound across repeated
-        # AnyOf waits over long-lived events.
-        state = {"registered": []}
-
-        def make_callback(index):
-            def callback(value):
-                registered = state["registered"]
-                if registered is None:
-                    # A duplicate membership of the winning event: the
-                    # first copy already decided the race and cancelled
-                    # everything (fire() had snapshotted this callback
-                    # before the cancellation could remove it).
-                    return
-                state["registered"] = None
-                for event, losing_callback in registered:
-                    if losing_callback is not callback:
-                        event.cancel_on_fire(losing_callback)
-                self.wake(process, (index, value))
-
-            return callback
-
-        for index, event in enumerate(events):
-            callback = make_callback(index)
-            state["registered"].append((event, callback))
-            event.on_fire(callback)
 
     def run(self, until=None):
         """Run the event loop.

@@ -28,8 +28,7 @@ class SimEvent:
     """A one-shot waitable event carrying an optional value.
 
     Processes wait on an event by yielding it.  Firing an event wakes all
-    waiters at the current simulation time.  Events may fire at most once;
-    ``reset()`` re-arms a fired event with no waiters.
+    waiters at the current simulation time.  Events fire at most once.
     """
 
     __slots__ = ("engine", "name", "_fired", "_value", "_waiters", "_callbacks")
@@ -65,24 +64,6 @@ class SimEvent:
         for callback in callbacks:
             callback(value)
 
-    def reset(self):
-        """Re-arm a fired event so it can fire again.
-
-        Resetting with waiters or ``on_fire`` callbacks still pending is an
-        error: a stale combinator callback surviving a reset would run on
-        the *next* fire and wake its process with the wrong value/index.
-        (Firing clears both lists, so a normal fire -> reset -> fire reuse
-        cycle never trips this.)
-        """
-        if self._waiters:
-            raise SimulationError("cannot reset event %r with waiters" % (self.name,))
-        if self._callbacks:
-            raise SimulationError(
-                "cannot reset event %r with on_fire callbacks pending" % (self.name,)
-            )
-        self._fired = False
-        self._value = None
-
     def add_waiter(self, process):
         if self._fired:
             self.engine.wake(process, self._value)
@@ -96,47 +77,7 @@ class SimEvent:
         else:
             self._callbacks.append(callback)
 
-    def cancel_on_fire(self, callback):
-        """Unregister a pending ``on_fire`` callback.
-
-        Combinators use this to prune losing registrations once their
-        race is decided, so an event that lost an ``AnyOf`` can still be
-        ``reset()`` and does not accumulate stale callbacks across
-        repeated waits.  Cancelling a callback that already ran (or was
-        cleared by ``fire``) is a no-op.
-        """
-        try:
-            self._callbacks.remove(callback)
-        except ValueError:
-            pass
-
     def __repr__(self):
         state = "fired" if self._fired else "pending"
         return "SimEvent(%r, %s)" % (self.name, state)
 
-
-class _Combinator:
-    """Base for AllOf / AnyOf: composite waits over several events."""
-
-    __slots__ = ("events",)
-
-    def __init__(self, events):
-        self.events = list(events)
-        if not self.events:
-            raise SimulationError("%s needs at least one event" % type(self).__name__)
-
-
-class AllOf(_Combinator):
-    """Command: wait until every member event has fired.
-
-    The waiting process resumes with the list of event values in the order
-    the events were given.
-    """
-
-
-class AnyOf(_Combinator):
-    """Command: wait until any member event fires.
-
-    The waiting process resumes with ``(index, value)`` of the first event
-    to fire (ties broken by member order).
-    """

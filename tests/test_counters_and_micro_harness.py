@@ -1,4 +1,4 @@
-"""Tests for the measurement instruments and microbenchmark harness."""
+"""Tests for the microbenchmark harness and the oversubscription model."""
 
 import pytest
 
@@ -6,44 +6,6 @@ from repro.core.microbench import MicrobenchmarkSuite
 from repro.core.oversubscription import OversubscriptionExperiment, sweep
 from repro.core.testbed import build_testbed
 from repro.errors import ConfigurationError, SimulationError
-from repro.hw.cpu.counters import TIMESTAMP_READ_CYCLES, CycleCounter
-from repro.sim import Engine
-
-
-class TestCycleCounter:
-    def test_raw_read_tracks_engine(self):
-        engine = Engine()
-        counter = CycleCounter(engine)
-        assert counter.read() == 0
-        engine.schedule(100, lambda: None)
-        engine.run()
-        assert counter.read() == 100
-
-    def test_barriered_read_costs_cycles(self):
-        """The paper brackets timestamps with instruction barriers; the
-        read itself consumes time but the stamp is taken in between."""
-        engine = Engine()
-        counter = CycleCounter(engine)
-        stamps = []
-
-        def reader():
-            stamp = yield from counter.read_with_barriers()
-            stamps.append((stamp, engine.now))
-
-        engine.spawn(reader())
-        engine.run()
-        stamp, after = stamps[0]
-        assert after == TIMESTAMP_READ_CYCLES
-        assert 0 < stamp < after
-
-    def test_counters_synchronized_across_cpus(self):
-        """All PCPUs read the same engine clock — the property the paper
-        had to engineer (synchronized architected counters) is intrinsic
-        here, and the measurement framework depends on it."""
-        testbed = build_testbed("kvm-arm")
-        machine = testbed.machine
-        readings = {pcpu.index: machine.counter.read() for pcpu in machine.pcpus}
-        assert len(set(readings.values())) == 1
 
 
 class TestMicrobenchHarness:

@@ -6,7 +6,6 @@ from repro.errors import ConfigurationError, ProtocolError
 from repro.hv import XenHypervisor, build_hypervisor
 from repro.hv.base import VcpuState
 from repro.hv.xen.event_channels import EventChannelTable
-from repro.hv.xen.sched_credit import CreditScheduler
 from repro.hv.xen.xen import IDLE
 from repro.hw.cpu.arm import ExceptionLevel
 from repro.hw.cpu.registers import RegClass
@@ -157,40 +156,6 @@ class TestEventChannels:
     def test_unknown_port_rejected(self):
         with pytest.raises(ProtocolError):
             EventChannelTable().send(42)
-
-
-class TestCreditScheduler:
-    def test_pick_highest_credit(self):
-        machine, hv, domu = make_xen()
-        sched = CreditScheduler()
-        a, b = domu.vcpu(0), domu.vcpu(1)
-        # Re-register on a private scheduler to control credits directly.
-        sched.register(a)
-        sched.register(b)
-        sched.wake(a)
-        sched.wake(b)
-        sched.tick()
-        sched.charge(a, 1000)
-        # Both pinned to different pcpus; pick per pcpu.
-        assert sched.pick_next(a.pcpu.index) is a  # alone on its queue
-        sched.block(a)
-        assert sched.pick_next(a.pcpu.index) is None
-
-    def test_tick_refills_proportional_to_weight(self):
-        machine, hv, domu = make_xen()
-        sched = CreditScheduler()
-        a, b = domu.vcpu(0), domu.vcpu(1)
-        sched.register(a, weight=256)
-        sched.register(b, weight=768)
-        sched.tick()
-        assert sched.credits_of(b) == 3 * sched.credits_of(a)
-
-    def test_double_register_rejected(self):
-        machine, hv, domu = make_xen()
-        sched = CreditScheduler()
-        sched.register(domu.vcpu(0))
-        with pytest.raises(ConfigurationError):
-            sched.register(domu.vcpu(0))
 
 
 class TestIoPaths:

@@ -1,11 +1,11 @@
-"""Unit tests for the memory system: Stage-2, TLB, grants, DMA."""
+"""Unit tests for the memory system: Stage-2, TLB shootdown, grants."""
 
 import pytest
 from hypothesis import example, given, strategies as st
 
-from repro.errors import ConfigurationError, HardwareFault, ProtocolError
+from repro.errors import ProtocolError
 from repro.hw.costs import arm_costs, x86_costs
-from repro.hw.mem import DmaEngine, GrantTable, Tlb, TlbShootdownModel
+from repro.hw.mem import GrantTable, TlbShootdownModel
 from repro.hw.mem.address import GPA, HPA, PAGE_SIZE, page_of
 from repro.hw.mem.grant import grant_copy_cycles
 from repro.hw.mem.stage2 import (
@@ -63,16 +63,6 @@ class TestStage2:
         with pytest.raises(Stage2Fault):
             tables.walk(GPA(0x10 * PAGE_SIZE), write=True)
 
-    def test_unmap_then_fault(self):
-        tables = Stage2Tables(vmid=1)
-        tables.map_page(0x10, 0x99)
-        tables.unmap_page(0x10)
-        assert not tables.is_mapped(GPA(0x10 * PAGE_SIZE))
-
-    def test_unmap_unmapped_rejected(self):
-        with pytest.raises(HardwareFault):
-            Stage2Tables(1).unmap_page(0x10)
-
     def test_pages_far_apart_use_distinct_subtrees(self):
         tables = Stage2Tables(vmid=1)
         tables.map_page(0x1, 0xA)
@@ -106,43 +96,6 @@ class TestStage2Indices:
         assert tables.mapped_page_count() == len(set(pages))
 
 
-class TestTlb:
-    def test_miss_then_hit(self):
-        tlb = Tlb()
-        assert tlb.lookup(1, 0x10) is None
-        tlb.fill(1, 0x10, 0x99)
-        assert tlb.lookup(1, 0x10) == 0x99
-        assert tlb.hits == 1
-        assert tlb.misses == 1
-
-    def test_capacity_evicts_lru(self):
-        tlb = Tlb(capacity=2)
-        tlb.fill(1, 0xA, 1)
-        tlb.fill(1, 0xB, 2)
-        tlb.lookup(1, 0xA)  # touch A so B becomes LRU
-        tlb.fill(1, 0xC, 3)
-        assert tlb.lookup(1, 0xB) is None
-        assert tlb.lookup(1, 0xA) == 1
-
-    def test_invalidate_page(self):
-        tlb = Tlb()
-        tlb.fill(1, 0xA, 1)
-        tlb.invalidate_page(1, 0xA)
-        assert tlb.lookup(1, 0xA) is None
-
-    def test_invalidate_vmid_leaves_others(self):
-        tlb = Tlb()
-        tlb.fill(1, 0xA, 1)
-        tlb.fill(2, 0xA, 2)
-        tlb.invalidate_vmid(1)
-        assert tlb.lookup(1, 0xA) is None
-        assert tlb.lookup(2, 0xA) == 2
-
-    def test_invalid_capacity(self):
-        with pytest.raises(ConfigurationError):
-            Tlb(capacity=0)
-
-
 class TestShootdown:
     def test_arm_broadcast_is_constant_in_cpus(self):
         costs = arm_costs()
@@ -157,15 +110,6 @@ class TestShootdown:
         eight = TlbShootdownModel("x86", costs, 8).invalidate_cycles()
         assert eight == four * 7 / 3
         assert four == costs.tlb_invalidate_ipi * 3
-
-    def test_invalidate_all_clears_every_tlb(self):
-        tlbs = [Tlb(), Tlb()]
-        for tlb in tlbs:
-            tlb.fill(1, 0xA, 5)
-        model = TlbShootdownModel("arm", arm_costs(), 2)
-        cost = model.invalidate_all(tlbs, 1, 0xA)
-        assert cost > 0
-        assert all(tlb.lookup(1, 0xA) is None for tlb in tlbs)
 
 
 class TestGrantTable:
@@ -226,18 +170,3 @@ class TestGrantCopyCost:
         big = grant_copy_cycles(costs, shootdown, 64 * 1024)
         assert big > small
 
-
-class TestDma:
-    def test_zero_copy_lands_free(self):
-        dma = DmaEngine(DmaEngine.GUEST_DIRECT, arm_costs())
-        assert dma.landing_cost(9000) == 0
-        assert dma.zero_copy
-
-    def test_bounce_pays_copy(self):
-        dma = DmaEngine(DmaEngine.BOUNCE, arm_costs())
-        assert dma.landing_cost(9000) > 0
-        assert dma.bounced_bytes == 9000
-
-    def test_unknown_mode_rejected(self):
-        with pytest.raises(ConfigurationError):
-            DmaEngine("weird", arm_costs())

@@ -72,7 +72,8 @@ class TestDeterminism:
         before = random.getstate()
         suite.full_report()
         assert random.getstate() == before, (
-            "the model drew from the global random module; use repro.sim.rng"
+            "the model drew from the global random module; the model is "
+            "deterministic and draws no random numbers"
         )
 
     def test_model_layers_never_read_a_wall_clock(self, monkeypatch):

@@ -114,17 +114,6 @@ CATALOGUE = (
         ("tests", "paper", "sha"),
     ),
     Mutation(
-        "anyof-leak",
-        "sim/engine.py",
-        '                state["registered"] = None\n'
-        "                for event, losing_callback in registered:\n"
-        "                    if losing_callback is not callback:\n"
-        "                        event.cancel_on_fire(losing_callback)\n",
-        '                state["registered"] = None\n',
-        "AnyOf leaves the losing callbacks registered",
-        ("tests",),
-    ),
-    Mutation(
         "xen-dropped-return",
         XEN,
         '        yield from self._xen_entry(vcpu, "hypercall")\n'

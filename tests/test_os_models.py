@@ -1,11 +1,10 @@
-"""Unit tests for the OS layer: netstack, kernel, scheduler, drivers."""
+"""Unit tests for the OS layer: netstack, kernel, drivers."""
 
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.os import CfsScheduler, KernelModel, NetstackModel
+from repro.os import KernelModel, NetstackModel
 from repro.os.drivers import VirtioNetFrontend, XenNetfront
-from repro.os.sched import Task
 from repro.sim import Clock
 
 ARM_CLOCK = Clock(2.4e9)
@@ -42,62 +41,11 @@ class TestNetstack:
 class TestKernel:
     def test_costs_positive_and_ordered(self):
         kernel = KernelModel(ARM_CLOCK)
-        assert 0 < kernel.syscall_cycles() < kernel.process_switch_cycles()
-        assert kernel.process_switch_cycles() < kernel.fork_exec_cycles()
+        assert 0 < kernel.syscall_cycles() < kernel.local_wakeup_cycles()
 
     def test_resched_ipi_under_microseconds(self):
         kernel = KernelModel(ARM_CLOCK)
         assert ARM_CLOCK.us_from_cycles(kernel.resched_ipi_cycles()) < 1.0
-
-
-class TestCfs:
-    def test_pick_lowest_vruntime(self):
-        sched = CfsScheduler(2)
-        a, b = Task("a"), Task("b")
-        sched.add_task(a)
-        sched.add_task(b)
-        sched.account(a, 1000)
-        assert sched.pick_next() is b
-
-    def test_weight_scales_vruntime(self):
-        sched = CfsScheduler(1)
-        heavy = Task("heavy", weight=2048)
-        light = Task("light", weight=1024)
-        sched.add_task(heavy)
-        sched.add_task(light)
-        sched.account(heavy, 1000)
-        sched.account(light, 1000)
-        assert heavy.vruntime < light.vruntime
-
-    def test_sleeping_tasks_not_picked(self):
-        sched = CfsScheduler(1)
-        sched.add_task(Task("a"))
-        sched.sleep("a")
-        assert sched.pick_next() is None
-        sched.wake("a")
-        assert sched.pick_next().name == "a"
-
-    def test_load_metric(self):
-        sched = CfsScheduler(4)
-        for index in range(8):
-            sched.add_task(Task("t%d" % index))
-        assert sched.load() == 2.0
-
-    def test_duplicate_task_rejected(self):
-        sched = CfsScheduler(1)
-        sched.add_task(Task("a"))
-        with pytest.raises(ConfigurationError):
-            sched.add_task(Task("a"))
-
-    def test_invalid_weight_rejected(self):
-        with pytest.raises(ConfigurationError):
-            Task("bad", weight=0)
-
-    def test_deterministic_tie_break(self):
-        sched = CfsScheduler(1)
-        sched.add_task(Task("b"))
-        sched.add_task(Task("a"))
-        assert sched.pick_next().name == "a"
 
 
 class TestDrivers:

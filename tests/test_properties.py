@@ -4,10 +4,9 @@ simulation invariants."""
 from hypothesis import given, settings, strategies as st
 
 from repro.hw.cpu.registers import RegClass, RegisterFile
-from repro.hw.irq.gic import NUM_LIST_REGISTERS, VirtualCpuInterface
+from repro.hw.irq.gic import VirtualCpuInterface
 from repro.hw.mem.address import GPA, PAGE_SIZE
-from repro.hw.mem.stage2 import Stage2Fault, Stage2Tables
-from repro.hw.mem.tlb import Tlb
+from repro.hw.mem.stage2 import Stage2Tables
 from repro.hv.xen.event_channels import EventChannelTable
 from repro.sim import Clock, Engine, Timeout
 
@@ -54,18 +53,6 @@ class TestStage2Properties:
             assert hpa.page == hpa_page
             assert hpa.offset == 7
 
-    @given(st.sets(page_numbers, min_size=2, max_size=30))
-    def test_unmapping_one_page_leaves_others(self, pages):
-        pages = sorted(pages)
-        tables = Stage2Tables(vmid=1)
-        for page in pages:
-            tables.map_page(page, page + 1)
-        victim = pages[0]
-        tables.unmap_page(victim)
-        assert not tables.is_mapped(GPA(victim * PAGE_SIZE))
-        for page in pages[1:]:
-            assert tables.is_mapped(GPA(page * PAGE_SIZE))
-
     @given(page_numbers)
     def test_offset_preserved_through_translation(self, page):
         tables = Stage2Tables(vmid=1)
@@ -73,36 +60,6 @@ class TestStage2Properties:
         for offset in (0, 1, PAGE_SIZE - 1):
             hpa, _ = tables.walk(GPA(page * PAGE_SIZE + offset))
             assert hpa.offset == offset
-
-
-class TestTlbProperties:
-    @given(
-        st.lists(
-            st.tuples(st.integers(1, 3), page_numbers, page_numbers),
-            min_size=1,
-            max_size=200,
-        )
-    )
-    def test_never_exceeds_capacity_and_hits_are_correct(self, fills):
-        tlb = Tlb(capacity=16)
-        shadow = {}
-        for vmid, gpa_page, hpa_page in fills:
-            tlb.fill(vmid, gpa_page, hpa_page)
-            shadow[(vmid, gpa_page)] = hpa_page
-            assert len(tlb) <= 16
-        for (vmid, gpa_page), hpa_page in shadow.items():
-            got = tlb.lookup(vmid, gpa_page)
-            assert got is None or got == hpa_page
-
-    @given(st.lists(st.tuples(st.integers(1, 3), page_numbers), max_size=60))
-    def test_invalidate_vmid_total(self, fills):
-        tlb = Tlb(capacity=128)
-        for vmid, page in fills:
-            tlb.fill(vmid, page, page)
-        tlb.invalidate_vmid(2)
-        for vmid, page in fills:
-            if vmid == 2:
-                assert tlb.lookup(vmid, page) is None
 
 
 class TestVgicProperties:
@@ -123,17 +80,6 @@ class TestVgicProperties:
             delivered.append(virq)
             vif.refill_from_overflow()
         assert sorted(delivered) == sorted(virqs)
-
-    @given(st.integers(0, NUM_LIST_REGISTERS * 2))
-    def test_snapshot_load_preserves_pending_count(self, count):
-        vif = VirtualCpuInterface()
-        for virq in range(32, 32 + count):
-            vif.inject(virq)
-        image = vif.snapshot()
-        other = VirtualCpuInterface()
-        other.load(image)
-        assert other.pending_count() == vif.pending_count()
-        assert other.overflow == vif.overflow
 
 
 class TestEventChannelProperties:

@@ -1,9 +1,9 @@
-"""Unit tests for channels, clock and RNG."""
+"""Unit tests for channels and the clock."""
 
 import pytest
 
-from repro.errors import ConfigurationError, SimulationError
-from repro.sim import Channel, Clock, DeterministicRng, Engine
+from repro.errors import ConfigurationError
+from repro.sim import Channel, Clock, Engine
 
 
 class TestChannel:
@@ -51,19 +51,6 @@ class TestChannel:
         engine.run()
         assert got == [("first", "a"), ("second", "b")]
 
-    def test_get_nowait_empty_raises(self):
-        channel = Channel(Engine(), "c")
-        with pytest.raises(SimulationError):
-            channel.get_nowait()
-
-    def test_len_and_peek(self):
-        channel = Channel(Engine(), "c")
-        channel.put(1)
-        channel.put(2)
-        assert len(channel) == 2
-        assert channel.peek() == 1
-        assert channel.get_nowait() == 1
-
 
 class TestClock:
     def test_round_trip_us(self):
@@ -83,26 +70,3 @@ class TestClock:
         with pytest.raises(ConfigurationError):
             Clock(0)
 
-
-class TestRng:
-    def test_streams_are_reproducible(self):
-        a = DeterministicRng(seed=7)
-        b = DeterministicRng(seed=7)
-        assert [a.uniform("x", 0, 1) for _ in range(5)] == [
-            b.uniform("x", 0, 1) for _ in range(5)
-        ]
-
-    def test_streams_are_independent(self):
-        rng = DeterministicRng(seed=7)
-        first = rng.uniform("x", 0, 1)
-        rng2 = DeterministicRng(seed=7)
-        rng2.uniform("y", 0, 1)  # draw from another stream first
-        assert rng2.uniform("x", 0, 1) == first
-
-    def test_different_seeds_differ(self):
-        assert DeterministicRng(1).uniform("x", 0, 1) != DeterministicRng(2).uniform("x", 0, 1)
-
-    def test_randint_bounds(self):
-        rng = DeterministicRng()
-        for _ in range(100):
-            assert 3 <= rng.randint("r", 3, 9) <= 9

@@ -1,111 +1,10 @@
-"""Tests for the virtual timer and the paravirtual block I/O paths."""
+"""Tests for the paravirtual block I/O paths."""
 
 import pytest
 
 from repro.core.testbed import build_testbed
 from repro.errors import ConfigurationError
-from repro.hv.base import VIRQ_TIMER
 from repro.hv.blockio import BlockIoPath, native_block_cycles
-from repro.hv.timer import VcpuTimer, attach_timers
-from repro.hw.cpu.counters import ArchTimer
-
-
-class TestArchTimer:
-    def test_fires_at_deadline(self):
-        testbed = build_testbed("kvm-arm")
-        fired = []
-        timer = ArchTimer(testbed.engine)
-        timer.on_expiry = lambda: fired.append(testbed.engine.now)
-        timer.program(5000)
-        assert timer.armed
-        testbed.engine.run()
-        assert fired == [5000]
-        assert not timer.armed
-
-    def test_reprogram_cancels_previous(self):
-        testbed = build_testbed("kvm-arm")
-        fired = []
-        timer = ArchTimer(testbed.engine)
-        timer.on_expiry = lambda: fired.append(testbed.engine.now)
-        timer.program(5000)
-        timer.program(9000)
-        testbed.engine.run()
-        assert fired == [9000]
-
-    def test_cancel(self):
-        testbed = build_testbed("kvm-arm")
-        timer = ArchTimer(testbed.engine)
-        timer.on_expiry = lambda: pytest.fail("should not fire")
-        timer.program(100)
-        timer.cancel()
-        testbed.engine.run()
-
-
-class TestVcpuTimer:
-    def _deliver(self, key):
-        testbed = build_testbed(key)
-        hv = testbed.hypervisor
-        vcpu = testbed.vm.vcpu(0)
-        hv.install_guest(vcpu)
-        timer = VcpuTimer(hv, vcpu)
-        program = timer.guest_program(10_000)
-        assert program is None  # ARM: arming is trap-free
-        start = testbed.engine.now
-        delivered_at = testbed.engine.run_until_fired(timer.delivered)
-        testbed.engine.run()
-        return testbed, timer, delivered_at - start
-
-    def test_arm_timer_expiry_injects_virq(self):
-        testbed, timer, latency = self._deliver("kvm-arm")
-        assert timer.expirations == 1
-        # Delivery happens after the deadline plus the injection path —
-        # the paper's point: the *virtual* timer fires a *physical* IRQ
-        # the hypervisor must translate.
-        assert latency > 10_000 + 2000
-
-    def test_xen_delivery_cheaper_than_kvm(self):
-        _, _, kvm_latency = self._deliver("kvm-arm")
-        _, _, xen_latency = self._deliver("xen-arm")
-        assert xen_latency < kvm_latency
-
-    def test_invalid_delta_rejected(self):
-        testbed = build_testbed("kvm-arm")
-        timer = VcpuTimer(testbed.hypervisor, testbed.vm.vcpu(0))
-        with pytest.raises(ConfigurationError):
-            timer.guest_program(0)
-
-    def test_x86_programming_traps(self):
-        testbed = build_testbed("kvm-x86")
-        hv = testbed.hypervisor
-        vcpu = testbed.vm.vcpu(0)
-        hv.install_guest(vcpu)
-        timer = VcpuTimer(hv, vcpu)
-        program = timer.guest_program(10_000)
-        assert program is not None  # x86: the LAPIC-timer write traps
-        start = testbed.engine.now
-        testbed.engine.spawn(program, "lapic-write")
-        testbed.engine.run_until_fired(timer.delivered)
-        testbed.engine.run()
-        assert timer.expirations == 1
-
-    def test_attach_timers_covers_all_vcpus(self):
-        testbed = build_testbed("kvm-arm")
-        timers = attach_timers(testbed.hypervisor)
-        assert len(timers) == 8  # two 4-VCPU VMs
-
-    def test_periodic_ticks_accumulate(self):
-        testbed = build_testbed("kvm-arm")
-        hv = testbed.hypervisor
-        vcpu = testbed.vm.vcpu(0)
-        hv.install_guest(vcpu)
-        timer = VcpuTimer(hv, vcpu)
-        for _ in range(3):
-            if timer.delivered.fired:
-                timer.delivered.reset()
-            timer.guest_program(5_000)
-            testbed.engine.run_until_fired(timer.delivered)
-            testbed.engine.run()
-        assert timer.expirations == 3
 
 
 class TestBlockIo:
