@@ -13,8 +13,9 @@ Floods a VM with virtual interrupts to show two mechanisms:
 Run:  python examples/interrupt_storm.py
 """
 
-from repro.core.serversim import run_server_comparison
+from repro.core.appbench import run_workload
 from repro.core.testbed import build_testbed
+from repro.workloads import Apache
 
 
 def storm(key, virqs=12):
@@ -48,16 +49,20 @@ def main():
         "\nXen refills its LRs without leaving EL2.\n"
     )
 
-    print("The same mechanism at application scale (Apache-like load):\n")
+    print("The same mechanism at application scale (Apache, normalized to native):\n")
     for irq_vcpus, label in ((1, "all IRQs on VCPU0"), (4, "IRQs distributed")):
-        results = run_server_comparison(irq_vcpus=irq_vcpus, requests=200)
-        native = results["native"]
+        results = {
+            key: run_workload(Apache(), key, irq_vcpus=irq_vcpus)
+            for key in ("kvm-arm", "xen-arm")
+        }
         print(
-            "  %-18s kvm-arm %.2fx, xen-arm %.2fx of native time"
+            "  %-18s kvm-arm %.2f (%s), xen-arm %.2f (%s)"
             % (
                 label + ":",
-                results["kvm-arm"].normalized_to(native),
-                results["xen-arm"].normalized_to(native),
+                results["kvm-arm"].normalized,
+                results["kvm-arm"].bottleneck,
+                results["xen-arm"].normalized,
+                results["xen-arm"].bottleneck,
             )
         )
 

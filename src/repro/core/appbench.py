@@ -26,6 +26,9 @@ from repro.os.netstack import NetstackModel
 from repro.sim import Clock
 from repro.workloads import FIGURE4_WORKLOADS
 
+#: netperf TCP_RR transactions simulated per platform for the Figure 4 bar
+RR_TRANSACTIONS = 12
+
 
 @dataclasses.dataclass
 class AppBenchContext:
@@ -42,7 +45,6 @@ class AppBenchContext:
     #: whether the guest's TCP autosizing regression has been tuned away
     tso_autosizing_fixed: bool = False
     _rr_cache: dict = dataclasses.field(default_factory=dict)
-    rr_transactions: int = 12
 
     @property
     def bulk_segment_us(self):
@@ -57,10 +59,10 @@ class AppBenchContext:
         if key not in self._rr_cache:
             _hv_kind, arch, _vhe = parse_key(key)
             native = TcpRrBenchmark(
-                native_testbed(arch), transactions=self.rr_transactions
+                native_testbed(arch), transactions=RR_TRANSACTIONS
             ).run()
             virt = TcpRrBenchmark(
-                build_testbed(key), transactions=self.rr_transactions
+                build_testbed(key), transactions=RR_TRANSACTIONS
             ).run()
             self._rr_cache[key] = (native.time_per_trans_us, virt.time_per_trans_us)
         return self._rr_cache[key]

@@ -80,7 +80,7 @@ class OversubscriptionExperiment:
         )
 
 
-def sweep(keys, timeslices_us=(100.0, 500.0, 1000.0, 4000.0)):
+def sweep(keys, timeslices_us):
     """{key: [OversubscriptionPoint, ...]} across timeslice lengths."""
     return {
         key: [OversubscriptionExperiment(key, ts).run() for ts in timeslices_us]

@@ -57,8 +57,7 @@ ABLATION_KEYS = ("kvm-arm", "xen-arm")
 ABLATION_WORKLOADS = ("Apache", "Memcached")
 #: the Section VI comparison pair: split-mode KVM vs the VHE what-if.
 VHE_KEYS = ("kvm-arm", "kvm-vhe-arm")
-#: timeslice sweep of the oversubscription experiment (mirrors
-#: ``repro.core.oversubscription.sweep``'s default grid).
+#: timeslice sweep of the oversubscription experiment.
 OVERSUB_TIMESLICES_US = (100.0, 500.0, 1000.0, 4000.0)
 
 _WORKLOADS_BY_NAME = {workload.name: type(workload) for workload in FIGURE4_WORKLOADS}

@@ -18,9 +18,6 @@ class Channel:
         self._items = deque()
         self._getters = deque()
 
-    def __len__(self):
-        return len(self._items)
-
     def put(self, item):
         """Append ``item``; wakes the oldest blocked getter, if any."""
         if self._getters:

@@ -3,12 +3,14 @@ VHE comparison, and reporting."""
 
 import pytest
 
+from repro.core.appbench import run_figure4
 from repro.core.derived import measure_derived_costs
 from repro.core.irqbalance import run_irq_distribution_ablation
 from repro.core.testbed import build_testbed, native_testbed, parse_key
 from repro.core.vhe_projection import run_vhe_comparison
 from repro.core import reporting
 from repro.errors import ConfigurationError
+from repro.workloads import Apache, Memcached
 
 
 class TestTestbed:
@@ -101,6 +103,17 @@ class TestAblation:
         assert set(results) == {("kvm-arm", "Apache"), ("kvm-arm", "Memcached")}
         for point in results.values():
             assert point.improvement_pct > 0
+
+    def test_figure4_at_four_irq_vcpus_is_the_distributed_ablation(self):
+        # The figure4 target's irq_vcpus knob and the ablation's
+        # distributed column are one model reached two ways.
+        ablation = run_irq_distribution_ablation(keys=("xen-arm",))
+        grid = run_figure4(["xen-arm"], irq_vcpus=4, workloads=[Apache(), Memcached()])
+        for name in ("Apache", "Memcached"):
+            overhead_pct = (grid[name]["xen-arm"].normalized - 1.0) * 100.0
+            point = ablation[("xen-arm", name)]
+            assert overhead_pct == pytest.approx(point.distributed_overhead_pct)
+            assert grid[name]["xen-arm"].bottleneck == point.distributed_bottleneck
 
 
 class TestVheComparison:

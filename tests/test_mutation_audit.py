@@ -33,6 +33,12 @@ Mutation = collections.namedtuple(
 WS = "hv/kvm/world_switch.py"
 KVM = "hv/kvm/kvm.py"
 XEN = "hv/xen/xen.py"
+WORKLOAD = "workloads/base.py"
+NETPERF = "workloads/netperf.py"
+NETSTACK = "os/netstack.py"
+DERIVED = "core/derived.py"
+RR = "core/netanalysis.py"
+APPBENCH = "core/appbench.py"
 
 CATALOGUE = (
     Mutation(
@@ -383,6 +389,113 @@ CATALOGUE = (
         "",
         "a process that fired run_until_fired's event runs ahead past it, "
         "so the call returns late",
+        ("tests",),
+    ),
+    Mutation(
+        "irq-share-ignored",
+        WORKLOAD,
+        "        irq_share = 1.0 / min(context.irq_vcpus, VM_VCPUS)\n",
+        "        irq_share = 1.0\n",
+        "the server model leaves all interrupt work on VCPU0 whatever "
+        "irq_vcpus says",
+        ("tests", "paper", "sha"),
+    ),
+    Mutation(
+        "ipi-no-complete",
+        WORKLOAD,
+        "            * (derived.virtual_ipi + derived.virq_complete - context.native_ipi_cycles)\n",
+        "            * (derived.virtual_ipi - context.native_ipi_cycles)\n",
+        "a virtual rescheduling IPI no longer pays its virtual IRQ completion",
+        ("tests", "sha"),
+    ),
+    Mutation(
+        "bulk-segment-doubled",
+        NETSTACK,
+        "        return self.clock.cycles_from_ns(self.ns.bulk_segment)\n",
+        "        return self.clock.cycles_from_ns(2 * self.ns.bulk_segment)\n",
+        "the netstack charges each bulk 64 KB segment twice",
+        ("tests", "sha"),
+    ),
+    Mutation(
+        "bridge-tx-reads-rx",
+        NETSTACK,
+        "        return self.clock.cycles_from_ns(self.ns.bridge_tx)\n",
+        "        return self.clock.cycles_from_ns(self.ns.bridge_rx)\n",
+        "the transmit bridge traversal reads the receive-side cost",
+        ("tests", "sha"),
+    ),
+    Mutation(
+        "occupancy-whole-notify",
+        DERIVED,
+        "    return total, occupancy\n",
+        "    return total, total\n",
+        "the delivery occupancy takes the whole notify time, not only what "
+        "the target VCPU's PCPU spends",
+        ("tests", "paper", "sha"),
+    ),
+    Mutation(
+        "grant-batch-dropped",
+        DERIVED,
+        "        amortized = shootdown.invalidate_cycles() * (GRANT_BATCH - 1) // GRANT_BATCH\n",
+        "        amortized = 0\n",
+        "batched grant copies pay a full TLB invalidation each",
+        ("tests", "paper", "sha"),
+    ),
+    Mutation(
+        "netback-per-packet-doubled",
+        NETPERF,
+        "NETBACK_PER_PACKET_US = 0.75\n",
+        "NETBACK_PER_PACKET_US = 1.5\n",
+        "netback's per-packet ring work is counted twice",
+        ("tests", "sha"),
+    ),
+    Mutation(
+        "stream-packets-off-by-one",
+        NETPERF,
+        "        packets = SEGMENT_BYTES // MTU_BYTES + 1\n",
+        "        packets = SEGMENT_BYTES // MTU_BYTES\n",
+        "Xen's TCP_STREAM drops the partial last MTU packet of each segment",
+        ("tests", "sha"),
+    ),
+    Mutation(
+        "rr-guest-skips-driver-rx",
+        RR,
+        '        yield pcpu.op("guest_driver_rx", frontend.rx_cycles(), "guest")\n',
+        "",
+        "the TCP_RR guest server skips the frontend driver's receive work",
+        ("tests", "sha"),
+    ),
+    Mutation(
+        "rr-send-stamp-swapped",
+        RR,
+        '                us(t.response.stamps["host.tx"] - t.response.stamps["vm.send"])\n',
+        '                us(t.response.stamps["host.tx"] - t.request.stamps["vm.recv"])\n',
+        "Table V's VM-send-to-send interval starts at the VM receive stamp",
+        ("tests", "paper", "sha"),
+    ),
+    Mutation(
+        "oversub-timeslice-ns",
+        "core/oversubscription.py",
+        "        timeslice = clock.cycles_from_us(self.timeslice_us)\n",
+        "        timeslice = clock.cycles_from_ns(self.timeslice_us)\n",
+        "the oversubscription timeslice is read in nanoseconds",
+        ("tests", "paper"),
+    ),
+    Mutation(
+        "context-drops-tso-fix",
+        APPBENCH,
+        "        tso_autosizing_fixed=tso_autosizing_fixed,\n    )\n",
+        "    )\n",
+        "make_context drops the TSO-autosizing knob, so the tuned guest runs "
+        "the regression",
+        ("tests", "paper"),
+    ),
+    Mutation(
+        "figure4-drops-irq-vcpus",
+        APPBENCH,
+        "    contexts = {key: make_context(key, irq_vcpus) for key in keys}\n",
+        "    contexts = {key: make_context(key) for key in keys}\n",
+        "run_figure4 builds every context at the default irq_vcpus",
         ("tests",),
     ),
 )
